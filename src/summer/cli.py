@@ -49,18 +49,24 @@ def _load_file(path: str) -> tuple[str, bool]:
         return _decode_binary(raw), True
 
 
-def _load_tree(root: str) -> tuple[Snapshot, set[str]]:
-    snap: Snapshot = {}
-    binary: set[str] = set()
+def _walk_tree(root: str):
+    """Yield (relative path with "/" separators, full path) for every file
+    under root, in sorted order, skipping SKIP_DIRS."""
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames if d not in SKIP_DIRS)
         for name in sorted(filenames):
             full = os.path.join(dirpath, name)
-            rel = os.path.relpath(full, root).replace(os.sep, "/")
-            text, is_binary = _load_file(full)
-            snap[rel] = text
-            if is_binary:
-                binary.add(rel)
+            yield os.path.relpath(full, root).replace(os.sep, "/"), full
+
+
+def _load_tree(root: str) -> tuple[Snapshot, set[str]]:
+    snap: Snapshot = {}
+    binary: set[str] = set()
+    for rel, full in _walk_tree(root):
+        text, is_binary = _load_file(full)
+        snap[rel] = text
+        if is_binary:
+            binary.add(rel)
     return snap, binary
 
 
@@ -95,10 +101,9 @@ def _encode_for(path: str, content: str, binary: set[str]) -> bytes:
 
 
 def _write_tree(root: str, snap: Snapshot, binary: set[str]) -> None:
-    existing, _ = _load_tree(root) if os.path.isdir(root) else ({}, set())
-    for rel in existing:
+    for rel, full in _walk_tree(root):
         if rel not in snap:
-            os.remove(os.path.join(root, rel.replace("/", os.sep)))
+            os.remove(full)
     for rel, content in snap.items():
         full = os.path.join(root, rel.replace("/", os.sep))
         os.makedirs(os.path.dirname(full) or ".", exist_ok=True)

@@ -24,7 +24,7 @@ from .rules import (
     Scorer,
     apply_rewrite_to_text,
 )
-from .tokens import CharCategory, TokenString, find_matches, tokenize_cached
+from .tokens import CharCategory, _find_aligned, find_matches, tokenize_cached
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +80,7 @@ class _Occurrence:
     edit_index: int
 
 
-def match_pattern(ts: TokenString, pattern: MovePattern) -> list[tuple[int, int, int, int]]:
+def match_pattern(text: str, pattern: MovePattern) -> list[tuple[int, int, int, int]]:
     """Leftmost non-overlapping capture matches as (start, end, cap0, cap1).
 
     The prefix and suffix must land on token boundaries; the capture is the
@@ -90,33 +90,17 @@ def match_pattern(ts: TokenString, pattern: MovePattern) -> list[tuple[int, int,
     prefix, suffix = pattern.literal_prefix, pattern.literal_suffix
     if not pattern.has_capture or not prefix or not suffix:
         raise ValueError("matching requires a capture slot with nonempty anchors")
-    src = ts.source
-    bounds = ts.boundaries
     out: list[tuple[int, int, int, int]] = []
-    pos = 0
-    while True:
-        i = src.find(prefix, pos)
-        if i < 0:
-            return out
-        if i not in bounds or (i + len(prefix)) not in bounds:
-            pos = i + 1
-            continue
+    i = _find_aligned(text, prefix, 0)
+    while i >= 0:
         cap0 = i + len(prefix)
-        spos = cap0 + 1
-        cap1 = -1
-        while True:
-            j = src.find(suffix, spos)
-            if j < 0:
-                break
-            if j in bounds and (j + len(suffix)) in bounds:
-                cap1 = j
-                break
-            spos = j + 1
+        cap1 = _find_aligned(text, suffix, cap0 + 1)
         if cap1 < 0:
-            pos = i + 1
-            continue
-        out.append((i, cap1 + len(suffix), cap0, cap1))
-        pos = cap1 + len(suffix)
+            return out  # a later prefix site has no suffix after it either
+        end = cap1 + len(suffix)
+        out.append((i, end, cap0, cap1))
+        i = _find_aligned(text, prefix, end)
+    return out
 
 
 # --- shared-substring search -------------------------------------------------
@@ -153,7 +137,6 @@ def _longest_shared(
     or insertion/substitution atoms (side rhs); identity atoms may appear
     inside. The probe occurrence must sit on probe token boundaries.
     """
-    probe_ts = tokenize_cached(probe)
     best = ""
     searchable = _searchable(buckets)
     for bidx in searchable:
@@ -170,7 +153,7 @@ def _longest_shared(
                 if (
                     _qualifies(atoms[v], side)
                     and len(text) > len(best)
-                    and find_matches(probe_ts, text)
+                    and find_matches(probe, text)
                 ):
                     best = text
     if not best or _is_trivial(best):
@@ -243,21 +226,6 @@ class _PlainCandidate:
     bucket: int
 
 
-def _score_pattern(
-    pattern: MovePattern, rhs: str, scorer: Scorer
-) -> tuple[RuleMetrics, list[tuple[int, int, int]]]:
-    tp = fp = 0
-    sites: list[tuple[int, int, int]] = []
-    for bidx, index in enumerate(scorer.indexes):
-        for start, end, _c0, _c1 in match_pattern(index.tokenized, pattern):
-            if index.agrees(start, end, rhs):
-                tp += 1
-                sites.append((bidx, start, end))
-            else:
-                fp += 1
-    return RuleMetrics(tp, fp), sites
-
-
 def _usable(metrics: RuleMetrics) -> bool:
     return metrics.tp >= 1 and metrics.precision > 0.5
 
@@ -277,40 +245,48 @@ def _plain_rank(c: _PlainCandidate):
     return (-c.metrics.precision, -c.metrics.tp, len(c.lhs), c.lhs, c.rhs)
 
 
-def _antecedent_candidates_extract(
-    s: str, occurrences: list[_Occurrence], scorer: Scorer, window: int
+def _span(atoms: list[Atom], lo: int, hi: int) -> tuple[int, int]:
+    return (atoms[lo].lhs_span[0], atoms[hi - 1].lhs_span[1])
+
+
+def _antecedent_candidates_around(
+    bucket_index: int,
+    core_lo: int,
+    core_hi: int,
+    head: str,
+    tail: str,
+    scorer: Scorer,
+    window: int,
+    seen: set,
 ) -> list[_PatternCandidate]:
+    """Capture-pattern expansions of the atom range [core_lo, core_hi), whose
+    lhs reads head + capture + tail; `seen` skips keys already scored."""
+    atoms = scorer.atoms(bucket_index)
     out: list[_PatternCandidate] = []
-    seen: set[tuple[str, str, str]] = set()
-    for occ in occurrences:
-        atoms = scorer.atoms(occ.bucket)
-        for j in range(window + 1):
-            lo = max(0, occ.lo - j)
-            prefix = "".join(a.lhs for a in atoms[lo : occ.lo])
-            if not prefix:
+    for j in range(window + 1):
+        lo = max(0, core_lo - j)
+        prefix = "".join(a.lhs for a in atoms[lo:core_lo]) + head
+        if not prefix:
+            continue
+        for k in range(window + 1):
+            hi = min(len(atoms), core_hi + k)
+            suffix = tail + "".join(a.lhs for a in atoms[core_hi:hi])
+            if not suffix:
                 continue
-            for k in range(window + 1):
-                hi = min(len(atoms), occ.hi + k)
-                suffix = "".join(a.lhs for a in atoms[occ.hi : hi])
-                if not suffix:
-                    continue
-                rhs = "".join(a.rhs for a in atoms[lo:hi])
-                key = (prefix, suffix, rhs)
-                if key in seen:
-                    continue
-                seen.add(key)
-                pattern = MovePattern(prefix, True, suffix)
-                metrics, sites = _score_pattern(pattern, rhs, scorer)
-                out.append(
-                    _PatternCandidate(
-                        pattern,
-                        rhs,
-                        metrics,
-                        sites,
-                        (atoms[lo].lhs_span[0], atoms[hi - 1].lhs_span[1]),
-                        occ.bucket,
-                    )
+            rhs = "".join(a.rhs for a in atoms[lo:hi])
+            key = (prefix, suffix, rhs)
+            if key in seen:
+                continue
+            seen.add(key)
+            pattern = MovePattern(prefix, True, suffix)
+            metrics, sites = scorer.score_matches(
+                lambda source: [m[:2] for m in match_pattern(source, pattern)], rhs
+            )
+            out.append(
+                _PatternCandidate(
+                    pattern, rhs, metrics, sites, _span(atoms, lo, hi), bucket_index
                 )
+            )
     return [c for c in out if _usable(c.metrics)]
 
 
@@ -318,16 +294,15 @@ def _consequent_candidates_around(
     bucket_index: int,
     core_lo: int,
     core_hi: int,
-    s: str,
     s_offset_in_core: int,
     scorer: Scorer,
     window: int,
+    seen: set,
 ) -> list[_PlainCandidate]:
     """Plain-rule expansions of the atom range [core_lo, core_hi); the capture
     slot lands at `s_offset_in_core` characters into the range's rhs."""
     atoms = scorer.atoms(bucket_index)
     out: list[_PlainCandidate] = []
-    seen: set[tuple[str, str]] = set()
     for j in range(window + 1):
         lo = max(0, core_lo - j)
         for k in range(window + 1):
@@ -343,13 +318,7 @@ def _consequent_candidates_around(
             metrics, sites = scorer.score(lhs, rhs)
             out.append(
                 _PlainCandidate(
-                    lhs,
-                    rhs,
-                    slot,
-                    metrics,
-                    sites,
-                    (atoms[lo].lhs_span[0], atoms[hi - 1].lhs_span[1]),
-                    bucket_index,
+                    lhs, rhs, slot, metrics, sites, _span(atoms, lo, hi), bucket_index
                 )
             )
     return [c for c in out if _usable(c.metrics)]
@@ -387,7 +356,7 @@ def _bucket_position(buckets: BucketSet, b: Bucket) -> int:
     return next(idx for idx, bb in enumerate(buckets.buckets) if bb is b)
 
 
-def find_extract(
+def find_move(
     i: int,
     b: Bucket,
     buckets: BucketSet,
@@ -395,114 +364,60 @@ def find_extract(
     cfg,
     scorer: Scorer | None = None,
 ) -> None:
-    """Many-to-one extraction: text deleted at one or more sites reappears
-    inside an inserted block. Adds at most one move rule to the pool."""
+    """Extraction or inlining around edit i; adds at most one move to the pool.
+
+    An insertion is an extraction target: text deleted at one or more sites
+    (side "lhs") reappears inside the inserted block. A deletion is an
+    inlined definition: its text reappears on the changed side (side "rhs")
+    of one or more other edits. The antecedent captures the moved text where
+    it was deleted; the consequent writes it back where it was inserted.
+    """
     edit = b.edits[i]
-    if edit.kind is not EditKind.INSERTION:
-        raise ValueError("find_extract requires an insertion edit")
+    if edit.kind is EditKind.INSERTION:
+        side, own = "lhs", edit.rhs
+    elif edit.kind is EditKind.DELETION:
+        side, own = "rhs", edit.lhs
+    else:
+        raise ValueError("find_move requires an insertion or deletion edit")
     scorer = scorer or Scorer(buckets)
-    found = _longest_shared(edit.rhs, buckets, scorer, side="lhs")
+    found = _longest_shared(own, buckets, scorer, side)
     if found is None:
         return
     s, occurrences = found
     bucket_index = _bucket_position(buckets, b)
     atoms = scorer.atoms(bucket_index)
     core = next(idx for idx, a in enumerate(atoms) if a.edit_index == i)
-    s_in_block = find_matches(tokenize_cached(edit.rhs), s)
-    if not s_in_block:
+    s_in_own = find_matches(own, s)
+    if not s_in_own:
         return
-    c_cands = _consequent_candidates_around(
-        bucket_index, core, core + 1, s, s_in_block[0], scorer, cfg.window
-    )
-    if not c_cands:
-        return
-    c_best = min(c_cands, key=_plain_rank)
-    a_cands = _antecedent_candidates_extract(s, occurrences, scorer, cfg.window)
+    off = s_in_own[0]
+    if side == "lhs":
+        # Each deletion site is captured whole; the block holds s at `off`.
+        a_cores = [(o.bucket, o.lo, o.hi, "", "") for o in occurrences]
+        c_cores = [(bucket_index, core, core + 1, off)]
+    else:
+        # The definition is captured inside its own lhs; each reuse site's
+        # rhs is exactly s.
+        head, tail = edit.lhs[:off], edit.lhs[off + len(s) :]
+        a_cores = [(bucket_index, core, core + 1, head, tail)]
+        c_cores = [(o.bucket, o.lo, o.hi, 0) for o in occurrences]
+    a_seen: set[tuple[str, str, str]] = set()
+    a_cands = [
+        c
+        for args in a_cores
+        for c in _antecedent_candidates_around(*args, scorer, cfg.window, a_seen)
+    ]
     if not a_cands:
         return
-    a_best = min(a_cands, key=_pattern_rank)
-    consequent = Consequent(
-        c_best.lhs,
-        MovePattern(
-            c_best.rhs[: c_best.slot], True, c_best.rhs[c_best.slot + len(s) :]
-        ),
-    )
-    antecedent = Antecedent(a_best.pattern, a_best.rhs)
-    move = MoveRule(antecedent, consequent, a_best.metrics + c_best.metrics)
-    claims = _entry_claims(occurrences, scorer, edit, bucket_index, a_best, c_best)
-    pool.add(MoveEntry(move, len(s), claims))
-
-
-def find_inline(
-    i: int,
-    b: Bucket,
-    buckets: BucketSet,
-    pool: MovePool,
-    cfg,
-    scorer: Scorer | None = None,
-) -> None:
-    """One-to-many inlining: text deleted once reappears on the changed side
-    of one or more other edits. Mirror image of find_extract."""
-    edit = b.edits[i]
-    if edit.kind is not EditKind.DELETION:
-        raise ValueError("find_inline requires a deletion edit")
-    scorer = scorer or Scorer(buckets)
-    found = _longest_shared(edit.lhs, buckets, scorer, side="rhs")
-    if found is None:
-        return
-    s, occurrences = found
-    bucket_index = _bucket_position(buckets, b)
-    atoms = scorer.atoms(bucket_index)
-    core = next(idx for idx, a in enumerate(atoms) if a.edit_index == i)
-    s_in_del = find_matches(tokenize_cached(edit.lhs), s)
-    if not s_in_del:
-        return
-    off = s_in_del[0]
-    # Antecedent: deletes the definition, capturing s inside its own lhs.
-    a_cands: list[_PatternCandidate] = []
-    seen: set[tuple[str, str, str]] = set()
-    for j in range(cfg.window + 1):
-        lo = max(0, core - j)
-        for k in range(cfg.window + 1):
-            hi = min(len(atoms), core + 1 + k)
-            prefix = "".join(a.lhs for a in atoms[lo:core]) + edit.lhs[:off]
-            suffix = edit.lhs[off + len(s) :] + "".join(
-                a.lhs for a in atoms[core + 1 : hi]
-            )
-            if not prefix or not suffix:
-                continue
-            rhs = "".join(a.rhs for a in atoms[lo:hi])
-            key = (prefix, suffix, rhs)
-            if key in seen:
-                continue
-            seen.add(key)
-            pattern = MovePattern(prefix, True, suffix)
-            metrics, sites = _score_pattern(pattern, rhs, scorer)
-            a_cands.append(
-                _PatternCandidate(
-                    pattern,
-                    rhs,
-                    metrics,
-                    sites,
-                    (atoms[lo].lhs_span[0], atoms[hi - 1].lhs_span[1]),
-                    bucket_index,
-                )
-            )
-    a_cands = [c for c in a_cands if _usable(c.metrics)]
-    if not a_cands:
-        return
-    a_best = min(a_cands, key=_pattern_rank)
-    c_cands: list[_PlainCandidate] = []
-    for occ in occurrences:
-        occ_atoms = scorer.atoms(occ.bucket)
-        s_off = 0  # occurrence range's rhs concat equals s exactly
-        c_cands.extend(
-            _consequent_candidates_around(
-                occ.bucket, occ.lo, occ.hi, s, s_off, scorer, cfg.window
-            )
-        )
+    c_seen: set[tuple[str, str]] = set()
+    c_cands = [
+        c
+        for args in c_cores
+        for c in _consequent_candidates_around(*args, scorer, cfg.window, c_seen)
+    ]
     if not c_cands:
         return
+    a_best = min(a_cands, key=_pattern_rank)
     c_best = min(c_cands, key=_plain_rank)
     antecedent = Antecedent(a_best.pattern, a_best.rhs)
     consequent = Consequent(
@@ -523,10 +438,7 @@ def _entry_claims(occurrences, scorer, edit, bucket_index, a_best, c_best):
         (c_best.bucket, c_best.span),
     ]
     for occ in occurrences:
-        atoms = scorer.atoms(occ.bucket)
-        claims.append(
-            (occ.bucket, (atoms[occ.lo].lhs_span[0], atoms[occ.hi - 1].lhs_span[1]))
-        )
+        claims.append((occ.bucket, _span(scorer.atoms(occ.bucket), occ.lo, occ.hi)))
     claims.extend((bkt, (s0, s1)) for bkt, s0, s1 in a_best.tp_sites)
     claims.extend((bkt, (s0, s1)) for bkt, s0, s1 in c_best.tp_sites)
     return claims
@@ -554,10 +466,8 @@ def get_precise_move(buckets: BucketSet, cfg) -> list[MoveRule]:
     for bidx in _searchable(buckets):
         b = buckets.buckets[bidx]
         for i, inst in enumerate(b.edits):
-            if inst.kind is EditKind.INSERTION:
-                find_extract(i, b, buckets, pool, cfg, scorer=scorer)
-            elif inst.kind is EditKind.DELETION:
-                find_inline(i, b, buckets, pool, cfg, scorer=scorer)
+            if inst.kind in (EditKind.INSERTION, EditKind.DELETION):
+                find_move(i, b, buckets, pool, cfg, scorer=scorer)
     kept: list[MoveRule] = []
     claims = ClaimMap()
     for entry in sorted(pool.values(), key=_move_rank):
@@ -595,8 +505,7 @@ def apply_move(texts: dict[str, str], move: MoveRule) -> MoveApplication:
     a_sites: list[tuple[str, int, int]] = []
     after_a: dict[str, str] = {}
     for key, text in texts.items():
-        ts = tokenize_cached(text)
-        matches = match_pattern(ts, move.antecedent.lhs)
+        matches = match_pattern(text, move.antecedent.lhs)
         if not matches:
             after_a[key] = text
             continue

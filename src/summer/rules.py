@@ -17,6 +17,7 @@ and tries again with a growing context window; exact-anchor fallback rules
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 from .align import Bucket, BucketSet, EditKind, dissect
@@ -110,7 +111,6 @@ class BucketIndex:
         self.source = bucket.source
         self.target = bucket.target
         self.atoms = atomize(bucket)
-        self.tokenized = tokenize_cached(self.source)
         self._b_lhs = [a.lhs_span[0] for a in self.atoms] + [len(self.source)]
         self._b_rhs = [a.rhs_span[0] for a in self.atoms] + [len(self.target)]
 
@@ -182,21 +182,29 @@ class Scorer:
     def __init__(self, buckets: BucketSet):
         self.buckets = buckets
         self.indexes = [BucketIndex(b) for b in buckets]
-        self._atom_cache: dict[int, list[Atom]] = {
-            i: idx.atoms for i, idx in enumerate(self.indexes)
-        }
 
     def atoms(self, bucket_index: int) -> list[Atom]:
-        return self._atom_cache[bucket_index]
+        return self.indexes[bucket_index].atoms
 
     def score(self, lhs: str, rhs: str) -> tuple[RuleMetrics, list[tuple[int, int, int]]]:
+        """Corpus-wide tp/fp and tp sites of the plain rule lhs -> rhs."""
         if not lhs:
             raise ValueError("rule with empty lhs is unscorable; needs context expansion")
+        n = len(lhs)
+        return self.score_matches(
+            lambda source: [(start, start + n) for start in find_matches(source, lhs)],
+            rhs,
+        )
+
+    def score_matches(
+        self, matcher: Callable[[str], Iterable[tuple[int, int]]], rhs: str
+    ) -> tuple[RuleMetrics, list[tuple[int, int, int]]]:
+        """Score rewriting to `rhs` every (start, end) that `matcher` finds in
+        a bucket source: a site is a tp when the alignment agrees there."""
         tp = fp = 0
         tp_sites: list[tuple[int, int, int]] = []
         for bidx, index in enumerate(self.indexes):
-            for start in find_matches(index.tokenized, lhs):
-                end = start + len(lhs)
+            for start, end in matcher(index.source):
                 if index.agrees(start, end, rhs):
                     tp += 1
                     tp_sites.append((bidx, start, end))
@@ -334,8 +342,7 @@ def ranked_rewriting(
 
 def apply_rewrite_to_text(text: str, lhs: str, rhs: str) -> tuple[str, list[tuple[int, int]]]:
     """One frozen left-to-right token-boundary scan; output is not rescanned."""
-    ts = tokenize_cached(text)
-    sites = find_matches(ts, lhs)
+    sites = find_matches(text, lhs)
     if not sites:
         return text, []
     pieces: list[str] = []
@@ -472,9 +479,7 @@ def _unique_anchor_rule(
             continue
         hits: list[tuple[str, int]] = []
         for label, text in current.items():
-            hits.extend(
-                (label, h) for h in find_matches(tokenize_cached(text), lhs)
-            )
+            hits.extend((label, h) for h in find_matches(text, lhs))
             if len(hits) > 1:
                 break
         if hits == [(own_label, atoms[lo].lhs_span[0])]:

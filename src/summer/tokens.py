@@ -4,12 +4,13 @@ Every piece of text the engine touches (file contents, file names) is split
 into tokens of four character categories. A token is a maximal run of
 same-category characters, except that each symbol character is its own token.
 All pattern matching downstream is required to start and end on token
-boundaries of the text being searched.
+boundaries of the text being searched. Whether an offset is a boundary is
+decided from the two characters around it, so matching needs no tokenization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from functools import lru_cache
 
@@ -51,14 +52,10 @@ class Token:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class TokenString:
-    """A tokenized string together with its token-boundary set."""
+    """A string together with its tokens."""
 
     source: str
     tokens: tuple[Token, ...]
-    boundaries: frozenset[int] = field(repr=False)
-
-    def is_boundary(self, offset: int) -> bool:
-        return offset in self.boundaries
 
 
 def tokenize(s: str) -> TokenString:
@@ -67,7 +64,6 @@ def tokenize(s: str) -> TokenString:
     The concatenation of the token texts always equals the input.
     """
     tokens: list[Token] = []
-    bounds = {0, len(s)}
     i = 0
     n = len(s)
     while i < n:
@@ -79,40 +75,53 @@ def tokenize(s: str) -> TokenString:
             while j < n and classify_char(s[j]) is cat:
                 j += 1
         tokens.append(Token(s[i:j], cat, i))
-        bounds.add(i)
-        bounds.add(j)
         i = j
-    return TokenString(s, tuple(tokens), frozenset(bounds))
+    return TokenString(s, tuple(tokens))
 
 
-# Tokenization is referentially transparent and runs on the same bucket
-# sources thousands of times during rule scoring; cache by source string.
+# Tokenization is referentially transparent; entry pairing and the fix-up
+# loop's residual distance tokenize the same texts repeatedly, so cache by
+# source string.
 @lru_cache(maxsize=512)
 def tokenize_cached(s: str) -> TokenString:
     return tokenize(s)
 
 
-def find_matches(haystack: TokenString, needle: str) -> list[int]:
+def _at_boundary(s: str, i: int) -> bool:
+    """True if offset i of s starts or ends a token of ``tokenize(s)``.
+
+    The ends of the string are boundaries; inside it, a token ends after
+    every symbol and wherever the character category changes.
+    """
+    if i <= 0 or i >= len(s):
+        return True
+    before = classify_char(s[i - 1])
+    return before is CharCategory.SYMBOL or before is not classify_char(s[i])
+
+
+def _find_aligned(text: str, needle: str, pos: int) -> int:
+    """Offset of the first occurrence of ``needle`` at or after ``pos`` that
+    starts and ends on token boundaries, or -1."""
+    while True:
+        i = text.find(needle, pos)
+        if i < 0 or (_at_boundary(text, i) and _at_boundary(text, i + len(needle))):
+            return i
+        pos = i + 1
+
+
+def find_matches(text: str, needle: str) -> list[int]:
     """All boundary-aligned occurrences of ``needle``, leftmost and non-overlapping.
 
     An occurrence qualifies only if both its start and its end offsets are
-    token boundaries of the haystack. After a qualifying match ending at
-    offset e, the scan resumes at e; a rejected occurrence is skipped by one
+    token boundaries of the text. After a qualifying match ending at offset
+    e, the scan resumes at e; a rejected occurrence is skipped by one
     character.
     """
     if not needle:
         raise ValueError("needle must be nonempty")
-    bounds = haystack.boundaries
-    src = haystack.source
     out: list[int] = []
-    pos = 0
-    nlen = len(needle)
-    while True:
-        i = src.find(needle, pos)
-        if i < 0:
-            return out
-        if i in bounds and (i + nlen) in bounds:
-            out.append(i)
-            pos = i + nlen
-        else:
-            pos = i + 1
+    i = _find_aligned(text, needle, 0)
+    while i >= 0:
+        out.append(i)
+        i = _find_aligned(text, needle, i + len(needle))
+    return out

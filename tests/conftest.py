@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from summer.align import BucketSet, dissect
+from summer.tokens import tokenize
 
 RENAME_SUBMODULE_SRC = "github.com/txaty/bigcomplex"
 RENAME_SUBMODULE_TGT = "gitlab.com/txaty/bigcomplex"
@@ -37,6 +38,12 @@ RENAME_CONTENT_TGT = (
     "fmt.Println(res)\n"
     "}\n"
 )
+
+
+def token_offsets(s: str) -> set[int]:
+    """Token boundaries of s, read off the tokenizer: both ends and every
+    token's start offset."""
+    return {0, len(s)} | {t.offset for t in tokenize(s).tokens}
 
 
 @pytest.fixture

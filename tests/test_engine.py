@@ -24,6 +24,7 @@ from tests.conftest import (
     EXTRACT_RIGHT,
     RENAME_CONTENT_SRC,
     RENAME_CONTENT_TGT,
+    token_offsets,
 )
 
 
@@ -326,7 +327,6 @@ class TestRoundTripProperty:
         # consequent sites on boundaries of the post-antecedent text.
         rng = random.Random(99)
         from summer.moves import apply_move
-        from summer.tokens import tokenize
 
         for _ in range(40):
             toks = [rng.choice(self.ALPHABET) for _ in range(rng.randrange(1, 80))]
@@ -336,13 +336,13 @@ class TestRoundTripProperty:
             state = base
             for step in steps:
                 pre_bounds = {
-                    path: tokenize(text).boundaries for path, text in state.items()
+                    path: token_offsets(text) for path, text in state.items()
                 }
                 mid_bounds = pre_bounds
                 if isinstance(step, MoveRule):
                     phase_a = apply_move(state, step)
                     mid_bounds = {
-                        path: tokenize(text).boundaries
+                        path: token_offsets(text)
                         for path, text in phase_a.after_antecedent.items()
                     }
                 out = apply_steps(state, [step])

@@ -5,14 +5,12 @@ from summer.moves import (
     MovePattern,
     MovePool,
     apply_move,
-    find_extract,
-    find_inline,
     find_longest_shared,
+    find_move,
     get_precise_move,
     match_pattern,
 )
 from summer.rules import ExtractionConfig
-from summer.tokens import tokenize
 from tests.conftest import (
     EXTRACT_BASE,
     EXTRACT_CAPTURE_ON_RIGHT,
@@ -20,6 +18,7 @@ from tests.conftest import (
     EXTRACT_LEFT,
     EXTRACT_RIGHT,
     EXTRACT_SHARED,
+    token_offsets,
 )
 
 INLINE_BASE = "def inc(): return x+1\n# uses\na = inc()\nb = inc()\nc = inc()\n"
@@ -38,25 +37,25 @@ def inline_buckets() -> BucketSet:
 
 class TestMatchPattern:
     def test_lazy_minimal_capture(self):
-        ts = tokenize("( aa bb ) tail ( cc ) x")
+        text = "( aa bb ) tail ( cc ) x"
         pattern = MovePattern("(", True, ")")
-        matches = match_pattern(ts, pattern)
-        assert [(ts.source[c0:c1]) for _, _, c0, c1 in matches] == [" aa bb ", " cc "]
+        matches = match_pattern(text, pattern)
+        assert [text[c0:c1] for _, _, c0, c1 in matches] == [" aa bb ", " cc "]
 
     def test_capture_must_be_nonempty(self):
-        ts = tokenize("()")
-        assert match_pattern(ts, MovePattern("(", True, ")")) == []
+        assert match_pattern("()", MovePattern("(", True, ")")) == []
 
     def test_anchors_respect_token_boundaries(self):
-        ts = tokenize("Republican public x end")
         # "public" inside "Republican" is not a prefix site.
-        matches = match_pattern(ts, MovePattern("public", True, "end"))
+        matches = match_pattern(
+            "Republican public x end", MovePattern("public", True, "end")
+        )
         assert len(matches) == 1
         assert matches[0][0] == len("Republican ")
 
     def test_anchorless_patterns_rejected(self):
         with pytest.raises(ValueError):
-            match_pattern(tokenize("x"), MovePattern("", True, "x"))
+            match_pattern("x", MovePattern("", True, "x"))
 
 
 class TestFindLongestShared:
@@ -98,7 +97,7 @@ class TestFindExtract:
             i for i, e in enumerate(bucket.edits) if e.kind is EditKind.INSERTION
         )
         pool = MovePool()
-        find_extract(ins, bucket, extract_buckets, pool, ExtractionConfig())
+        find_move(ins, bucket, extract_buckets, pool, ExtractionConfig())
         assert len(pool.entries) == 1
         move = pool.values()[0].move
         a, c = move.antecedent, move.consequent
@@ -121,7 +120,7 @@ class TestFindExtract:
             i for i, e in enumerate(bucket.edits) if e.kind is EditKind.INSERTION
         )
         pool = MovePool()
-        find_extract(ins, bucket, corpus, pool, ExtractionConfig())
+        find_move(ins, bucket, corpus, pool, ExtractionConfig())
         assert pool.entries == {}
 
     def test_wrong_kind_rejected(self, extract_buckets):
@@ -130,7 +129,7 @@ class TestFindExtract:
             i for i, e in enumerate(bucket.edits) if e.kind is EditKind.IDENTITY
         )
         with pytest.raises(ValueError):
-            find_extract(ident, bucket, extract_buckets, MovePool(), ExtractionConfig())
+            find_move(ident, bucket, extract_buckets, MovePool(), ExtractionConfig())
 
     def test_two_site_extraction(self):
         # Both call sites share their bracketing context, so one antecedent
@@ -176,7 +175,7 @@ class TestFindInline:
         bucket = corpus.buckets[0]
         d = next(i for i, e in enumerate(bucket.edits) if e.kind is EditKind.DELETION)
         pool = MovePool()
-        find_inline(d, bucket, corpus, pool, ExtractionConfig())
+        find_move(d, bucket, corpus, pool, ExtractionConfig())
         assert pool.entries == {}
 
     def test_wrong_kind_rejected(self, inline_buckets):
@@ -185,7 +184,7 @@ class TestFindInline:
             i for i, e in enumerate(bucket.edits) if e.kind is EditKind.IDENTITY
         )
         with pytest.raises(ValueError):
-            find_inline(ident, bucket, inline_buckets, MovePool(), ExtractionConfig())
+            find_move(ident, bucket, inline_buckets, MovePool(), ExtractionConfig())
 
 
 class TestGetPreciseMove:
@@ -219,13 +218,13 @@ class TestMoveApplication:
     def test_capture_is_token_minimal(self, extract_buckets):
         moves = get_precise_move(extract_buckets, ExtractionConfig())
         pattern = moves[0].antecedent.lhs
-        ts = tokenize(EXTRACT_RIGHT)
-        (start, end, c0, c1), = match_pattern(ts, pattern)
-        assert ts.is_boundary(c0) and ts.is_boundary(c1)
+        bounds = token_offsets(EXTRACT_RIGHT)
+        (start, end, c0, c1), = match_pattern(EXTRACT_RIGHT, pattern)
+        assert c0 in bounds and c1 in bounds
         # No shorter boundary-to-boundary capture completes the pattern.
         suffix = pattern.literal_suffix
         for q in range(c0 + 1, c1):
-            if ts.is_boundary(q):
+            if q in bounds:
                 assert not EXTRACT_RIGHT.startswith(suffix, q)
 
     def test_soft_conflict_on_differing_captures(self):

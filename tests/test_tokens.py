@@ -1,13 +1,15 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from summer.tokens import (
     CharCategory,
+    _at_boundary,
     classify_char,
     find_matches,
     tokenize,
 )
+from tests.conftest import token_offsets
 
 
 def texts(token_texts):
@@ -83,12 +85,31 @@ class TestTokenize:
         assert once == again
 
 
+# The CLI maps each byte of a non-UTF-8 file to one private-use character.
+PRIVATE_USE_BYTES = "".join(chr(0xE000 + b) for b in range(256))
+
+
+class TestBoundaryPredicate:
+    @given(st.text(max_size=200))
+    @example("_")
+    @example("a_b1_")
+    @example("x²y2")
+    @example("1½2")
+    @example("٣3x٣")
+    @example("a\r\nb")
+    @example("\r\n\r\n")
+    @example("cafe\u0301 e\u0301\u0301")
+    @example(PRIVATE_USE_BYTES)
+    @example("ab" + PRIVATE_USE_BYTES + "12")
+    def test_agrees_with_token_offsets(self, s):
+        bounds = token_offsets(s)
+        for i in range(len(s) + 1):
+            assert _at_boundary(s, i) == (i in bounds), (s, i)
+
+
 def brute_force_matches(source: str, needle: str) -> list[int]:
-    """Independent oracle: check every offset against the boundary set."""
-    bounds = {0, len(source)}
-    for tok in tokenize(source).tokens:
-        bounds.add(tok.offset)
-        bounds.add(tok.end)
+    """Independent oracle: check every offset against the token offsets."""
+    bounds = token_offsets(source)
     out = []
     i = 0
     while i <= len(source) - len(needle):
@@ -106,28 +127,25 @@ def brute_force_matches(source: str, needle: str) -> list[int]:
 
 class TestFindMatches:
     def test_word_boundary_rejects_interior(self):
-        ts = tokenize("public class Republican")
-        assert find_matches(ts, "public") == [0]
+        assert find_matches("public class Republican", "public") == [0]
 
     def test_single_symbol(self):
-        assert find_matches(tokenize("i+=1"), "+") == [1]
+        assert find_matches("i+=1", "+") == [1]
 
     def test_no_interior_boundary(self):
-        assert find_matches(tokenize("aaaa"), "aa") == brute_force_matches("aaaa", "aa") == []
+        assert find_matches("aaaa", "aa") == brute_force_matches("aaaa", "aa") == []
 
     def test_empty_needle_rejected(self):
         with pytest.raises(ValueError):
-            find_matches(tokenize("x"), "")
+            find_matches("x", "")
 
     @given(st.text(max_size=80), st.text(min_size=1, max_size=6))
     def test_matches_agree_with_oracle(self, source, needle):
-        assert find_matches(tokenize(source), needle) == brute_force_matches(
-            source, needle
-        )
+        assert find_matches(source, needle) == brute_force_matches(source, needle)
 
     @given(st.text(max_size=80), st.text(min_size=1, max_size=6))
     def test_boundary_soundness(self, source, needle):
-        ts = tokenize(source)
-        for start in find_matches(ts, needle):
-            assert ts.is_boundary(start)
-            assert ts.is_boundary(start + len(needle))
+        bounds = token_offsets(source)
+        for start in find_matches(source, needle):
+            assert start in bounds
+            assert start + len(needle) in bounds
