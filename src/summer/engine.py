@@ -19,10 +19,10 @@ from .moves import MoveRule, apply_move
 from .rules import (
     ExtractionConfig,
     RewriteRule,
+    _token_texts,
     apply_rewrite_to_text,
     decompose_rewrites,
 )
-from .tokens import tokenize_cached
 
 Snapshot = dict[str, str]
 
@@ -145,10 +145,6 @@ def pair_entries(base: Snapshot, other: Snapshot) -> Pairing:
         added = [q for q in added if q not in taken_q]
     pairs.sort()
     return Pairing(pairs, removed, added)
-
-
-def _token_texts(s: str) -> list[str]:
-    return [t.text for t in tokenize_cached(s).tokens]
 
 
 def map_to_buckets(base: Snapshot, changed: Snapshot) -> tuple[BucketSet, list[Step]]:

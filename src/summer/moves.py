@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .align import Bucket, BucketSet, EditInstance, EditKind
+from .align import BucketSet, EditInstance
 from .rules import (
     Atom,
-    ClaimMap,
+    Candidate,
     RuleMetrics,
     Scorer,
+    _expand,
+    _literal_form,
+    _select,
+    _span,
     apply_rewrite_to_text,
 )
 from .tokens import CharCategory, _find_aligned, find_matches, tokenize_cached
@@ -122,14 +126,16 @@ def _is_trivial(s: str) -> bool:
     )
 
 
-def _searchable(buckets: BucketSet) -> list[int]:
+def _searchable(scorer: Scorer) -> list[int]:
     return [
-        i for i, b in enumerate(buckets.buckets) if not b.label.startswith("name:")
+        i
+        for i, index in enumerate(scorer.indexes)
+        if not index.bucket.label.startswith("name:")
     ]
 
 
 def _longest_shared(
-    probe: str, buckets: BucketSet, scorer: Scorer, side: str
+    probe: str, scorer: Scorer, side: str
 ) -> tuple[str, list[_Occurrence]] | None:
     """Longest atom-aligned substring of the probe found on `side` of edits.
 
@@ -138,7 +144,7 @@ def _longest_shared(
     inside. The probe occurrence must sit on probe token boundaries.
     """
     best = ""
-    searchable = _searchable(buckets)
+    searchable = _searchable(scorer)
     for bidx in searchable:
         atoms = scorer.atoms(bidx)
         n = len(atoms)
@@ -196,7 +202,7 @@ def find_longest_shared(
     probe = edit.rhs if side == "lhs" else edit.lhs
     if not probe:
         return None
-    found = _longest_shared(probe, buckets, Scorer(buckets), side)
+    found = _longest_shared(probe, Scorer(buckets), side)
     if found is None:
         return None
     s, occurrences = found
@@ -205,166 +211,49 @@ def find_longest_shared(
 
 # --- candidate construction ---------------------------------------------------
 
-@dataclass
-class _PatternCandidate:
-    pattern: MovePattern
-    rhs: str
-    metrics: RuleMetrics
-    tp_sites: list[tuple[int, int, int]]
-    span: tuple[int, int]
-    bucket: int
+def _antecedent_form(atoms: list[Atom], core_lo: int, core_hi: int, head: str, tail: str):
+    """Form of the capture patterns around the atom range [core_lo, core_hi),
+    whose lhs reads head + capture + tail."""
+
+    def form(j: int, k: int, lo: int, hi: int):
+        prefix = "".join(a.lhs for a in atoms[lo:core_lo]) + head
+        suffix = tail + "".join(a.lhs for a in atoms[core_hi:hi])
+        if not prefix or not suffix:
+            return None
+        rhs = "".join(a.rhs for a in atoms[lo:hi])
+        pattern = MovePattern(prefix, True, suffix)
+        return (
+            Antecedent(pattern, rhs),
+            (len(prefix) + len(suffix), prefix, suffix, rhs),
+            lambda source: [m[:2] for m in match_pattern(source, pattern)],
+            rhs,
+        )
+
+    return form
 
 
-@dataclass
-class _PlainCandidate:
-    lhs: str
-    rhs: str
-    slot: int  # capture-slot offset within rhs
-    metrics: RuleMetrics
-    tp_sites: list[tuple[int, int, int]]
-    span: tuple[int, int]
-    bucket: int
+def _consequent_form(atoms: list[Atom], core_lo: int, offset: int, n: int):
+    """Form of the consequents around a core whose rhs holds the moved text
+    (length n) `offset` characters in; the capture slot replaces it."""
+
+    def consequent(j: int, k: int, lo: int, lhs: str, rhs: str) -> Consequent:
+        slot = atoms[core_lo].rhs_span[0] - atoms[lo].rhs_span[0] + offset
+        return Consequent(lhs, MovePattern(rhs[:slot], True, rhs[slot + n :]))
+
+    return _literal_form(atoms, consequent)
 
 
-def _usable(metrics: RuleMetrics) -> bool:
-    return metrics.tp >= 1 and metrics.precision > 0.5
-
-
-def _pattern_rank(c: _PatternCandidate):
-    return (
-        -c.metrics.precision,
-        -c.metrics.tp,
-        len(c.pattern.literal_prefix) + len(c.pattern.literal_suffix),
-        c.pattern.literal_prefix,
-        c.pattern.literal_suffix,
-        c.rhs,
+def _best(pool: dict) -> Candidate | None:
+    return min(
+        (c for c in pool.values() if c.metrics.precise), key=Candidate.rank, default=None
     )
 
 
-def _plain_rank(c: _PlainCandidate):
-    return (-c.metrics.precision, -c.metrics.tp, len(c.lhs), c.lhs, c.rhs)
-
-
-def _span(atoms: list[Atom], lo: int, hi: int) -> tuple[int, int]:
-    return (atoms[lo].lhs_span[0], atoms[hi - 1].lhs_span[1])
-
-
-def _antecedent_candidates_around(
-    bucket_index: int,
-    core_lo: int,
-    core_hi: int,
-    head: str,
-    tail: str,
-    scorer: Scorer,
-    window: int,
-    seen: set,
-) -> list[_PatternCandidate]:
-    """Capture-pattern expansions of the atom range [core_lo, core_hi), whose
-    lhs reads head + capture + tail; `seen` skips keys already scored."""
-    atoms = scorer.atoms(bucket_index)
-    out: list[_PatternCandidate] = []
-    for j in range(window + 1):
-        lo = max(0, core_lo - j)
-        prefix = "".join(a.lhs for a in atoms[lo:core_lo]) + head
-        if not prefix:
-            continue
-        for k in range(window + 1):
-            hi = min(len(atoms), core_hi + k)
-            suffix = tail + "".join(a.lhs for a in atoms[core_hi:hi])
-            if not suffix:
-                continue
-            rhs = "".join(a.rhs for a in atoms[lo:hi])
-            key = (prefix, suffix, rhs)
-            if key in seen:
-                continue
-            seen.add(key)
-            pattern = MovePattern(prefix, True, suffix)
-            metrics, sites = scorer.score_matches(
-                lambda source: [m[:2] for m in match_pattern(source, pattern)], rhs
-            )
-            out.append(
-                _PatternCandidate(
-                    pattern, rhs, metrics, sites, _span(atoms, lo, hi), bucket_index
-                )
-            )
-    return [c for c in out if _usable(c.metrics)]
-
-
-def _consequent_candidates_around(
-    bucket_index: int,
-    core_lo: int,
-    core_hi: int,
-    s_offset_in_core: int,
-    scorer: Scorer,
-    window: int,
-    seen: set,
-) -> list[_PlainCandidate]:
-    """Plain-rule expansions of the atom range [core_lo, core_hi); the capture
-    slot lands at `s_offset_in_core` characters into the range's rhs."""
-    atoms = scorer.atoms(bucket_index)
-    out: list[_PlainCandidate] = []
-    for j in range(window + 1):
-        lo = max(0, core_lo - j)
-        for k in range(window + 1):
-            hi = min(len(atoms), core_hi + k)
-            lhs = "".join(a.lhs for a in atoms[lo:hi])
-            rhs = "".join(a.rhs for a in atoms[lo:hi])
-            if not lhs or lhs == rhs or (lhs, rhs) in seen:
-                continue
-            seen.add((lhs, rhs))
-            slot = (
-                sum(len(a.rhs) for a in atoms[lo:core_lo]) + s_offset_in_core
-            )
-            metrics, sites = scorer.score(lhs, rhs)
-            out.append(
-                _PlainCandidate(
-                    lhs, rhs, slot, metrics, sites, _span(atoms, lo, hi), bucket_index
-                )
-            )
-    return [c for c in out if _usable(c.metrics)]
-
-
-@dataclass
-class MoveEntry:
-    move: MoveRule
-    shared_len: int
-    claims: list[tuple[int, tuple[int, int]]]
-
-
-class MovePool:
-    def __init__(self) -> None:
-        self.entries: dict[tuple, MoveEntry] = {}
-
-    def add(self, entry: MoveEntry) -> None:
-        a, c = entry.move.antecedent, entry.move.consequent
-        key = (
-            a.lhs.literal_prefix,
-            a.lhs.literal_suffix,
-            a.rhs,
-            c.lhs,
-            c.rhs.literal_prefix,
-            c.rhs.literal_suffix,
-        )
-        if key not in self.entries:
-            self.entries[key] = entry
-
-    def values(self) -> list[MoveEntry]:
-        return list(self.entries.values())
-
-
-def _bucket_position(buckets: BucketSet, b: Bucket) -> int:
-    return next(idx for idx, bb in enumerate(buckets.buckets) if bb is b)
-
-
 def find_move(
-    i: int,
-    b: Bucket,
-    buckets: BucketSet,
-    pool: MovePool,
-    cfg,
-    scorer: Scorer | None = None,
+    scorer: Scorer, bucket_index: int, core: int, pool: dict, cfg
 ) -> None:
-    """Extraction or inlining around edit i; adds at most one move to the pool.
+    """Extraction or inlining around the edit at atom `core` of a bucket; adds
+    at most one move to the pool.
 
     An insertion is an extraction target: text deleted at one or more sites
     (side "lhs") reappears inside the inserted block. A deletion is an
@@ -372,21 +261,14 @@ def find_move(
     of one or more other edits. The antecedent captures the moved text where
     it was deleted; the consequent writes it back where it was inserted.
     """
-    edit = b.edits[i]
-    if edit.kind is EditKind.INSERTION:
-        side, own = "lhs", edit.rhs
-    elif edit.kind is EditKind.DELETION:
-        side, own = "rhs", edit.lhs
-    else:
+    atom = scorer.atoms(bucket_index)[core]
+    if atom.lhs and atom.rhs:  # an identity token or a substitution
         raise ValueError("find_move requires an insertion or deletion edit")
-    scorer = scorer or Scorer(buckets)
-    found = _longest_shared(own, buckets, scorer, side)
+    side, own = ("rhs", atom.lhs) if atom.lhs else ("lhs", atom.rhs)
+    found = _longest_shared(own, scorer, side)
     if found is None:
         return
     s, occurrences = found
-    bucket_index = _bucket_position(buckets, b)
-    atoms = scorer.atoms(bucket_index)
-    core = next(idx for idx, a in enumerate(atoms) if a.edit_index == i)
     s_in_own = find_matches(own, s)
     if not s_in_own:
         return
@@ -398,88 +280,50 @@ def find_move(
     else:
         # The definition is captured inside its own lhs; each reuse site's
         # rhs is exactly s.
-        head, tail = edit.lhs[:off], edit.lhs[off + len(s) :]
+        head, tail = atom.lhs[:off], atom.lhs[off + len(s) :]
         a_cores = [(bucket_index, core, core + 1, head, tail)]
         c_cores = [(o.bucket, o.lo, o.hi, 0) for o in occurrences]
-    a_seen: set[tuple[str, str, str]] = set()
-    a_cands = [
-        c
-        for args in a_cores
-        for c in _antecedent_candidates_around(*args, scorer, cfg.window, a_seen)
-    ]
-    if not a_cands:
+    a_pool: dict = {}
+    for b, lo, hi, head, tail in a_cores:
+        form = _antecedent_form(scorer.atoms(b), lo, hi, head, tail)
+        _expand(scorer, b, lo, hi, cfg.window, a_pool, form)
+    a_best = _best(a_pool)
+    if a_best is None:
         return
-    c_seen: set[tuple[str, str]] = set()
-    c_cands = [
-        c
-        for args in c_cores
-        for c in _consequent_candidates_around(*args, scorer, cfg.window, c_seen)
-    ]
-    if not c_cands:
+    c_pool: dict = {}
+    for b, lo, hi, offset in c_cores:
+        form = _consequent_form(scorer.atoms(b), lo, offset, len(s))
+        _expand(scorer, b, lo, hi, cfg.window, c_pool, form)
+    c_best = _best(c_pool)
+    if c_best is None:
         return
-    a_best = min(a_cands, key=_pattern_rank)
-    c_best = min(c_cands, key=_plain_rank)
-    antecedent = Antecedent(a_best.pattern, a_best.rhs)
-    consequent = Consequent(
-        c_best.lhs,
-        MovePattern(
-            c_best.rhs[: c_best.slot], True, c_best.rhs[c_best.slot + len(s) :]
-        ),
-    )
-    move = MoveRule(antecedent, consequent, a_best.metrics + c_best.metrics)
-    claims = _entry_claims(occurrences, scorer, edit, bucket_index, a_best, c_best)
-    pool.add(MoveEntry(move, len(s), claims))
-
-
-def _entry_claims(occurrences, scorer, edit, bucket_index, a_best, c_best):
-    claims: list[tuple[int, tuple[int, int]]] = [
-        (bucket_index, edit.lhs_span),
-        (a_best.bucket, a_best.span),
-        (c_best.bucket, c_best.span),
-    ]
-    for occ in occurrences:
-        claims.append((occ.bucket, _span(scorer.atoms(occ.bucket), occ.lo, occ.hi)))
-    claims.extend((bkt, (s0, s1)) for bkt, s0, s1 in a_best.tp_sites)
-    claims.extend((bkt, (s0, s1)) for bkt, s0, s1 in c_best.tp_sites)
-    return claims
-
-
-def _move_rank(entry: MoveEntry):
-    m = entry.move.metrics
-    a = entry.move.antecedent
-    c = entry.move.consequent
-    return (
-        -m.precision,
-        -m.tp,
-        -entry.shared_len,
+    move = MoveRule(a_best.rule, c_best.rule, a_best.metrics + c_best.metrics)
+    if move in pool:
+        return
+    a, c = move.antecedent, move.consequent
+    order = (
+        -len(s),
         len(a.lhs.literal_prefix) + len(a.lhs.literal_suffix) + len(c.lhs),
         a.lhs.literal_prefix,
         a.lhs.literal_suffix,
         c.lhs,
     )
+    # A move claims every occurrence of the moved text, not only the cores
+    # its chosen antecedent and consequent grew from.
+    claims = a_best.claims + c_best.claims
+    claims += [(o.bucket, _span(scorer.atoms(o.bucket), o.lo, o.hi)) for o in occurrences]
+    pool[move] = Candidate(move, move.metrics, order, claims)
 
 
 def get_precise_move(buckets: BucketSet, cfg) -> list[MoveRule]:
     """All retained move rules, best first, pairwise non-overlapping."""
     scorer = Scorer(buckets)
-    pool = MovePool()
-    for bidx in _searchable(buckets):
-        b = buckets.buckets[bidx]
-        for i, inst in enumerate(b.edits):
-            if inst.kind in (EditKind.INSERTION, EditKind.DELETION):
-                find_move(i, b, buckets, pool, cfg, scorer=scorer)
-    kept: list[MoveRule] = []
-    claims = ClaimMap()
-    for entry in sorted(pool.values(), key=_move_rank):
-        m = entry.move.metrics
-        if m.tp == 0 or m.precision <= 0.5:
-            continue
-        if any(claims.overlaps(bkt, span) for bkt, span in entry.claims):
-            continue
-        for bkt, span in entry.claims:
-            claims.claim(bkt, span)
-        kept.append(entry.move)
-    return kept
+    pool: dict = {}
+    for bucket_index in _searchable(scorer):
+        for core, atom in enumerate(scorer.atoms(bucket_index)):
+            if not (atom.lhs and atom.rhs):  # an insertion or a deletion
+                find_move(scorer, bucket_index, core, pool, cfg)
+    return [c.rule for c in _select(pool.values())]
 
 
 # --- application ---------------------------------------------------------------

@@ -16,9 +16,10 @@ and tries again with a growing context window; exact-anchor fallback rules
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 from .align import Bucket, BucketSet, EditKind, dissect
 from .distance import levenshtein
@@ -34,6 +35,11 @@ class RuleMetrics:
     def precision(self) -> float:
         total = self.tp + self.fp
         return self.tp / total if total else 0.0
+
+    @property
+    def precise(self) -> bool:
+        """The retention bar: precision above one half (so at least one tp)."""
+        return self.precision > 0.5
 
     def __add__(self, other: "RuleMetrics") -> "RuleMetrics":
         return RuleMetrics(self.tp + other.tp, self.fp + other.fp)
@@ -145,69 +151,56 @@ class BucketIndex:
         return False
 
 
-@dataclass
-class PoolEntry:
-    rule: RewriteRule
+Region = tuple[int, tuple[int, int]]  # (bucket index, source span)
+
+
+@dataclass(slots=True)
+class Candidate:
+    """A scored rule, its tie-break order after precision and tp, and the
+    regions it claims once retained."""
+
+    rule: Any
     metrics: RuleMetrics
-    origin_bucket: int
-    origin_span: tuple[int, int]
-    core_span: tuple[int, int]
-    tp_sites: list[tuple[int, int, int]]  # (bucket index, start, end)
+    order: tuple
+    claims: list[Region]
+
+    def rank(self) -> tuple:
+        return (-self.metrics.precision, -self.metrics.tp, *self.order)
 
 
-class CandidatePool:
-    """Candidate rules keyed by (lhs, rhs), insertion-ordered."""
-
-    def __init__(self) -> None:
-        self.entries: dict[tuple[str, str], PoolEntry] = {}
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def add(self, entry: PoolEntry) -> None:
-        key = (entry.rule.lhs, entry.rule.rhs)
-        if key not in self.entries:
-            self.entries[key] = entry
-
-    def values(self) -> list[PoolEntry]:
-        return list(self.entries.values())
+def _literal(lhs: str) -> Callable[[str], list[tuple[int, int]]]:
+    """Matcher of the token-aligned occurrences of lhs."""
+    n = len(lhs)
+    return lambda source: [(start, start + n) for start in find_matches(source, lhs)]
 
 
 class Scorer:
     """Shared per-corpus state for scoring many candidates cheaply."""
 
     def __init__(self, buckets: BucketSet):
-        self.buckets = buckets
         self.indexes = [BucketIndex(b) for b in buckets]
 
     def atoms(self, bucket_index: int) -> list[Atom]:
         return self.indexes[bucket_index].atoms
 
-    def score(self, lhs: str, rhs: str) -> tuple[RuleMetrics, list[tuple[int, int, int]]]:
+    def score(self, lhs: str, rhs: str) -> tuple[RuleMetrics, list[Region]]:
         """Corpus-wide tp/fp and tp sites of the plain rule lhs -> rhs."""
         if not lhs:
             raise ValueError("rule with empty lhs is unscorable; needs context expansion")
-        n = len(lhs)
-        return self.score_matches(
-            lambda source: [(start, start + n) for start in find_matches(source, lhs)],
-            rhs,
-        )
+        return self.score_matches(_literal(lhs), rhs)
 
     def score_matches(
         self, matcher: Callable[[str], Iterable[tuple[int, int]]], rhs: str
-    ) -> tuple[RuleMetrics, list[tuple[int, int, int]]]:
+    ) -> tuple[RuleMetrics, list[Region]]:
         """Score rewriting to `rhs` every (start, end) that `matcher` finds in
         a bucket source: a site is a tp when the alignment agrees there."""
         tp = fp = 0
-        tp_sites: list[tuple[int, int, int]] = []
+        tp_sites: list[Region] = []
         for bidx, index in enumerate(self.indexes):
             for start, end in matcher(index.source):
                 if index.agrees(start, end, rhs):
                     tp += 1
-                    tp_sites.append((bidx, start, end))
+                    tp_sites.append((bidx, (start, end)))
                 else:
                     fp += 1
         return RuleMetrics(tp, fp), tp_sites
@@ -219,58 +212,72 @@ def classification_metrics(rule: RewriteRule, buckets: BucketSet) -> RuleMetrics
     return metrics
 
 
-def expand_edit(
-    i: int,
-    b: Bucket,
-    buckets: BucketSet,
-    pool: CandidatePool,
-    cfg: ExtractionConfig,
-    scorer: Scorer | None = None,
+# --- candidate synthesis and selection ----------------------------------------
+
+def _span(atoms: list[Atom], lo: int, hi: int) -> tuple[int, int]:
+    return (atoms[lo].lhs_span[0], atoms[hi - 1].lhs_span[1])
+
+
+def _expand(
+    scorer: Scorer,
+    bucket_index: int,
+    core_lo: int,
+    core_hi: int,
+    window: int,
+    pool: dict,
+    form: Callable,
 ) -> None:
-    """Expand edit i of bucket b into scored candidates over the (j, k) grid."""
-    if b.edits[i].kind is EditKind.IDENTITY:
-        raise ValueError("expand_edit requires a non-identity edit")
-    if scorer is None:
-        scorer = Scorer(buckets)
-    bucket_index = next(idx for idx, bb in enumerate(buckets) if bb is b)
+    """Score the rules that `form(j, k, lo, hi)` builds on the (j, k) window
+    grid: atoms [lo, hi) reach j atoms before [core_lo, core_hi) and k after.
+
+    `form` returns (rule, order, matcher, rhs), or None when the window makes
+    no rule. A rule already in `pool` keeps its first entry. A candidate
+    claims its window, the core and every tp site.
+    """
     atoms = scorer.atoms(bucket_index)
-    core = next(idx for idx, a in enumerate(atoms) if a.edit_index == i)
-    w = cfg.window
-    seen: set[tuple[str, str]] = set()
-    for j in range(w + 1):
-        lo = max(0, core - j)
-        for k in range(w + 1):
-            hi = min(len(atoms), core + 1 + k)
-            lhs = "".join(a.lhs for a in atoms[lo:hi])
-            rhs = "".join(a.rhs for a in atoms[lo:hi])
-            key = (lhs, rhs)
-            if not lhs or lhs == rhs or key in seen:
+    core = (bucket_index, _span(atoms, core_lo, core_hi))
+    for j in range(window + 1):
+        lo = max(0, core_lo - j)
+        for k in range(window + 1):
+            hi = min(len(atoms), core_hi + k)
+            formed = form(j, k, lo, hi)
+            if formed is None or formed[0] in pool:
                 continue
-            seen.add(key)
-            if key in pool:
-                continue
-            metrics, tp_sites = scorer.score(lhs, rhs)
-            span = (atoms[lo].lhs_span[0], atoms[hi - 1].lhs_span[1])
-            pool.add(
-                PoolEntry(
-                    RewriteRule(lhs, rhs, origin=(bucket_index, i, j, k)),
-                    metrics,
-                    bucket_index,
-                    span,
-                    b.edits[i].lhs_span,
-                    tp_sites,
-                )
-            )
+            rule, order, matcher, rhs = formed
+            metrics, sites = scorer.score_matches(matcher, rhs)
+            claims = [(bucket_index, _span(atoms, lo, hi)), core, *sites]
+            pool[rule] = Candidate(rule, metrics, order, claims)
 
 
-def _rank_key(entry: PoolEntry):
-    return (
-        -entry.metrics.precision,
-        -entry.metrics.tp,
-        len(entry.rule.lhs),
-        entry.rule.lhs,
-        entry.rule.rhs,
+def _literal_form(atoms: list[Atom], rule_at: Callable) -> Callable:
+    """Form of the rules rewriting a window's source text to its target text;
+    `rule_at(j, k, lo, lhs, rhs)` builds the rule."""
+
+    def form(j: int, k: int, lo: int, hi: int):
+        lhs = "".join(a.lhs for a in atoms[lo:hi])
+        rhs = "".join(a.rhs for a in atoms[lo:hi])
+        if not lhs or lhs == rhs:
+            return None
+        return rule_at(j, k, lo, lhs, rhs), (len(lhs), lhs, rhs), _literal(lhs), rhs
+
+    return form
+
+
+def expand_edit(
+    scorer: Scorer, bucket_index: int, core: int, pool: dict, cfg: ExtractionConfig
+) -> None:
+    """Expand the edit at atom `core` of a bucket into scored rewrite candidates."""
+    atoms = scorer.atoms(bucket_index)
+    edit_index = atoms[core].edit_index
+    if edit_index is None:
+        raise ValueError("expand_edit requires a non-identity edit")
+    form = _literal_form(
+        atoms,
+        lambda j, k, lo, lhs, rhs: RewriteRule(
+            lhs, rhs, origin=(bucket_index, edit_index, j, k)
+        ),
     )
+    _expand(scorer, bucket_index, core, core + 1, cfg.window, pool, form)
 
 
 def spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -284,57 +291,44 @@ def spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
 
-class ClaimMap:
-    """Per-bucket interval claims; rejects overlapping claims."""
+def _select(candidates: Iterable[Candidate]) -> list[Candidate]:
+    """Rank the candidates above the precision bar and retain, best first,
+    each one whose claims overlap no retained candidate's claims."""
+    kept: list[Candidate] = []
+    claimed: dict[int, list[tuple[int, int]]] = {}
+    for cand in sorted((c for c in candidates if c.metrics.precise), key=Candidate.rank):
+        if any(
+            spans_overlap(span, other)
+            for bucket, span in cand.claims
+            for other in claimed.get(bucket, ())
+        ):
+            continue
+        for bucket, span in cand.claims:
+            claimed.setdefault(bucket, []).append(span)
+        kept.append(cand)
+    return kept
 
-    def __init__(self) -> None:
-        self._claims: dict[int, list[tuple[int, int]]] = {}
 
-    def overlaps(self, bucket: int, span: tuple[int, int]) -> bool:
-        return any(spans_overlap(span, c) for c in self._claims.get(bucket, ()))
-
-    def claim(self, bucket: int, span: tuple[int, int]) -> None:
-        insort(self._claims.setdefault(bucket, []), span)
-
-
-def sort_and_filter(pool: CandidatePool) -> list[tuple[RewriteRule, RuleMetrics]]:
+def sort_and_filter(pool: dict) -> list[tuple[RewriteRule, RuleMetrics]]:
     """Drop imprecise candidates, rank the rest, retain non-overlapping ones.
 
-    A retained rule claims its origin expansion span and every tp site; a
-    later candidate touching a claimed span in the same bucket is skipped.
+    A retained rule claims its origin expansion span, its core edit and
+    every tp site; a later candidate touching a claimed span in the same
+    bucket is skipped.
     """
-    kept: list[tuple[RewriteRule, RuleMetrics]] = []
-    claims = ClaimMap()
-    for entry in sorted(pool.values(), key=_rank_key):
-        if entry.metrics.tp == 0 or entry.metrics.precision <= 0.5:
-            continue
-        regions = [
-            (entry.origin_bucket, entry.origin_span),
-            (entry.origin_bucket, entry.core_span),
-        ] + [(b, (s, e)) for b, s, e in entry.tp_sites]
-        if any(claims.overlaps(b, span) for b, span in regions):
-            continue
-        for b, span in regions:
-            claims.claim(b, span)
-        kept.append((entry.rule, entry.metrics))
-    return kept
+    return [(c.rule, c.metrics) for c in _select(pool.values())]
 
 
 def get_precise_rewriting(
     buckets: BucketSet, cfg: ExtractionConfig
-) -> list[RewriteRule]:
-    return [rule for rule, _ in ranked_rewriting(buckets, cfg)]
-
-
-def ranked_rewriting(
-    buckets: BucketSet, cfg: ExtractionConfig
 ) -> list[tuple[RewriteRule, RuleMetrics]]:
-    pool = CandidatePool()
+    """Retained rewrite rules with their metrics, best first."""
+    pool: dict = {}
     scorer = Scorer(buckets)
-    for b in buckets:
-        for i, inst in enumerate(b.edits):
-            if inst.kind is not EditKind.IDENTITY:
-                expand_edit(i, b, buckets, pool, cfg, scorer=scorer)
+    for bucket_index, index in enumerate(scorer.indexes):
+        for core, atom in enumerate(index.atoms):
+            if atom.edit_index is not None:
+                expand_edit(scorer, bucket_index, core, pool, cfg)
     return sort_and_filter(pool)
 
 
@@ -406,7 +400,7 @@ def decompose_rewrites_trace(
     prev = _residual(current, targets)
     bucket_set = buckets
     for _ in range(cfg.max_fixup_rounds):
-        ranked = ranked_rewriting(bucket_set, replace(cfg, window=window))
+        ranked = get_precise_rewriting(bucket_set, replace(cfg, window=window))
         trace.append(RoundTrace(bucket_set, window, ranked))
         for rule, _metrics in ranked:
             for label in current:

@@ -3,14 +3,13 @@ import pytest
 from summer.align import BucketSet, EditKind, dissect
 from summer.moves import (
     MovePattern,
-    MovePool,
     apply_move,
     find_longest_shared,
     find_move,
     get_precise_move,
     match_pattern,
 )
-from summer.rules import ExtractionConfig
+from summer.rules import ExtractionConfig, Scorer
 from tests.conftest import (
     EXTRACT_BASE,
     EXTRACT_CAPTURE_ON_RIGHT,
@@ -18,6 +17,7 @@ from tests.conftest import (
     EXTRACT_LEFT,
     EXTRACT_RIGHT,
     EXTRACT_SHARED,
+    core_atom,
     token_offsets,
 )
 
@@ -92,14 +92,11 @@ class TestFindLongestShared:
 
 class TestFindExtract:
     def test_flagship_extraction(self, extract_buckets):
-        bucket = extract_buckets.buckets[0]
-        ins = next(
-            i for i, e in enumerate(bucket.edits) if e.kind is EditKind.INSERTION
-        )
-        pool = MovePool()
-        find_move(ins, bucket, extract_buckets, pool, ExtractionConfig())
-        assert len(pool.entries) == 1
-        move = pool.values()[0].move
+        scorer = Scorer(extract_buckets)
+        pool = {}
+        find_move(scorer, 0, core_atom(scorer, 0, EditKind.INSERTION), pool, ExtractionConfig())
+        assert len(pool) == 1
+        (move,) = pool
         a, c = move.antecedent, move.consequent
         assert a.lhs == MovePattern("\n\t\t", True, "\n\t\tListeners")
         assert a.rhs == "\n\t\trunCheck(obj);\n\t\tListeners"
@@ -115,21 +112,19 @@ class TestFindExtract:
 
     def test_insertion_without_source_elsewhere(self):
         corpus = BucketSet((dissect("a\nb\n", "a\nfresh new text\nb\n", "t"),))
-        bucket = corpus.buckets[0]
-        ins = next(
-            i for i, e in enumerate(bucket.edits) if e.kind is EditKind.INSERTION
-        )
-        pool = MovePool()
-        find_move(ins, bucket, corpus, pool, ExtractionConfig())
-        assert pool.entries == {}
+        scorer = Scorer(corpus)
+        pool = {}
+        find_move(scorer, 0, core_atom(scorer, 0, EditKind.INSERTION), pool, ExtractionConfig())
+        assert pool == {}
 
     def test_wrong_kind_rejected(self, extract_buckets):
-        bucket = extract_buckets.buckets[0]
-        ident = next(
-            i for i, e in enumerate(bucket.edits) if e.kind is EditKind.IDENTITY
-        )
+        scorer = Scorer(extract_buckets)
         with pytest.raises(ValueError):
-            find_move(ident, bucket, extract_buckets, MovePool(), ExtractionConfig())
+            find_move(scorer, 0, core_atom(scorer, 0, None), {}, ExtractionConfig())
+        substituted = Scorer(BucketSet((dissect("a x b\n", "a y b\n", "t"),)))
+        core = core_atom(substituted, 0, EditKind.SUBSTITUTION)
+        with pytest.raises(ValueError):
+            find_move(substituted, 0, core, {}, ExtractionConfig())
 
     def test_two_site_extraction(self):
         # Both call sites share their bracketing context, so one antecedent
@@ -172,19 +167,15 @@ class TestFindInline:
 
     def test_deletion_without_shared_substring(self):
         corpus = BucketSet((dissect("a\nsolitary line\n", "a\n", "t"),))
-        bucket = corpus.buckets[0]
-        d = next(i for i, e in enumerate(bucket.edits) if e.kind is EditKind.DELETION)
-        pool = MovePool()
-        find_move(d, bucket, corpus, pool, ExtractionConfig())
-        assert pool.entries == {}
+        scorer = Scorer(corpus)
+        pool = {}
+        find_move(scorer, 0, core_atom(scorer, 0, EditKind.DELETION), pool, ExtractionConfig())
+        assert pool == {}
 
     def test_wrong_kind_rejected(self, inline_buckets):
-        bucket = inline_buckets.buckets[0]
-        ident = next(
-            i for i, e in enumerate(bucket.edits) if e.kind is EditKind.IDENTITY
-        )
+        scorer = Scorer(inline_buckets)
         with pytest.raises(ValueError):
-            find_move(ident, bucket, inline_buckets, MovePool(), ExtractionConfig())
+            find_move(scorer, 0, core_atom(scorer, 0, None), {}, ExtractionConfig())
 
 
 class TestGetPreciseMove:

@@ -2,9 +2,8 @@ import pytest
 
 from summer.align import BucketSet, EditKind, dissect
 from summer.rules import (
-    CandidatePool,
+    Candidate,
     ExtractionConfig,
-    PoolEntry,
     RewriteRule,
     RuleMetrics,
     Scorer,
@@ -16,6 +15,7 @@ from summer.rules import (
     get_precise_rewriting,
     sort_and_filter,
 )
+from tests.conftest import core_atom
 
 
 def replay(buckets: BucketSet, rules) -> dict[str, str]:
@@ -64,91 +64,86 @@ class TestClassificationMetrics:
 
 
 def entry(lhs, rhs, tp, fp, bucket=0, span=(0, 1), core=(0, 1), sites=()):
-    return PoolEntry(
-        RewriteRule(lhs, rhs), RuleMetrics(tp, fp), bucket, span, core, list(sites)
-    )
+    """A pool item as expand_edit makes it: claims are the expansion span,
+    the core edit and every tp site."""
+    rule = RewriteRule(lhs, rhs)
+    claims = [(bucket, span), (bucket, core)] + [(b, (s, e)) for b, s, e in sites]
+    return rule, Candidate(rule, RuleMetrics(tp, fp), (len(lhs), lhs, rhs), claims)
 
 
 class TestSortAndFilter:
     def test_precision_exactly_half_is_dropped(self):
-        pool = CandidatePool()
-        pool.add(entry("a", "b", tp=1, fp=1))
+        pool = dict([entry("a", "b", tp=1, fp=1)])
         assert sort_and_filter(pool) == []
 
     def test_ambiguous_rule_loses_to_precise_one(self):
-        pool = CandidatePool()
-        pool.add(entry("github", "gitlab", tp=2, fp=0, span=(0, 6), core=(0, 6)))
-        pool.add(entry("bc", "Program", tp=1, fp=2, bucket=1, span=(0, 2), core=(0, 2)))
+        pool = dict(
+            [
+                entry("github", "gitlab", tp=2, fp=0, span=(0, 6), core=(0, 6)),
+                entry("bc", "Program", tp=1, fp=2, bucket=1, span=(0, 2), core=(0, 2)),
+            ]
+        )
         kept = sort_and_filter(pool)
         assert [r.lhs for r, _ in kept] == ["github"]
 
     def test_empty_pool(self):
-        assert sort_and_filter(CandidatePool()) == []
+        assert sort_and_filter({}) == []
 
     def test_zero_tp_dropped(self):
-        pool = CandidatePool()
-        pool.add(entry("a", "b", tp=0, fp=0))
+        pool = dict([entry("a", "b", tp=0, fp=0)])
         assert sort_and_filter(pool) == []
 
     def test_same_core_claimed_once(self):
-        pool = CandidatePool()
-        pool.add(entry("x", "y", tp=1, fp=0, span=(4, 5), core=(4, 5), sites=[(0, 4, 5)]))
-        pool.add(entry("ax", "ay", tp=1, fp=0, span=(3, 5), core=(4, 5), sites=[(0, 3, 5)]))
+        pool = dict(
+            [
+                entry("x", "y", tp=1, fp=0, span=(4, 5), core=(4, 5), sites=[(0, 4, 5)]),
+                entry("ax", "ay", tp=1, fp=0, span=(3, 5), core=(4, 5), sites=[(0, 3, 5)]),
+            ]
+        )
         kept = sort_and_filter(pool)
         assert [r.lhs for r, _ in kept] == ["x"]
 
 
 class TestExpandEdit:
     def test_host_rename_candidate_present(self, rename_corpus):
-        bucket = rename_corpus.buckets[0]
-        pool = CandidatePool()
-        expand_edit(0, bucket, rename_corpus, pool, ExtractionConfig())
-        assert ("github", "gitlab") in pool
-        e = pool.entries[("github", "gitlab")]
+        scorer = Scorer(rename_corpus)
+        pool = {}
+        expand_edit(scorer, 0, core_atom(scorer, 0, EditKind.SUBSTITUTION), pool, ExtractionConfig())
+        e = pool[RewriteRule("github", "gitlab")]
         assert (e.metrics.tp, e.metrics.fp) == (2, 0)
 
     def test_insertion_contexts_from_both_sides(self, rename_corpus):
-        bucket = rename_corpus.buckets[2]
-        ins = next(
-            i for i, e in enumerate(bucket.edits) if e.kind is EditKind.INSERTION
-        )
-        pool = CandidatePool()
-        expand_edit(ins, bucket, rename_corpus, pool, ExtractionConfig())
-        assert ("\n", '\nimport "fmt"\n') in pool
-        assert ("func", 'import "fmt"\nfunc') in pool
-        nl = pool.entries[("\n", '\nimport "fmt"\n')].metrics
-        fn = pool.entries[("func", 'import "fmt"\nfunc')].metrics
+        scorer = Scorer(rename_corpus)
+        pool = {}
+        expand_edit(scorer, 2, core_atom(scorer, 2, EditKind.INSERTION), pool, ExtractionConfig())
+        nl = pool[RewriteRule("\n", '\nimport "fmt"\n')].metrics
+        fn = pool[RewriteRule("func", 'import "fmt"\nfunc')].metrics
         assert (nl.tp, nl.fp) == (1, 6)
         assert (fn.tp, fn.fp) == (1, 0)
 
     def test_identity_edit_rejected(self, rename_corpus):
-        bucket = rename_corpus.buckets[2]
-        ident = next(
-            i for i, e in enumerate(bucket.edits) if e.kind is EditKind.IDENTITY
-        )
+        scorer = Scorer(rename_corpus)
         with pytest.raises(ValueError):
-            expand_edit(ident, bucket, rename_corpus, CandidatePool(), ExtractionConfig())
+            expand_edit(scorer, 2, core_atom(scorer, 2, None), {}, ExtractionConfig())
 
     def test_candidate_count_bounded_by_window_grid(self):
         corpus = BucketSet((dissect("a b x c d", "a b y c d", "t"),))
-        bucket = corpus.buckets[0]
-        edit = next(
-            i for i, e in enumerate(bucket.edits) if e.kind is EditKind.SUBSTITUTION
-        )
+        scorer = Scorer(corpus)
+        core = core_atom(scorer, 0, EditKind.SUBSTITUTION)
         for w in (0, 1, 2, 3):
-            pool = CandidatePool()
-            expand_edit(edit, bucket, corpus, pool, ExtractionConfig(window=w, window_max=8))
+            pool = {}
+            expand_edit(scorer, 0, core, pool, ExtractionConfig(window=w, window_max=8))
             assert len(pool) <= (w + 1) ** 2
 
 
 class TestGetPreciseRewriting:
     def test_rename_corpus_walkthrough(self, rename_corpus):
-        rules = get_precise_rewriting(rename_corpus, ExtractionConfig())
-        as_pairs = [(r.lhs, r.rhs) for r in rules]
+        ranked = get_precise_rewriting(rename_corpus, ExtractionConfig())
+        as_pairs = [(r.lhs, r.rhs) for r, _ in ranked]
         assert ("github", "gitlab") in as_pairs
         assert ("bc.", "Program.") in as_pairs
         assert ("bc", "Program") not in as_pairs
-        assert replay(rename_corpus, rules) == targets(rename_corpus)
+        assert replay(rename_corpus, [r for r, _ in ranked]) == targets(rename_corpus)
 
     def test_all_identity_buckets_give_nothing(self):
         corpus = BucketSet((dissect("same", "same", "t"),))
@@ -156,8 +151,8 @@ class TestGetPreciseRewriting:
 
     def test_lone_substitution(self):
         corpus = BucketSet((dissect("x", "y", "t"),))
-        rules = get_precise_rewriting(corpus, ExtractionConfig())
-        assert [(r.lhs, r.rhs) for r in rules] == [("x", "y")]
+        ranked = get_precise_rewriting(corpus, ExtractionConfig())
+        assert [(r.lhs, r.rhs, m) for r, m in ranked] == [("x", "y", RuleMetrics(1, 0))]
 
 
 class TestDecomposeRewrites:
