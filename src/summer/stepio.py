@@ -43,23 +43,36 @@ def step_to_obj(step: Step) -> dict:
     raise TypeError(f"unknown step: {step!r}")
 
 
-def obj_to_step(obj: dict) -> Step:
+def _str(obj: dict, name: str) -> str:
+    value = obj.get(name) if isinstance(obj, dict) else None
+    if not isinstance(value, str):
+        raise ValueError(f"malformed step: {obj!r} needs a string {name!r}")
+    return value
+
+
+def obj_to_step(obj: object) -> Step:
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed step: {obj!r}")
     kind = obj.get("kind")
     if kind == "rewrite":
-        return RewriteRule(obj["lhs"], obj["rhs"])
+        return RewriteRule(_str(obj, "lhs"), _str(obj, "rhs"))
     if kind == "move":
-        a = obj["antecedent"]
-        c = obj["consequent"]
+        a = obj.get("antecedent")
+        c = obj.get("consequent")
         return MoveRule(
-            Antecedent(MovePattern(a["prefix"], True, a["suffix"]), a["rhs"]),
-            Consequent(c["lhs"], MovePattern(c["prefix"], True, c["suffix"])),
+            Antecedent(
+                MovePattern(_str(a, "prefix"), True, _str(a, "suffix")), _str(a, "rhs")
+            ),
+            Consequent(
+                _str(c, "lhs"), MovePattern(_str(c, "prefix"), True, _str(c, "suffix"))
+            ),
         )
     if kind == "file_add":
-        return FileAdd(obj["path"], obj["content"])
+        return FileAdd(_str(obj, "path"), _str(obj, "content"))
     if kind == "file_delete":
-        return FileDelete(obj["path"])
+        return FileDelete(_str(obj, "path"))
     if kind == "file_rename":
-        return FileRename(obj["old"], obj["new"])
+        return FileRename(_str(obj, "old"), _str(obj, "new"))
     raise ValueError(f"unknown step kind: {kind!r}")
 
 
@@ -72,4 +85,6 @@ def parse_steps(text: str) -> list[Step]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
         raise ValueError("unsupported step document version")
+    if not isinstance(doc.get("steps"), list):
+        raise ValueError("step document has no list of steps")
     return [obj_to_step(o) for o in doc["steps"]]

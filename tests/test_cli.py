@@ -115,6 +115,25 @@ class TestRebaseCommand:
         assert main(["rebase", "--steps-in", str(steps_file), str(right)]) == 0
         assert capsys.readouterr().out == "i+=1"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"version": 1},
+            {"version": 1, "steps": [{"kind": "rewrite", "lhs": "+"}]},
+            {"version": 1, "steps": ["x"]},
+            {"version": 1, "steps": [{"kind": "rewrite", "lhs": 1, "rhs": "-"}]},
+            {"version": 1, "steps": [{"kind": "move", "antecedent": {}, "consequent": {}}]},
+        ],
+    )
+    def test_malformed_steps_exit_2(self, trio, tmp_path, capsys, doc):
+        # Exit 1 means "conflict" to git; a bad step document is a usage error.
+        _, _, right = trio
+        steps_file = tmp_path / "steps.json"
+        write(steps_file, json.dumps(doc))
+        assert main(["rebase", "--steps-in", str(steps_file), str(right)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert read(right) == "i+=1"
+
     def test_output_flag(self, trio, tmp_path):
         base, left, right = trio
         dest = tmp_path / "merged.txt"
