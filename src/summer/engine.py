@@ -383,7 +383,13 @@ def merge(
     cfg: ExtractionConfig | None = None,
     binary_paths: set[str] | None = None,
 ) -> MergeOutcome:
-    """Three-way merge: decompose the simpler side, replay it on the other."""
+    """Three-way merge: decompose the simpler side, replay it on the other.
+
+    Equal sides are the merge as they are: replaying one side's change on a
+    side that already holds it would apply it twice.
+    """
+    if left == right:
+        return MergeOutcome(dict(left), None)
     cfg = cfg or ExtractionConfig()
     binary_paths = set(binary_paths or ())
     resolved: dict[str, str | None] = {}

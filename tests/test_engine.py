@@ -281,6 +281,18 @@ class TestRoundTripProperty:
             out = apply_steps(base, steps)
             assert out.ok and out.result == target
 
+    def test_merge_laws(self):
+        # A side that made no change takes the other's, and equal changes
+        # are the merge: merge(B, B, X) == merge(B, X, B) == merge(B, X, X) == X.
+        rng = random.Random(0x1A35)
+        for _ in range(100):
+            toks = [rng.choice(self.ALPHABET) for _ in range(rng.randrange(1, 80))]
+            base = {"": "".join(toks)}
+            x = {"": "".join(self.mutate(rng, toks))}
+            for left, right in ((base, x), (x, base), (x, x)):
+                out = merge(base, left, right)
+                assert out.ok and out.result == x, (base, left, right)
+
     def test_round_trip_multi_entry(self):
         rng = random.Random(7)
         for _ in range(30):
