@@ -7,7 +7,8 @@ Each candidate is scored corpus-wide: a match site counts as a true positive
 when replacing it reproduces exactly what the alignment demands there, and
 as a false positive otherwise. Rules at precision <= 0.5 are dropped; the
 survivors are ranked and greedily retained so that no two rules claim the
-same stretch of source.
+same stretch of source. Move rules (moves.py) are built on the same window
+grid and retained by the same selection pass.
 
 A fix-up loop replays retained rules, re-dissects whatever still differs,
 and tries again with a growing context window; exact-anchor fallback rules
