@@ -223,11 +223,11 @@ def _coalesce(ops):
 
 # --- token-level alignment -------------------------------------------------
 
-_MATCH, _SUB, _DEL, _INS = 0, 1, 2, 3
+Part = tuple[EditKind, str, str]  # (kind, lhs, rhs)
 
 
-def _token_ops(del_tokens: list[str], add_tokens: list[str]) -> list[int]:
-    """Minimal-cost op sequence with match > sub > del > ins preference.
+def _token_parts(del_tokens: list[str], add_tokens: list[str]) -> list[Part]:
+    """Minimal-cost token parts with match > sub > del > ins preference.
 
     The preference is applied scanning left to right over suffix-optimal
     costs, which keeps shared prefixes aligned.
@@ -247,140 +247,77 @@ def _token_ops(del_tokens: list[str], add_tokens: list[str]) -> list[int]:
                 row[j] = below[j + 1]
             else:
                 row[j] = 1 + min(below[j + 1], below[j], row[j + 1])
-    ops: list[int] = []
+    parts: list[Part] = []
     i = j = 0
     while i < n or j < m:
         c = cost[i][j]
         if i < n and j < m and del_tokens[i] == add_tokens[j] and c == cost[i + 1][j + 1]:
-            ops.append(_MATCH)
+            parts.append((EditKind.IDENTITY, del_tokens[i], add_tokens[j]))
             i += 1
             j += 1
         elif i < n and j < m and del_tokens[i] != add_tokens[j] and c == 1 + cost[i + 1][j + 1]:
-            ops.append(_SUB)
+            parts.append((EditKind.SUBSTITUTION, del_tokens[i], add_tokens[j]))
             i += 1
             j += 1
         elif i < n and c == 1 + cost[i + 1][j]:
-            ops.append(_DEL)
+            parts.append((EditKind.DELETION, del_tokens[i], ""))
             i += 1
         else:
-            ops.append(_INS)
+            parts.append((EditKind.INSERTION, "", add_tokens[j]))
             j += 1
-    return ops
+    return parts
 
 
-def align_tokens(del_side: str | list[str], add_side: str | list[str]) -> list[EditInstance]:
-    """Align two token sequences into edit instances at minimal edit cost.
+def _instances(parts: list[Part]) -> list[EditInstance]:
+    """Coalesce identity, insertion and deletion runs of parts (each
+    substitution stays its own instance) and span them from offset 0."""
+    runs: list[tuple[EditKind, list[str], list[str]]] = []
+    for kind, lhs, rhs in parts:
+        if not (lhs or rhs):
+            continue
+        if not runs or kind is not runs[-1][0] or kind is EditKind.SUBSTITUTION:
+            runs.append((kind, [], []))
+        runs[-1][1].append(lhs)
+        runs[-1][2].append(rhs)
+    out: list[EditInstance] = []
+    lo = ro = 0
+    for kind, lhs_parts, rhs_parts in runs:
+        lhs, rhs = "".join(lhs_parts), "".join(rhs_parts)
+        out.append(EditInstance(lhs, rhs, kind, (lo, lo + len(lhs)), (ro, ro + len(rhs))))
+        lo += len(lhs)
+        ro += len(rhs)
+    return out
 
-    Accepts raw strings (tokenized here) or precomputed token text lists.
+
+def align_tokens(del_side: str, add_side: str) -> list[EditInstance]:
+    """Align the tokens of two strings into edit instances at minimal edit cost.
+
     Identity, insertion, and deletion runs coalesce; each substituted token
     becomes its own instance. Spans are local to the aligned pair.
     """
-    del_tokens = (
-        [t.text for t in tokenize(del_side).tokens] if isinstance(del_side, str) else del_side
+    return _instances(
+        _token_parts(
+            [t.text for t in tokenize(del_side).tokens],
+            [t.text for t in tokenize(add_side).tokens],
+        )
     )
-    add_tokens = (
-        [t.text for t in tokenize(add_side).tokens] if isinstance(add_side, str) else add_side
-    )
-    ops = _token_ops(del_tokens, add_tokens)
-    instances: list[EditInstance] = []
-    i = j = 0
-    lo = ro = 0  # running offsets
-    k = 0
-    while k < len(ops):
-        op = ops[k]
-        if op == _SUB:
-            lhs, rhs = del_tokens[i], add_tokens[j]
-            instances.append(
-                EditInstance(
-                    lhs,
-                    rhs,
-                    EditKind.SUBSTITUTION,
-                    (lo, lo + len(lhs)),
-                    (ro, ro + len(rhs)),
-                )
-            )
-            lo += len(lhs)
-            ro += len(rhs)
-            i += 1
-            j += 1
-            k += 1
-            continue
-        run_end = k
-        while run_end < len(ops) and ops[run_end] == op:
-            run_end += 1
-        count = run_end - k
-        if op == _MATCH:
-            text = "".join(del_tokens[i : i + count])
-            instances.append(
-                EditInstance(
-                    text,
-                    text,
-                    EditKind.IDENTITY,
-                    (lo, lo + len(text)),
-                    (ro, ro + len(text)),
-                )
-            )
-            lo += len(text)
-            ro += len(text)
-            i += count
-            j += count
-        elif op == _DEL:
-            text = "".join(del_tokens[i : i + count])
-            instances.append(
-                EditInstance(text, "", EditKind.DELETION, (lo, lo + len(text)), (ro, ro))
-            )
-            lo += len(text)
-            i += count
-        else:
-            text = "".join(add_tokens[j : j + count])
-            instances.append(
-                EditInstance("", text, EditKind.INSERTION, (lo, lo), (ro, ro + len(text)))
-            )
-            ro += len(text)
-            j += count
-        k = run_end
-    return instances
 
 
-def _merge_identities(parts: list[tuple[EditKind, str, str]]) -> list[tuple[EditKind, str, str]]:
-    out: list[tuple[EditKind, str, str]] = []
-    for kind, lhs, rhs in parts:
-        if not lhs and not rhs:
-            continue
-        if out and kind is EditKind.IDENTITY and out[-1][0] is EditKind.IDENTITY:
-            prev = out.pop()
-            out.append((EditKind.IDENTITY, prev[1] + lhs, prev[2] + rhs))
-        else:
-            out.append((kind, lhs, rhs))
-    return out
+_LINE_KINDS = {"equal": EditKind.IDENTITY, "delete": EditKind.DELETION, "insert": EditKind.INSERTION}
 
 
 def dissect(source: str, target: str, label: str) -> Bucket:
     """Break one coarse string edit into an ordered bucket of fine instances."""
-    parts: list[tuple[EditKind, str, str]] = []
+    parts: list[Part] = []
     a = split_lines(source)
     b = split_lines(target)
     for tag, a0, a1, b0, b1 in line_diff(source, target):
         del_text = "".join(a[a0:a1])
         add_text = "".join(b[b0:b1])
-        if tag == "equal":
-            parts.append((EditKind.IDENTITY, del_text, add_text))
-        elif tag == "delete":
-            parts.append((EditKind.DELETION, del_text, ""))
-        elif tag == "insert":
-            parts.append((EditKind.INSERTION, "", add_text))
+        if tag == "replace":
+            parts.extend((e.kind, e.lhs, e.rhs) for e in align_tokens(del_text, add_text))
         else:
-            for inst in align_tokens(del_text, add_text):
-                parts.append((inst.kind, inst.lhs, inst.rhs))
-    parts = _merge_identities(parts)
-    edits: list[EditInstance] = []
-    lo = ro = 0
-    for kind, lhs, rhs in parts:
-        edits.append(
-            EditInstance(lhs, rhs, kind, (lo, lo + len(lhs)), (ro, ro + len(rhs)))
-        )
-        lo += len(lhs)
-        ro += len(rhs)
-    bucket = Bucket(label, tuple(edits))
+            parts.append((_LINE_KINDS[tag], del_text, add_text))
+    bucket = Bucket(label, tuple(_instances(parts)))
     assert bucket.source == source and bucket.target == target
     return bucket

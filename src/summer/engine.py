@@ -16,13 +16,8 @@ from enum import Enum, auto
 from .align import Bucket, BucketSet, dissect
 from .distance import levenshtein, similarity
 from .moves import MoveRule, apply_move
-from .rules import (
-    ExtractionConfig,
-    RewriteRule,
-    _token_texts,
-    apply_rewrite_to_text,
-    decompose_rewrites,
-)
+from .rules import ExtractionConfig, RewriteRule, apply_rewrite_to_text, decompose_rewrites
+from .tokens import tokenize_cached
 
 Snapshot = dict[str, str]
 
@@ -97,6 +92,10 @@ class MergeOutcome:
 
 
 # --- pairing and bucket mapping ------------------------------------------------
+
+def _token_texts(s: str) -> list[str]:
+    return [t.text for t in tokenize_cached(s).tokens]
+
 
 @dataclass
 class Pairing:
@@ -234,48 +233,31 @@ def decompose(
     cfg = cfg or ExtractionConfig()
     buckets, structural = map_to_buckets(base, changed)
     current = {b.label: b.source for b in buckets}
-    targets = {b.label: b.target for b in buckets}
     moves: list[MoveRule] = []
-    if any(b.edits for b in buckets):
-        for mv in get_precise_move(buckets, cfg):
-            contents = _content_keys(current)
-            app = apply_move(contents, mv)
-            if not app.captures or not app.consequent_sites:
-                continue
-            moves.append(mv)
-            current.update(app.texts)
-    rewrites: list[RewriteRule] = []
-    if current != targets:
-        residual = BucketSet(
-            tuple(dissect(current[lbl], targets[lbl], lbl) for lbl in current)
+    for mv in get_precise_move(buckets, cfg):
+        app = apply_move(_content_keys(current), mv)
+        if not app.captures or not app.consequent_sites:
+            continue
+        moves.append(mv)
+        current.update(app.texts)
+    if moves:
+        buckets = BucketSet(
+            tuple(dissect(current[b.label], b.target, b.label) for b in buckets)
         )
-        rewrites = decompose_rewrites(residual, cfg)
-    steps: list[Step] = list(structural) + list(moves) + list(rewrites)
+    steps: list[Step] = [*structural, *moves, *decompose_rewrites(buckets, cfg)]
     return _verify_and_patch(base, changed, steps)
 
 
 def _verify_and_patch(base: Snapshot, changed: Snapshot, steps: list[Step]) -> list[Step]:
-    outcome = apply_steps(base, steps)
-    if not outcome.ok:
-        # A rule misbehaved outside the corpus (e.g. a name collision or a
-        # move whose consequent has no anchor on some entry). Fall back to
-        # plain structural reproduction.
-        steps = [FileDelete(p) for p in sorted(base) if p not in changed]
-        steps += [
-            FileAdd(p, changed[p])
-            for p in sorted(changed)
-            if base.get(p) != changed[p]
-        ]
-        return steps
-    replay = outcome.result
-    assert replay is not None
-    patches: list[Step] = []
-    for p in sorted(replay):
-        if p not in changed:
-            patches.append(FileDelete(p))
-    for p in sorted(changed):
-        if replay.get(p) != changed[p]:
-            patches.append(FileAdd(p, changed[p]))
+    """The steps plus the structural patches that turn their replay on `base`
+    into `changed`. A replay that fails (a rule misbehaved outside the
+    corpus, e.g. a name collision or a move whose consequent has no anchor
+    on some entry) is dropped: `base` is patched with no steps."""
+    replay = apply_steps(base, steps).result
+    if replay is None:
+        steps, replay = [], base
+    patches: list[Step] = [FileDelete(p) for p in sorted(replay) if p not in changed]
+    patches += [FileAdd(p, changed[p]) for p in sorted(changed) if replay.get(p) != changed[p]]
     return steps + patches
 
 

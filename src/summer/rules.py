@@ -11,8 +11,9 @@ same stretch of source. Move rules (moves.py) are built on the same window
 grid and retained by the same selection pass.
 
 A fix-up loop replays retained rules, re-dissects whatever still differs,
-and tries again with a growing context window; exact-anchor fallback rules
-(minimal context that is unique corpus-wide) close out anything left.
+and tries again, widening the context window whenever a round leaves no
+fewer token edits in that dissection; exact-anchor fallback rules (minimal
+context that is unique corpus-wide) close out anything left.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .align import Bucket, BucketSet, EditKind, dissect
-from .distance import levenshtein
-from .tokens import find_matches, tokenize, tokenize_cached
+from .tokens import find_matches, tokenize
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,11 +64,13 @@ class RewriteRule:
 class ExtractionConfig:
     window: int = 2
     window_max: int = 8
-    max_fixup_rounds: int = 6
 
     def __post_init__(self) -> None:
         if not (0 <= self.window <= self.window_max):
             raise ValueError("need 0 <= window <= window_max")
+
+
+FIXUP_ROUNDS = 6  # rule rounds before the exact-anchor fallback takes over
 
 
 # --- bucket atomization and target projection -------------------------------
@@ -359,21 +361,26 @@ class RoundTrace:
     ranked: list[tuple[RewriteRule, RuleMetrics]]
 
 
-def _token_texts(s: str) -> list[str]:
-    return [t.text for t in tokenize_cached(s).tokens]
-
-
-def _residual(current: dict[str, str], targets: dict[str, str]) -> int:
-    return sum(
-        levenshtein(_token_texts(current[label]), _token_texts(targets[label]))
-        for label in current
-    )
-
-
 def _redissect(current: dict[str, str], targets: dict[str, str]) -> BucketSet:
     return BucketSet(
         tuple(dissect(current[label], targets[label], label) for label in current)
     )
+
+
+def _cost(buckets: BucketSet) -> int:
+    """Token edits a dissection still demands: one per substitution, plus
+    the tokens of every inserted or deleted run."""
+    return sum(
+        1 if e.kind is EditKind.SUBSTITUTION else len(tokenize(e.lhs + e.rhs).tokens)
+        for bucket in buckets
+        for e in bucket.edits
+        if e.kind is not EditKind.IDENTITY
+    )
+
+
+def _apply_everywhere(current: dict[str, str], rule: RewriteRule) -> None:
+    for label in current:
+        current[label], _ = apply_rewrite_to_text(current[label], rule.lhs, rule.rhs)
 
 
 def decompose_rewrites(buckets: BucketSet, cfg: ExtractionConfig) -> list[RewriteRule]:
@@ -398,68 +405,59 @@ def decompose_rewrites_trace(
     if current == targets:
         return steps, trace
     window = cfg.window
-    prev = _residual(current, targets)
-    bucket_set = buckets
-    for _ in range(cfg.max_fixup_rounds):
-        ranked = get_precise_rewriting(bucket_set, replace(cfg, window=window))
-        trace.append(RoundTrace(bucket_set, window, ranked))
+    prev = _cost(buckets)
+    for _ in range(FIXUP_ROUNDS):
+        ranked = get_precise_rewriting(buckets, replace(cfg, window=window))
+        trace.append(RoundTrace(buckets, window, ranked))
         for rule, _metrics in ranked:
-            for label in current:
-                current[label], _ = apply_rewrite_to_text(
-                    current[label], rule.lhs, rule.rhs
-                )
+            _apply_everywhere(current, rule)
             steps.append(rule)
         if current == targets:
             return steps, trace
-        dist = _residual(current, targets)
-        if dist >= prev:
+        buckets = _redissect(current, targets)
+        cost = _cost(buckets)
+        if cost >= prev:
             if window < cfg.window_max:
                 window += 1
             else:
                 break
-        prev = min(prev, dist)
-        bucket_set = _redissect(current, targets)
-    steps.extend(_exact_anchor_fallback(current, targets))
+        prev = min(prev, cost)
+    steps.extend(_exact_anchor_fallback(current, targets, buckets))
     return steps, trace
 
 
 def _exact_anchor_fallback(
-    current: dict[str, str], targets: dict[str, str]
+    current: dict[str, str], targets: dict[str, str], buckets: BucketSet
 ) -> list[RewriteRule]:
     """Anchor rules with the minimal context unique across the whole corpus.
 
-    One rule is emitted and applied at a time, left to right, re-dissecting
-    in between: a rule's context may overlap neighboring edits, so later
-    anchors must be derived from the already-patched text.
+    `buckets` dissects `current` against `targets`. One rule is emitted and
+    applied at a time, left to right, re-dissecting in between: a rule's
+    context may overlap neighboring edits, so later anchors must be derived
+    from the already-patched text.
     """
     out: list[RewriteRule] = []
-    guard = 0
-    limit = 10000
-    while current != targets and guard < limit:
-        guard += 1
-        progressed = False
-        bucket_set = _redissect(current, targets)
-        for bucket in bucket_set:
-            if bucket.source == bucket.target:
-                continue
-            atoms = atomize(bucket)
-            edit_positions = [i for i, a in enumerate(atoms) if a.edit_index is not None]
-            for core in edit_positions:
-                rule = _unique_anchor_rule(atoms, core, current, bucket.label)
-                if rule is None:
-                    continue
-                for label in current:
-                    current[label], _ = apply_rewrite_to_text(
-                        current[label], rule.lhs, rule.rhs
-                    )
-                out.append(rule)
-                progressed = True
-                break
-            if progressed:
-                break
-        if not progressed:
+    for _ in range(10000):
+        rule = next(filter(None, (_first_anchor_rule(b, current) for b in buckets)), None)
+        if rule is None:
             break
+        _apply_everywhere(current, rule)
+        out.append(rule)
+        if current == targets:
+            break
+        buckets = _redissect(current, targets)
     return out
+
+
+def _first_anchor_rule(bucket: Bucket, current: dict[str, str]) -> RewriteRule | None:
+    """The unique anchor rule of the bucket's first edit that has one."""
+    atoms = atomize(bucket)
+    for core, atom in enumerate(atoms):
+        if atom.edit_index is not None:
+            rule = _unique_anchor_rule(atoms, core, current, bucket.label)
+            if rule is not None:
+                return rule
+    return None
 
 
 def _unique_anchor_rule(

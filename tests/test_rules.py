@@ -186,7 +186,7 @@ class TestDecomposeRewrites:
 
     def test_fallback_rules_used_when_window_capped(self):
         corpus = BucketSet((dissect("k k k ", "j j k ", "t"),))
-        cfg = ExtractionConfig(window=0, window_max=0, max_fixup_rounds=1)
+        cfg = ExtractionConfig(window=0, window_max=0)
         rules = decompose_rewrites(corpus, cfg)
         assert replay(corpus, rules) == targets(corpus)
         assert any(r.fallback for r in rules)
