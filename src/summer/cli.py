@@ -93,14 +93,17 @@ def _load_uniform(paths: list[str]) -> tuple[list[Snapshot], set[str], bool]:
 
 
 def _encode_for(path: str, content: str, binary: set[str]) -> bytes:
-    if path in binary or any(
-        _BYTE_BASE <= ord(c) <= _BYTE_BASE + 0xFF for c in content
-    ):
-        return _encode_binary(content)
-    return content.encode("utf-8")
+    return _encode_binary(content) if path in binary else content.encode("utf-8")
+
+
+def _check_path(rel: str) -> None:
+    if os.path.isabs(rel) or any(part in ("", ".", "..") for part in rel.split("/")):
+        raise CliError(f"unsafe path {rel!r}: absolute, or with an empty, '.' or '..' part")
 
 
 def _write_tree(root: str, snap: Snapshot, binary: set[str]) -> None:
+    for rel in snap:
+        _check_path(rel)
     for rel, full in _walk_tree(root):
         if rel not in snap:
             os.remove(full)

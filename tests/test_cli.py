@@ -40,8 +40,8 @@ class TestStepSerialization:
             RewriteRule("+", "-"),
             RewriteRule("a\tb", "c\nd"),
             MoveRule(
-                Antecedent(MovePattern("\n\t\t", True, "\n\t\tL"), "\n\t\tr();\n\t\tL"),
-                Consequent("\n\n", MovePattern("\n\npre ", True, " post\n")),
+                Antecedent(MovePattern("\n\t\t", "\n\t\tL"), "\n\t\tr();\n\t\tL"),
+                Consequent("\n\n", MovePattern("\n\npre ", " post\n")),
             ),
             FileAdd("dir/new.txt", "content\nwith\tcontrols\x07"),
             FileDelete("gone.txt"),
@@ -62,8 +62,8 @@ class TestStepSerialization:
         steps = [
             RewriteRule(lhs, rhs),
             MoveRule(
-                Antecedent(MovePattern(prefix, True, suffix), rhs),
-                Consequent(lhs, MovePattern(prefix, True, suffix)),
+                Antecedent(MovePattern(prefix, suffix), rhs),
+                Consequent(lhs, MovePattern(prefix, suffix)),
             ),
         ]
         assert parse_steps(serialize_steps(steps)) == steps
@@ -133,6 +133,23 @@ class TestRebaseCommand:
         assert main(["rebase", "--steps-in", str(steps_file), str(right)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert read(right) == "i+=1"
+
+    @pytest.mark.parametrize(
+        "step",
+        [FileAdd("../escaped.txt", "x\n"), RewriteRule("a", "../a")],
+    )
+    def test_steps_cannot_write_outside_the_tree(self, tmp_path, capsys, step):
+        target = tmp_path / "target"
+        target.mkdir()
+        write(target / "a.txt", "a\n")
+        steps_file = tmp_path / "steps.json"
+        write(steps_file, serialize_steps([step]))
+        rc = main(["rebase", "--steps-in", str(steps_file), str(target)])
+        assert rc == 2
+        assert "unsafe path" in capsys.readouterr().err
+        assert not (tmp_path / "escaped.txt").exists()
+        assert not (tmp_path / "a.txt").exists()
+        assert read(target / "a.txt") == "a\n"
 
     def test_output_flag(self, trio, tmp_path):
         base, left, right = trio
@@ -285,6 +302,30 @@ class TestBinaryEntries:
         ])
         assert rc == 0
         assert dest.read_bytes() == changed_bytes
+
+
+class TestPrivateUseText:
+    # U+E000..U+E0FF also stand for the bytes of undecodable files; in a
+    # UTF-8 file they are ordinary characters and must be written back as such.
+    TEXT = "key = \ue041\n"
+
+    def test_file_merge_keeps_utf8(self, tmp_path):
+        write(tmp_path / "base.txt", self.TEXT)
+        write(tmp_path / "left.txt", self.TEXT + "x\n")
+        write(tmp_path / "right.txt", self.TEXT)
+        args = ["merge", *(str(tmp_path / f) for f in ("base.txt", "left.txt", "right.txt"))]
+        assert main(args) == 0
+        assert read(tmp_path / "left.txt") == self.TEXT + "x\n"
+
+    def test_directory_merge_keeps_utf8(self, tmp_path):
+        for name, other in (("base", "a\n"), ("left", "a\n"), ("right", "b\n")):
+            (tmp_path / name).mkdir()
+            write(tmp_path / name / "pua.txt", self.TEXT)
+            write(tmp_path / name / "other.txt", other)
+        args = ["merge", *(str(tmp_path / d) for d in ("base", "left", "right"))]
+        assert main(args) == 0
+        assert read(tmp_path / "left" / "pua.txt") == self.TEXT
+        assert read(tmp_path / "left" / "other.txt") == "b\n"
 
 
 class TestConsoleEntry:
