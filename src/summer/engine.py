@@ -343,19 +343,24 @@ def apply_steps(target: Snapshot, steps: list[Step]) -> MergeOutcome:
 
 # --- merge -----------------------------------------------------------------------
 
-def _resolve_binary(
-    base: Snapshot, left: Snapshot, right: Snapshot, paths: set[str]
+def _settle(
+    base: Snapshot, left: Snapshot, right: Snapshot, binary_paths: set[str]
 ) -> tuple[dict[str, str | None], Conflict | None]:
-    resolved: dict[str, str | None] = {}
-    for p in sorted(paths):
+    """Entries merged whole, outside the decomposition: binary entries, and
+    entries all three sides hold that both sides changed alike. An entry
+    one side left as in base takes the other side's; an entry both sides
+    left alike takes theirs (None when both deleted it); else a conflict."""
+    alike = {p for p in base if p in left and p in right and left[p] == right[p] != base[p]}
+    settled: dict[str, str | None] = {}
+    for p in sorted(binary_paths | alike):
         b, lv, rv = base.get(p), left.get(p), right.get(p)
         if lv == b:
-            resolved[p] = rv
+            settled[p] = rv
         elif rv == b or lv == rv:
-            resolved[p] = lv
+            settled[p] = lv
         else:
             return {}, Conflict(f"binary entry {p!r} changed on both sides")
-    return resolved, None
+    return settled, None
 
 
 def merge(
@@ -367,21 +372,19 @@ def merge(
 ) -> MergeOutcome:
     """Three-way merge: decompose the simpler side, replay it on the other.
 
-    Equal sides are the merge as they are: replaying one side's change on a
-    side that already holds it would apply it twice.
+    Equal sides are the merge as they are, and so is an entry both sides
+    changed alike (`_settle`): replaying one side's change on a side that
+    already holds it would apply it twice.
     """
     if left == right:
         return MergeOutcome(dict(left), None)
     cfg = cfg or ExtractionConfig()
-    binary_paths = set(binary_paths or ())
-    resolved: dict[str, str | None] = {}
-    if binary_paths:
-        resolved, conflict = _resolve_binary(base, left, right, binary_paths)
-        if conflict:
-            return MergeOutcome(None, conflict)
-        base = {p: v for p, v in base.items() if p not in binary_paths}
-        left = {p: v for p, v in left.items() if p not in binary_paths}
-        right = {p: v for p, v in right.items() if p not in binary_paths}
+    settled, conflict = _settle(base, left, right, set(binary_paths or ()))
+    if conflict:
+        return MergeOutcome(None, conflict)
+    base, left, right = (
+        {p: v for p, v in snap.items() if p not in settled} for snap in (base, left, right)
+    )
     direction = determine_direction(base, left, right)
     if isinstance(direction, Conflict):
         return MergeOutcome(None, direction)
@@ -391,9 +394,7 @@ def merge(
         source, apply_target = right, left
     steps = decompose(base, source, cfg)
     outcome = apply_steps(apply_target, steps)
-    if outcome.ok and resolved:
+    if outcome.ok:
         assert outcome.result is not None
-        for p, content in resolved.items():
-            if content is not None:
-                outcome.result[p] = content
+        outcome.result.update({p: v for p, v in settled.items() if v is not None})
     return outcome

@@ -241,6 +241,16 @@ class TestMerge:
         out = merge(base, {"bin": "\x81"}, {"bin": "\x82"}, binary_paths={"bin"})
         assert not out.ok
 
+    def test_entry_changed_alike_is_taken_as_it_is(self):
+        # Both sides escape the same line; left also edits another entry.
+        # Replaying left's escapes on right would double every backslash.
+        escaped = "run.args=-J-XX\\:PermSize\\=128m"
+        base = {"a.txt": "run.args=-J-XX:PermSize=128m", "b.txt": "name=x\n"}
+        left = {"a.txt": escaped, "b.txt": "name=y\n"}
+        right = {"a.txt": escaped, "b.txt": "name=x\n"}
+        out = merge(base, left, right)
+        assert out.ok and out.result == {"a.txt": escaped, "b.txt": "name=y\n"}
+
 
 class TestRoundTripProperty:
     ALPHABET = [
