@@ -303,7 +303,11 @@ def align_tokens(del_side: str, add_side: str) -> list[EditInstance]:
     )
 
 
-_LINE_KINDS = {"equal": EditKind.IDENTITY, "delete": EditKind.DELETION, "insert": EditKind.INSERTION}
+_LINE_KINDS = {
+    "equal": EditKind.IDENTITY,
+    "delete": EditKind.DELETION,
+    "insert": EditKind.INSERTION,
+}
 
 
 def dissect(source: str, target: str, label: str) -> Bucket:

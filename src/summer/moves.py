@@ -36,12 +36,9 @@ class MovePattern:
     """One-slot pattern: literal_prefix [capture] literal_suffix."""
 
     literal_prefix: str
-    has_capture: bool
     literal_suffix: str
 
     def fill(self, capture: str) -> str:
-        if not self.has_capture:
-            return self.literal_prefix + self.literal_suffix
         return self.literal_prefix + capture + self.literal_suffix
 
 
@@ -92,8 +89,8 @@ def match_pattern(text: str, pattern: MovePattern) -> list[tuple[int, int, int, 
     suffix occurrence.
     """
     prefix, suffix = pattern.literal_prefix, pattern.literal_suffix
-    if not pattern.has_capture or not prefix or not suffix:
-        raise ValueError("matching requires a capture slot with nonempty anchors")
+    if not prefix or not suffix:
+        raise ValueError("matching requires nonempty anchors around the capture")
     out: list[tuple[int, int, int, int]] = []
     i = _find_aligned(text, prefix, 0)
     while i >= 0:
@@ -221,7 +218,7 @@ def _antecedent_form(atoms: list[Atom], core_lo: int, core_hi: int, head: str, t
         if not prefix or not suffix:
             return None
         rhs = "".join(a.rhs for a in atoms[lo:hi])
-        pattern = MovePattern(prefix, True, suffix)
+        pattern = MovePattern(prefix, suffix)
         return (
             Antecedent(pattern, rhs),
             (len(prefix) + len(suffix), prefix, suffix, rhs),
@@ -238,7 +235,7 @@ def _consequent_form(atoms: list[Atom], core_lo: int, offset: int, n: int):
 
     def consequent(j: int, k: int, lo: int, lhs: str, rhs: str) -> Consequent:
         slot = atoms[core_lo].rhs_span[0] - atoms[lo].rhs_span[0] + offset
-        return Consequent(lhs, MovePattern(rhs[:slot], True, rhs[slot + n :]))
+        return Consequent(lhs, MovePattern(rhs[:slot], rhs[slot + n :]))
 
     return _literal_form(atoms, consequent)
 

@@ -60,12 +60,8 @@ def obj_to_step(obj: object) -> Step:
         a = obj.get("antecedent")
         c = obj.get("consequent")
         return MoveRule(
-            Antecedent(
-                MovePattern(_str(a, "prefix"), True, _str(a, "suffix")), _str(a, "rhs")
-            ),
-            Consequent(
-                _str(c, "lhs"), MovePattern(_str(c, "prefix"), True, _str(c, "suffix"))
-            ),
+            Antecedent(MovePattern(_str(a, "prefix"), _str(a, "suffix")), _str(a, "rhs")),
+            Consequent(_str(c, "lhs"), MovePattern(_str(c, "prefix"), _str(c, "suffix"))),
         )
     if kind == "file_add":
         return FileAdd(_str(obj, "path"), _str(obj, "content"))

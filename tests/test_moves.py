@@ -38,24 +38,24 @@ def inline_buckets() -> BucketSet:
 class TestMatchPattern:
     def test_lazy_minimal_capture(self):
         text = "( aa bb ) tail ( cc ) x"
-        pattern = MovePattern("(", True, ")")
+        pattern = MovePattern("(", ")")
         matches = match_pattern(text, pattern)
         assert [text[c0:c1] for _, _, c0, c1 in matches] == [" aa bb ", " cc "]
 
     def test_capture_must_be_nonempty(self):
-        assert match_pattern("()", MovePattern("(", True, ")")) == []
+        assert match_pattern("()", MovePattern("(", ")")) == []
 
     def test_anchors_respect_token_boundaries(self):
         # "public" inside "Republican" is not a prefix site.
         matches = match_pattern(
-            "Republican public x end", MovePattern("public", True, "end")
+            "Republican public x end", MovePattern("public", "end")
         )
         assert len(matches) == 1
         assert matches[0][0] == len("Republican ")
 
     def test_anchorless_patterns_rejected(self):
         with pytest.raises(ValueError):
-            match_pattern("x", MovePattern("", True, "x"))
+            match_pattern("x", MovePattern("", "x"))
 
 
 class TestFindLongestShared:
@@ -98,11 +98,11 @@ class TestFindExtract:
         assert len(pool) == 1
         (move,) = pool
         a, c = move.antecedent, move.consequent
-        assert a.lhs == MovePattern("\n\t\t", True, "\n\t\tListeners")
+        assert a.lhs == MovePattern("\n\t\t", "\n\t\tListeners")
         assert a.rhs == "\n\t\trunCheck(obj);\n\t\tListeners"
         assert c.lhs == "\n\n"
         assert c.rhs == MovePattern(
-            "\n\n\n\tpublic void runCheck(O obj) {\n\t\t", True, "\n\t}\n"
+            "\n\n\n\tpublic void runCheck(O obj) {\n\t\t", "\n\t}\n"
         )
         assert (move.metrics.tp, move.metrics.fp) == (2, 0)
 
@@ -227,8 +227,8 @@ class TestMoveApplication:
         from summer.moves import Antecedent, Consequent, MoveRule
 
         move = MoveRule(
-            Antecedent(MovePattern("(", True, ")"), "[]"),
-            Consequent("end", MovePattern("end (", True, ")")),
+            Antecedent(MovePattern("(", ")"), "[]"),
+            Consequent("end", MovePattern("end (", ")")),
         )
         app = apply_move({"": "( one )\n( two )\nend"}, move)
         assert app.soft_conflict
