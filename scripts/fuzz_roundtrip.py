@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Standalone round-trip fuzzer: decompose then replay must be byte-exact.
 
+Each case also checks the merge laws merge(B, B, X), merge(B, X, B) and
+merge(B, X, X) == X for its base B and target X.
+
 Usage: python3 scripts/fuzz_roundtrip.py [CASES] [SEED]
 Prints a failure reproduction (base and target repr) and exits 1 on the
 first divergence; exits 0 after all cases pass.
@@ -15,7 +18,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from summer.engine import apply_steps, decompose  # noqa: E402
+from summer.engine import apply_steps, decompose, merge  # noqa: E402
 
 ALPHABET = [
     "alpha", "beta", "gamma", "x", "y", "z", "0", "17", "+", "-", "=", ";",
@@ -58,16 +61,26 @@ def main() -> int:
         base = {"": "".join(toks)}
         target = {"": "".join(mutate(rng, toks))}
         steps = decompose(base, target)
-        outcome = apply_steps(base, steps)
-        if not outcome.ok or outcome.result != target:
-            print(f"FAIL at case {case}")
+        checks = {"round trip": apply_steps(base, steps)}
+        for name, sides in (
+            ("merge(B, B, X)", (base, target)),
+            ("merge(B, X, B)", (target, base)),
+            ("merge(B, X, X)", (target, target)),
+        ):
+            checks[name] = merge(base, *sides)
+        failed = [name for name, out in checks.items() if not out.ok or out.result != target]
+        if failed:
+            print(f"FAIL at case {case}: {', '.join(failed)}")
             print("base   =", repr(base[""]))
             print("target =", repr(target[""]))
             return 1
         if case and case % 500 == 0:
             print(f"...{case} cases ok")
     elapsed = time.perf_counter() - started
-    print(f"{cases} cases round-tripped byte-exactly in {elapsed:.1f}s (seed {seed:#x})")
+    print(
+        f"{cases} cases round-tripped byte-exactly and kept the merge laws "
+        f"in {elapsed:.1f}s (seed {seed:#x})"
+    )
     return 0
 
 
