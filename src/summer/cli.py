@@ -96,14 +96,10 @@ def _encode_for(path: str, content: str, binary: set[str]) -> bytes:
     return _encode_binary(content) if path in binary else content.encode("utf-8")
 
 
-def _check_path(rel: str) -> None:
-    if os.path.isabs(rel) or any(part in ("", ".", "..") for part in rel.split("/")):
-        raise CliError(f"unsafe path {rel!r}: absolute, or with an empty, '.' or '..' part")
-
-
 def _write_tree(root: str, snap: Snapshot, binary: set[str]) -> None:
     for rel in snap:
-        _check_path(rel)
+        if os.path.isabs(rel) or any(part in ("", ".", "..") for part in rel.split("/")):
+            raise CliError(f"unsafe path {rel!r}: absolute, or with an empty, '.' or '..' part")
     for rel, full in _walk_tree(root):
         if rel not in snap:
             os.remove(full)
