@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+from dataclasses import dataclass
 
 from .engine import ExtractionConfig, Snapshot, apply_steps, decompose, merge
 from .stepio import parse_steps, serialize_steps
@@ -23,6 +25,7 @@ class CliError(Exception):
 # PUA characters classify as symbols, so such content degrades to a stream
 # of single-byte symbol tokens and matching becomes per-byte, reversibly.
 _BYTE_BASE = 0xE000
+_BYTE_CHAR = re.compile(f"[{chr(_BYTE_BASE)}-{chr(_BYTE_BASE + 0xFF)}]")
 
 
 def _decode_binary(raw: bytes) -> str:
@@ -38,6 +41,25 @@ def _encode_binary(content: str) -> bytes:
         else:
             out.extend(ch.encode("utf-8"))
     return bytes(out)
+
+
+@dataclass
+class _Encodings:
+    """How result entries go back to bytes. A path some input held as
+    undecodable bytes is written as bytes. Content made only of byte
+    characters is too (a step added, renamed or replaced a binary entry),
+    unless some input held that path as UTF-8 text with such characters.
+    Everything else is UTF-8."""
+
+    binary: set[str]  # paths some input held as undecodable bytes
+    text: set[str]  # paths some input held as UTF-8 holding byte characters
+
+    def encode(self, path: str, content: str) -> bytes:
+        if path in self.binary or (
+            path not in self.text and not _BYTE_CHAR.sub("", content)
+        ):
+            return _encode_binary(content)
+        return content.encode("utf-8")
 
 
 def _load_file(path: str) -> tuple[str, bool]:
@@ -81,22 +103,22 @@ def _load_input(path: str) -> tuple[Snapshot, set[str], bool]:
     raise CliError(f"no such file or directory: {path}")
 
 
-def _load_uniform(paths: list[str]) -> tuple[list[Snapshot], set[str], bool]:
+def _load_uniform(paths: list[str]) -> tuple[list[Snapshot], _Encodings, bool]:
     loaded = [_load_input(p) for p in paths]
     kinds = {is_dir for _, _, is_dir in loaded}
     if len(kinds) != 1:
         raise CliError("inputs must be uniformly files or uniformly directories")
-    binary: set[str] = set()
-    for _, b, _ in loaded:
-        binary |= b
-    return [snap for snap, _, _ in loaded], binary, kinds.pop()
+    enc = _Encodings(set(), set())
+    for snap, binary, _ in loaded:
+        enc.binary |= binary
+        enc.text |= {
+            path for path, content in snap.items()
+            if path not in binary and _BYTE_CHAR.search(content)
+        }
+    return [snap for snap, _, _ in loaded], enc, kinds.pop()
 
 
-def _encode_for(path: str, content: str, binary: set[str]) -> bytes:
-    return _encode_binary(content) if path in binary else content.encode("utf-8")
-
-
-def _write_tree(root: str, snap: Snapshot, binary: set[str]) -> None:
+def _write_tree(root: str, snap: Snapshot, enc: _Encodings) -> None:
     for rel in snap:
         if os.path.isabs(rel) or any(part in ("", ".", "..") for part in rel.split("/")):
             raise CliError(f"unsafe path {rel!r}: absolute, or with an empty, '.' or '..' part")
@@ -107,23 +129,23 @@ def _write_tree(root: str, snap: Snapshot, binary: set[str]) -> None:
         full = os.path.join(root, rel.replace("/", os.sep))
         os.makedirs(os.path.dirname(full) or ".", exist_ok=True)
         with open(full, "wb") as fh:
-            fh.write(_encode_for(rel, content, binary))
+            fh.write(enc.encode(rel, content))
 
 
 def _write_output(
-    snap: Snapshot, binary: set[str], is_dir: bool, dest: str | None
+    snap: Snapshot, enc: _Encodings, is_dir: bool, dest: str | None
 ) -> None:
     if is_dir:
         if dest is None:
             raise CliError("directory mode requires a destination tree")
-        _write_tree(dest, snap, binary)
+        _write_tree(dest, snap, enc)
         return
     content = snap.get("", "")
     if dest is None:
         sys.stdout.write(content)
     else:
         with open(dest, "wb") as fh:
-            fh.write(_encode_for("", content, binary))
+            fh.write(enc.encode("", content))
 
 
 def _config(args: argparse.Namespace) -> ExtractionConfig:
@@ -131,7 +153,7 @@ def _config(args: argparse.Namespace) -> ExtractionConfig:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    snaps, _binary, _is_dir = _load_uniform([args.base, args.changed])
+    snaps, _enc, _is_dir = _load_uniform([args.base, args.changed])
     base, changed = snaps
     steps = decompose(base, changed, _config(args))
     text = serialize_steps(steps)
@@ -149,12 +171,12 @@ def cmd_rebase(args: argparse.Namespace) -> int:
             raise CliError("rebase with --steps-in takes exactly one target path")
         with open(args.steps_in, encoding="utf-8") as fh:
             steps = parse_steps(fh.read())
-        (target,), binary, is_dir = _load_uniform(args.paths)
+        (target,), enc, is_dir = _load_uniform(args.paths)
         target_path = args.paths[0]
     else:
         if len(args.paths) != 3:
             raise CliError("rebase takes BASE CHANGED TARGET, or --steps-in FILE TARGET")
-        snaps, binary, is_dir = _load_uniform(args.paths)
+        snaps, enc, is_dir = _load_uniform(args.paths)
         base, changed, target = snaps
         steps = decompose(base, changed, _config(args))
         target_path = args.paths[2]
@@ -166,14 +188,14 @@ def cmd_rebase(args: argparse.Namespace) -> int:
         for note in outcome.diagnostics:
             print(f"note: {note}", file=sys.stderr)
     dest = args.output if args.output else (target_path if is_dir else None)
-    _write_output(outcome.result, binary, is_dir, dest)
+    _write_output(outcome.result, enc, is_dir, dest)
     return 0
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    snaps, binary, is_dir = _load_uniform([args.base, args.left, args.right])
+    snaps, enc, is_dir = _load_uniform([args.base, args.left, args.right])
     base, left, right = snaps
-    outcome = merge(base, left, right, _config(args), binary_paths=binary)
+    outcome = merge(base, left, right, _config(args), binary_paths=enc.binary)
     if not outcome.ok:
         print(f"conflict: {outcome.conflict.diagnostic}", file=sys.stderr)
         return 1
@@ -181,7 +203,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
         for note in outcome.diagnostics:
             print(f"note: {note}", file=sys.stderr)
     dest = args.output if args.output else args.left
-    _write_output(outcome.result, binary, is_dir, dest)
+    _write_output(outcome.result, enc, is_dir, dest)
     return 0
 
 

@@ -304,6 +304,43 @@ class TestBinaryEntries:
         assert dest.read_bytes() == changed_bytes
 
 
+    PNG = b"\x89PNG\x00\x01\xff\xfe"
+
+    def rebase_steps_in(self, tmp_path, base, changed):
+        # decompose BASE CHANGED, then replay the step document onto BASE.
+        for name, files in (("base", base), ("changed", changed), ("target", base)):
+            (tmp_path / name).mkdir()
+            for rel, data in files.items():
+                (tmp_path / name / rel).write_bytes(data)
+        steps = tmp_path / "steps.json"
+        tree = lambda name: str(tmp_path / name)
+        assert main(["decompose", tree("base"), tree("changed"), "--steps-out", str(steps)]) == 0
+        assert main(["rebase", "--steps-in", str(steps), tree("target")]) == 0
+        return tmp_path / "target"
+
+    def test_steps_in_adds_binary_file(self, tmp_path):
+        target = self.rebase_steps_in(
+            tmp_path, {"a.txt": b"a\n"}, {"a.txt": b"a\n", "img.bin": self.PNG}
+        )
+        assert (target / "img.bin").read_bytes() == self.PNG
+
+    def test_steps_in_turns_text_into_binary(self, tmp_path):
+        target = self.rebase_steps_in(
+            tmp_path, {"a.dat": b"placeholder\n"}, {"a.dat": self.PNG}
+        )
+        assert (target / "a.dat").read_bytes() == self.PNG
+
+    def test_steps_in_renames_binary_file(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        (target / "img.bin").write_bytes(self.PNG)
+        steps = tmp_path / "steps.json"
+        write(steps, serialize_steps([RewriteRule("img", "pic")]))
+        assert main(["rebase", "--steps-in", str(steps), str(target)]) == 0
+        assert [p.name for p in target.iterdir()] == ["pic.bin"]
+        assert (target / "pic.bin").read_bytes() == self.PNG
+
+
 class TestPrivateUseText:
     # U+E000..U+E0FF also stand for the bytes of undecodable files; in a
     # UTF-8 file they are ordinary characters and must be written back as such.
