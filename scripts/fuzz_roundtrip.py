@@ -2,7 +2,10 @@
 """Standalone round-trip fuzzer: decompose then replay must be byte-exact.
 
 Each case also checks the merge laws merge(B, B, X), merge(B, X, B) and
-merge(B, X, X) == X for its base B and target X.
+merge(B, X, X) == X for its base B and target X, and that the bounded
+distance levenshtein(B, X, limit=k) agrees with d = levenshtein(B, X) at
+k = d and at k = d - 1, where the distance is over the limit by one: both
+must return d.
 
 Usage: python3 scripts/fuzz_roundtrip.py [CASES] [SEED]
 Prints a failure reproduction (base and target repr) and exits 1 on the
@@ -18,6 +21,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from summer.distance import levenshtein  # noqa: E402
 from summer.engine import apply_steps, decompose, merge  # noqa: E402
 
 ALPHABET = [
@@ -69,6 +73,10 @@ def main() -> int:
         ):
             checks[name] = merge(base, *sides)
         failed = [name for name, out in checks.items() if not out.ok or out.result != target]
+        d = levenshtein(base[""], target[""])
+        for k in (d - 1, d):
+            if levenshtein(base[""], target[""], limit=k) != d:
+                failed.append(f"levenshtein limit={k}")
         if failed:
             print(f"FAIL at case {case}: {', '.join(failed)}")
             print("base   =", repr(base[""]))
@@ -78,8 +86,8 @@ def main() -> int:
             print(f"...{case} cases ok")
     elapsed = time.perf_counter() - started
     print(
-        f"{cases} cases round-tripped byte-exactly and kept the merge laws "
-        f"in {elapsed:.1f}s (seed {seed:#x})"
+        f"{cases} cases round-tripped byte-exactly, kept the merge laws and "
+        f"bounded distances in {elapsed:.1f}s (seed {seed:#x})"
     )
     return 0
 

@@ -1,7 +1,10 @@
 """Exact Levenshtein distances over characters and token sequences.
 
-Uses Myers' bit-parallel algorithm with Python big ints as bit vectors, so
-whole-file character distances stay tractable without C extensions.
+Unbounded distances use Myers' bit-parallel algorithm with Python big ints as
+bit vectors, so whole-file character distances stay tractable without C
+extensions. A bounded distance (`limit=k`) runs Ukkonen's diagonal-transition
+search instead, which costs O(k²) Python steps plus C-speed slice comparisons
+along the diagonals, independent of the file size.
 """
 
 from __future__ import annotations
@@ -9,26 +12,101 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 
 
+def _common_prefix(a: Sequence, i: int, b: Sequence, j: int) -> int:
+    """Length of the common prefix of a[i:] and b[j:].
+
+    Gallops over doubling slice lengths until one differs, then bisects the
+    last step; every comparison is one C-speed slice comparison, so a run of
+    length L costs O(log L) Python steps and O(L) compared items.
+    """
+    n = min(len(a) - i, len(b) - j)
+    lo, step = 0, 1  # a[i:i+lo] == b[j:j+lo]
+    while lo < n:
+        hi = min(n, lo + step)
+        if a[i + lo : i + hi] != b[j + lo : j + hi]:
+            break
+        lo, step = hi, step * 2
+    else:
+        return n
+    while hi - lo > 1:  # the first difference lies in [lo, hi)
+        mid = (lo + hi) // 2
+        if a[i + lo : i + mid] == b[j + lo : j + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _trim_common(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
-    lo = 0
-    n = min(len(a), len(b))
-    while lo < n and a[lo] == b[lo]:
-        lo += 1
-    hi = 0
-    while hi < n - lo and a[len(a) - 1 - hi] == b[len(b) - 1 - hi]:
-        hi += 1
-    return a[lo : len(a) - hi], b[lo : len(b) - hi]
+    head = _common_prefix(a, 0, b, 0)
+    a, b = a[head:], b[head:]
+    tail = _common_prefix(a[::-1], 0, b[::-1], 0)
+    return a[: len(a) - tail], b[: len(b) - tail]
 
 
-def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
-    """Unit-cost edit distance between two sequences (strings included)."""
+def _bit_vector_cheaper(n: int, m: int, k: int) -> bool:
+    """Whether Myers' full bit-vector costs less than a diagonal search to k.
+
+    The search's work is bounded by the (k+1)² diagonals of levels 0..k; the
+    bit-vector runs n rows of a fixed sequence of big-int operations on
+    ⌈m/64⌉-word integers. Timed on CPython 3.11 (x86-64) over source text, in
+    units of one word of a row (about 0.08 µs): a row costs ⌈m/64⌉ + 20
+    (interpreter overhead), and a diagonal, averaged over (k+1)², costs 6.
+    On two 17.8k-character texts, the search runs up to k = 941.
+    """
+    return 6 * (k + 1) ** 2 > n * (-(-m // 64) + 20)
+
+
+def levenshtein(
+    a: Sequence[Hashable], b: Sequence[Hashable], *, limit: int | None = None
+) -> int:
+    """Unit-cost edit distance between two sequences (strings included).
+
+    With `limit`, a distance over `limit` is reported as `limit + 1`, unless
+    it was computed in full anyway (an empty side, or inputs on which the
+    bit-vector costs less than the bounded search). So a result other than
+    `limit + 1` is always the exact distance.
+    """
     a, b = _trim_common(a, b)
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
+    if not a or not b:
+        return len(a) + len(b)
     if len(a) < len(b):
         a, b = b, a
+    if limit is not None:
+        if len(a) - len(b) > limit:
+            return limit + 1
+        if not _bit_vector_cheaper(len(a), len(b), limit):
+            return _diagonal_search(a, b, limit)
+    return _bit_vector(a, b)
+
+
+def _diagonal_search(a: Sequence, b: Sequence, k: int) -> int:
+    """Ukkonen 1985 / Landau-Vishkin: the distance if it is at most k, else k+1.
+
+    fr[d] is the furthest row i on diagonal d = j - i that e edits reach; a
+    level derives it from level e-1 on diagonals d-1, d, d+1 and then slides
+    along matches. Diagonals that cannot reach the end diagonal within the
+    remaining edits are skipped; their neighbours never need them.
+    """
+    n, m = len(a), len(b)
+    end = m - n
+    off = k + 1
+    fr = [-n - m - 2] * (2 * k + 3)  # index d + off
+    fr[off] = -1  # so that level 0 starts at row 0 of diagonal 0
+    for e in range(k + 1):
+        prev = fr[:]
+        for d in range(max(-e, end - (k - e)), min(e, end + (k - e)) + 1):
+            x = d + off
+            i = min(max(prev[x] + 1, prev[x + 1] + 1, prev[x - 1]), n, m - d)
+            if i < n and i + d < m and a[i] == b[i + d]:
+                i += _common_prefix(a, i, b, i + d)
+            fr[x] = i
+        if fr[end + off] == n:
+            return e
+    return k + 1
+
+
+def _bit_vector(a: Sequence, b: Sequence) -> int:
     # Myers 1999, column-wise over pattern b.
     m = len(b)
     masks: dict[Hashable, int] = {}

@@ -57,6 +57,7 @@ class DirectionReason(Enum):
 class MergeDirection:
     decomposed_side: Side
     reason: DirectionReason
+    pairing: Pairing = field(compare=False, repr=False)  # the decomposed side's pair_entries
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,11 +126,12 @@ def pair_entries(base: Snapshot, other: Snapshot) -> Pairing:
                 still_removed.append(p)
         removed = still_removed
     if removed and added:
+        added_tokens = {q: _token_texts(other[q]) for q in added}
         scored = []
         for p in removed:
             ptoks = _token_texts(base[p])
             for q in added:
-                sim = similarity(ptoks, _token_texts(other[q]))
+                sim = similarity(ptoks, added_tokens[q])
                 if sim > 0.5:
                     scored.append((-sim, p, q))
         taken_p: set[str] = set()
@@ -146,14 +148,18 @@ def pair_entries(base: Snapshot, other: Snapshot) -> Pairing:
     return Pairing(pairs, removed, added)
 
 
-def map_to_buckets(base: Snapshot, changed: Snapshot) -> tuple[BucketSet, list[Step]]:
+def map_to_buckets(
+    base: Snapshot, changed: Snapshot, pairing: Pairing | None = None
+) -> tuple[BucketSet, list[Step]]:
     """Buckets for every changed artifact plus structural add/delete steps.
 
     A renamed entry yields a name bucket (old name => new name) and, when its
     content changed too, a content bucket. Unchanged entries stay out of the
-    corpus entirely.
+    corpus entirely. `pairing` is `pair_entries(base, changed)`, computed
+    here unless the caller has it.
     """
-    pairing = pair_entries(base, changed)
+    if pairing is None:
+        pairing = pair_entries(base, changed)
     buckets: list[Bucket] = []
     for old, new in pairing.pairs:
         if old != new:
@@ -167,9 +173,49 @@ def map_to_buckets(base: Snapshot, changed: Snapshot) -> tuple[BucketSet, list[S
 
 # --- merge direction -------------------------------------------------------------
 
+def _distance_terms(base: Snapshot, pairing: Pairing, side: Snapshot) -> list[tuple[str, str]]:
+    """The text pairs whose distances add up to a side's distance to base:
+    renamed names, changed contents, and every entry the side deletes or
+    adds, against the empty text."""
+    terms = [(old, new) for old, new in pairing.pairs if old != new]
+    terms += [(base[old], side[new]) for old, new in pairing.pairs if base[old] != side[new]]
+    terms += [(base[p], "") for p in pairing.deleted]
+    return terms + [("", side[p]) for p in pairing.added]
+
+
+def _total_within(
+    terms: list[tuple[str, str]], limit: int, memo: dict[int, tuple[int, int]]
+) -> int | None:
+    """The sum of the terms' distances if it is at most limit, else None.
+
+    memo maps a term's position to (result, the limit it was computed
+    under). A result of that limit + 1 only says the distance is over it;
+    any other result is exact. A term is computed again only when its
+    budget could settle such a bound.
+    """
+    budget = limit
+    for pos, (a, b) in enumerate(terms):
+        found, under = memo.get(pos, (0, -1))
+        if found == under + 1 <= budget:
+            found = levenshtein(a, b, limit=budget)
+            memo[pos] = (found, budget)
+        budget -= found
+        if budget < 0:
+            return None
+    return limit - budget
+
+
 def determine_direction(
     base: Snapshot, left: Snapshot, right: Snapshot
 ) -> MergeDirection | Conflict:
+    """The side to decompose: a side that deletes an entry the other
+    modifies, else the side with the smaller total Levenshtein distance to
+    base (left on a tie).
+
+    Distances are exact but computed only as far as the comparison needs:
+    one limit, doubled from 1, bounds both sides until one fits under it,
+    so the work grows with the smaller distance, not with the file sizes.
+    """
     lp = pair_entries(base, left)
     rp = pair_entries(base, right)
     l_deleted = set(lp.deleted)
@@ -188,27 +234,25 @@ def determine_direction(
             % (sorted(left_forced), sorted(right_forced))
         )
     if left_forced:
-        return MergeDirection(Side.LEFT, DirectionReason.DELETION_FORCED)
+        return MergeDirection(Side.LEFT, DirectionReason.DELETION_FORCED, lp)
     if right_forced:
-        return MergeDirection(Side.RIGHT, DirectionReason.DELETION_FORCED)
+        return MergeDirection(Side.RIGHT, DirectionReason.DELETION_FORCED, rp)
 
-    def dist(pairing: Pairing, side: Snapshot) -> int:
-        total = 0
-        for old, new in pairing.pairs:
-            total += levenshtein(base[old], side[new])
-            if old != new:
-                total += levenshtein(old, new)
-        total += sum(len(base[p]) for p in pairing.deleted)
-        total += sum(len(side[p]) for p in pairing.added)
-        return total
-
-    ld = dist(lp, left)
-    rd = dist(rp, right)
-    if ld < rd:
-        return MergeDirection(Side.LEFT, DirectionReason.DISTANCE)
-    if rd < ld:
-        return MergeDirection(Side.RIGHT, DirectionReason.DISTANCE)
-    return MergeDirection(Side.LEFT, DirectionReason.TIE)
+    lterms, rterms = _distance_terms(base, lp, left), _distance_terms(base, rp, right)
+    lmemo: dict[int, tuple[int, int]] = {}
+    rmemo: dict[int, tuple[int, int]] = {}
+    limit = 1
+    while True:
+        ld = _total_within(lterms, limit, lmemo)
+        rd = _total_within(rterms, limit, rmemo)
+        if ld is not None or rd is not None:
+            break
+        limit *= 2
+    if rd is None or (ld is not None and ld < rd):
+        return MergeDirection(Side.LEFT, DirectionReason.DISTANCE, lp)
+    if ld is None or rd < ld:
+        return MergeDirection(Side.RIGHT, DirectionReason.DISTANCE, rp)
+    return MergeDirection(Side.LEFT, DirectionReason.TIE, lp)
 
 
 # --- decompose -------------------------------------------------------------------
@@ -218,7 +262,11 @@ def _content_keys(texts: dict[str, str]) -> dict[str, str]:
 
 
 def decompose(
-    base: Snapshot, changed: Snapshot, cfg: ExtractionConfig | None = None
+    base: Snapshot,
+    changed: Snapshot,
+    cfg: ExtractionConfig | None = None,
+    *,
+    pairing: Pairing | None = None,
 ) -> list[Step]:
     """Steps sufficient to reproduce `changed` from `base`, move rules first.
 
@@ -226,12 +274,13 @@ def decompose(
     source side; pass two decomposes the residual into rewrite rules. The
     replay is verified before returning; anything a rule sequence cannot
     express (or got wrong on entries outside the corpus) is patched with
-    structural override steps so the round trip always holds.
+    structural override steps so the round trip always holds. `pairing` is
+    `pair_entries(base, changed)` when the caller has it already.
     """
     from .moves import get_precise_move
 
     cfg = cfg or ExtractionConfig()
-    buckets, structural = map_to_buckets(base, changed)
+    buckets, structural = map_to_buckets(base, changed, pairing)
     current = {b.label: b.source for b in buckets}
     moves: list[MoveRule] = []
     for mv in get_precise_move(buckets, cfg):
@@ -392,7 +441,7 @@ def merge(
         source, apply_target = left, right
     else:
         source, apply_target = right, left
-    steps = decompose(base, source, cfg)
+    steps = decompose(base, source, cfg, pairing=direction.pairing)
     outcome = apply_steps(apply_target, steps)
     if outcome.ok:
         assert outcome.result is not None

@@ -1,0 +1,71 @@
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
+
+from summer.distance import _bit_vector_cheaper, levenshtein
+
+# Multi-character pieces make long shared runs and repeats; "\r\n" and the
+# private-use characters (which hold undecodable bytes) must count as the
+# ordinary characters they are.
+PIECES = ["a", "b", "ab", "ba", "x=1;", " ", "\n", "\r\n", "\r", "\ue000", "\ue041", "\ue0ff"]
+TOKENS = ["foo", "bar", "(", ")", " ", "\n", "\r\n", "\ue041", "1"]
+
+texts = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
+token_lists = st.lists(st.sampled_from(TOKENS), max_size=40)
+
+
+def oracle(a, b):
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i] + [0] * len(b)
+        for j, y in enumerate(b, 1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
+        prev = cur
+    return prev[-1]
+
+
+def check_limit(a, b, d, k):
+    # Over the limit is k + 1, or d itself where it was computed in full.
+    got = levenshtein(a, b, limit=k)
+    assert got == d if d <= k else got in (k + 1, d), (a, b, k, got)
+
+
+def check_every_limit(a, b):
+    # Limits run from 0 past the longer side, so they cover length gaps
+    # larger than the limit and, on the longer inputs, both sides of the
+    # search/bit-vector crossover.
+    d = levenshtein(a, b)
+    assert d == oracle(a, b)
+    for k in range(max(len(a), len(b)) + 2):
+        check_limit(a, b, d, k)
+
+
+class TestBoundedLevenshtein:
+    @given(texts, texts)
+    @example("", "")
+    @example("", "\r\n\ue041")
+    @example("ab", "ab" + "\r\n" * 12)
+    @example("\r\n" * 9 + "x", "x")
+    @settings(max_examples=300)
+    def test_strings(self, a, b):
+        check_every_limit(a, b)
+
+    @given(token_lists, token_lists)
+    @example([], ["foo"])
+    @example(["(", "foo"], ["(", "foo", ")", ")", ")", ")"])
+    @settings(max_examples=200)
+    def test_token_lists(self, a, b):
+        check_every_limit(a, b)
+
+    def test_both_sides_of_the_crossover(self):
+        # Isolated substitutions of a character `a` lacks each cost one edit,
+        # so d is known; the outermost ones keep the inputs from being trimmed.
+        n = 200
+        crossover = next(k for k in range(n) if _bit_vector_cheaper(n, n, k))
+        assert crossover > 2
+        a = "ab" * (n // 2)
+        for d in (crossover - 1, crossover, crossover + 1):
+            sites = {0, n - 1, *range(3, 3 + 7 * (d - 2), 7)}
+            b = "".join("\ue041" if i in sites else c for i, c in enumerate(a))
+            assert levenshtein(a, b) == d
+            for k in (crossover - 1, crossover):
+                check_limit(a, b, d, k)
