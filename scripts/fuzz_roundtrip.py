@@ -5,7 +5,8 @@ Each case also checks the merge laws merge(B, B, X), merge(B, X, B) and
 merge(B, X, X) == X for its base B and target X, and that the bounded
 distance levenshtein(B, X, limit=k) agrees with d = levenshtein(B, X) at
 k = d and at k = d - 1, where the distance is over the limit by one: both
-must return d.
+must return d. The bag distance of B's and X's token lists, which rename
+pairing uses as a bound, must not exceed their Levenshtein distance.
 
 Usage: python3 scripts/fuzz_roundtrip.py [CASES] [SEED]
 Prints a failure reproduction (base and target repr) and exits 1 on the
@@ -18,10 +19,11 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from summer.distance import levenshtein  # noqa: E402
+from summer.distance import _bag_distance, levenshtein  # noqa: E402
 from summer.engine import apply_steps, decompose, merge  # noqa: E402
 
 ALPHABET = [
@@ -63,7 +65,8 @@ def main() -> int:
     for case in range(cases):
         toks = [rng.choice(ALPHABET) for _ in range(rng.randrange(0, 200))]
         base = {"": "".join(toks)}
-        target = {"": "".join(mutate(rng, toks))}
+        target_toks = mutate(rng, toks)
+        target = {"": "".join(target_toks)}
         steps = decompose(base, target)
         checks = {"round trip": apply_steps(base, steps)}
         for name, sides in (
@@ -77,6 +80,8 @@ def main() -> int:
         for k in (d - 1, d):
             if levenshtein(base[""], target[""], limit=k) != d:
                 failed.append(f"levenshtein limit={k}")
+        if _bag_distance(Counter(toks), Counter(target_toks)) > levenshtein(toks, target_toks):
+            failed.append("bag distance over levenshtein")
         if failed:
             print(f"FAIL at case {case}: {', '.join(failed)}")
             print("base   =", repr(base[""]))
@@ -86,8 +91,8 @@ def main() -> int:
             print(f"...{case} cases ok")
     elapsed = time.perf_counter() - started
     print(
-        f"{cases} cases round-tripped byte-exactly, kept the merge laws and "
-        f"bounded distances in {elapsed:.1f}s (seed {seed:#x})"
+        f"{cases} cases round-tripped byte-exactly, kept the merge laws, "
+        f"bounded distances and bag bounds in {elapsed:.1f}s (seed {seed:#x})"
     )
     return 0
 

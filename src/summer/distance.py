@@ -9,6 +9,7 @@ along the diagonals, independent of the file size.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Sequence
 
 
@@ -131,6 +132,13 @@ def _bit_vector(a: Sequence, b: Sequence) -> int:
         vp = hn | ~(d0 | hp)
         vn = d0 & hp
     return score
+
+
+def _bag_distance(a: Counter, b: Counter) -> int:
+    """max(|a|, |b|) - |a ∩ b| for sequences given as multisets: a lower bound
+    on their Levenshtein distance (Bartolini, Ciaccia and Patella 2002), since
+    an alignment with d edits matches at least max(|a|, |b|) - d shared items."""
+    return max(a.total(), b.total()) - (a & b).total()
 
 
 def similarity(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:

@@ -10,11 +10,13 @@ the changed side byte for byte; merge replays it on the other branch.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
 from .align import Bucket, BucketSet, dissect
-from .distance import levenshtein, similarity
+from .distance import _bag_distance, levenshtein, similarity
 from .moves import MoveRule, apply_move
 from .rules import ExtractionConfig, RewriteRule, apply_rewrite_to_text, decompose_rewrites
 from .tokens import tokenize_cached
@@ -107,7 +109,11 @@ class Pairing:
 
 def pair_entries(base: Snapshot, other: Snapshot) -> Pairing:
     """Pair by path, then detect renames: identical content first, then the
-    best token-level similarity above 0.5."""
+    best token-level similarity above 0.5, taken greedily in (-similarity,
+    base path, other path) order. The bag distance is at most the Levenshtein
+    distance, so a pair's bound 1 - bag/longest is at least its similarity: a
+    heap of bounds, each replaced by the exact key once it reaches the top,
+    pops the pairs in that order."""
     pairs = [(p, p) for p in sorted(base) if p in other]
     removed = [p for p in sorted(base) if p not in other]
     added = [p for p in sorted(other) if p not in base]
@@ -126,24 +132,31 @@ def pair_entries(base: Snapshot, other: Snapshot) -> Pairing:
                 still_removed.append(p)
         removed = still_removed
     if removed and added:
+        removed_tokens = {p: _token_texts(base[p]) for p in removed}
         added_tokens = {q: _token_texts(other[q]) for q in added}
-        scored = []
-        for p in removed:
-            ptoks = _token_texts(base[p])
-            for q in added:
-                sim = similarity(ptoks, added_tokens[q])
-                if sim > 0.5:
-                    scored.append((-sim, p, q))
-        taken_p: set[str] = set()
-        taken_q: set[str] = set()
-        for _negsim, p, q in sorted(scored):
-            if p in taken_p or q in taken_q:
+        added_bags = {q: Counter(toks) for q, toks in added_tokens.items()}
+        heap = []  # (-similarity or its upper bound, p, q, exact)
+        for p, ptoks in removed_tokens.items():
+            pbag = Counter(ptoks)
+            for q, qtoks in added_tokens.items():
+                # Never 0: equal contents, "" included, were paired above.
+                longest = max(len(ptoks), len(qtoks))
+                bound = 1.0 - _bag_distance(pbag, added_bags[q]) / longest
+                if bound > 0.5:
+                    heap.append((-bound, p, q, False))
+        heapq.heapify(heap)
+        while heap:
+            _key, p, q, exact = heapq.heappop(heap)
+            if p not in removed_tokens or q not in added_tokens:
                 continue
-            pairs.append((p, q))
-            taken_p.add(p)
-            taken_q.add(q)
-        removed = [p for p in removed if p not in taken_p]
-        added = [q for q in added if q not in taken_q]
+            if exact:
+                pairs.append((p, q))
+                del removed_tokens[p], added_tokens[q]
+                continue
+            sim = similarity(removed_tokens[p], added_tokens[q])
+            if sim > 0.5:
+                heapq.heappush(heap, (-sim, p, q, True))
+        removed, added = list(removed_tokens), list(added_tokens)
     pairs.sort()
     return Pairing(pairs, removed, added)
 

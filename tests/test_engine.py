@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 import summer.engine
 from summer.align import EditKind
-from summer.distance import levenshtein
+from summer.distance import levenshtein, similarity
 from summer.engine import (
     Conflict,
     DirectionReason,
@@ -73,6 +74,99 @@ class TestMapToBuckets:
         pairing = pair_entries(base, changed)
         assert ("old1", "new1") in pairing.pairs
         assert ("old2", "new2") in pairing.pairs
+
+
+class TestPairEntries:
+    @staticmethod
+    def greedy_over_all_similarities(base, other):
+        # Reference: identical contents first, then the full similarity of
+        # every removed x added pair, taken greedily in (-sim, p, q) order.
+        def texts(s):
+            return [t.text for t in tokenize(s).tokens]
+
+        pairs = [(p, p) for p in sorted(base) if p in other]
+        removed = [p for p in sorted(base) if p not in other]
+        added = [q for q in sorted(other) if q not in base]
+        for p in list(removed):
+            q = next((q for q in added if other[q] == base[p]), None)
+            if q is not None:
+                pairs.append((p, q))
+                removed.remove(p)
+                added.remove(q)
+        scored = sorted(
+            (-similarity(texts(base[p]), texts(other[q])), p, q) for p in removed for q in added
+        )
+        for negsim, p, q in scored:
+            if negsim < -0.5 and p in removed and q in added:
+                pairs.append((p, q))
+                removed.remove(p)
+                added.remove(q)
+        return sorted(pairs), removed, added, scored
+
+    def test_agrees_with_greedy_over_all_similarities(self):
+        # Snapshots draw contents from a small pool, so duplicate contents
+        # and pairs of equal similarity are common, and the (p, q) order
+        # breaks their ties.
+        gen = TestRoundTripProperty()
+        rng = random.Random(0x9A1)
+        seen = set()
+        for _ in range(400):
+            pool = [
+                [rng.choice(gen.ALPHABET) for _ in range(rng.randrange(0, 12))]
+                for _ in range(rng.randrange(1, 4))
+            ]
+            base, other = {}, {}
+            for i in range(rng.randrange(1, 7)):
+                toks = rng.choice(pool)
+                base[f"b{i}"] = "".join(toks)
+                roll = rng.random()
+                if roll < 0.15:
+                    continue
+                name = f"b{i}" if roll < 0.3 else f"n{rng.randrange(8)}"
+                other[name] = "".join(gen.mutate(rng, toks) if rng.random() < 0.7 else toks)
+            for j in range(rng.randrange(0, 3)):
+                other[f"a{j}"] = "".join(rng.choice(pool))
+            got = pair_entries(base, other)
+            *expected, scored = self.greedy_over_all_similarities(base, other)
+            assert [got.pairs, got.deleted, got.added] == expected, (base, other)
+            above = [key for key in scored if key[0] < -0.5]
+            flags = {
+                "renamed": above, "deleted": got.deleted, "added": got.added,
+                "empty": "" in [*base.values(), *other.values()],
+                # equal similarities contending for one entry
+                "tie": any(
+                    s == t and (p == p2 or q == q2)
+                    for (s, p, q), (t, p2, q2) in itertools.combinations(above, 2)
+                ),
+            }
+            seen.update(flag for flag, hit in flags.items() if hit)
+        assert seen >= {"renamed", "deleted", "added", "tie", "empty"}
+
+    def test_one_similarity_per_rename(self, monkeypatch):
+        # Java-like files, each renamed with its class and edited: a wrong
+        # pair's bag bound falls below every right pair's similarity, so only
+        # the pairs taken are scored in full.
+        def java_file(i, cls, op):
+            return (
+                f"package pkg{i % 3};\n\nimport java.util.List;\n\n"
+                f"public class {cls}{i} {{\n"
+                f"    private int count{i} = {i * 7 % 100};\n\n"
+                f"    public int getCount{i}() {{\n"
+                f"        return count{i} {op} {i + 3};\n"
+                f"    }}\n}}\n"
+            )
+
+        base = {f"src/File{i}.java": java_file(i, "File", "+") for i in range(12)}
+        changed = {f"src/Renamed{i}.java": java_file(i, "Renamed", "*") for i in range(12)}
+        calls = []
+        sim = summer.engine.similarity
+        monkeypatch.setattr(
+            summer.engine, "similarity", lambda a, b: calls.append(1) or sim(a, b)
+        )
+        pairing = pair_entries(base, changed)
+        renames = [(f"src/File{i}.java", f"src/Renamed{i}.java") for i in range(12)]
+        assert pairing.pairs == sorted(renames)
+        assert len(calls) == 12
 
 
 class TestDetermineDirection:
