@@ -7,13 +7,17 @@ to the source and right sides to the target.
 
 Identity, insertion, and deletion runs are coalesced into one instance each;
 substitutions stay one token pair per instance so that rule synthesis can
-expand each modified token independently.
+expand each modified token independently. The bucket is the one record of
+its dissection: rule synthesis reads its atoms (the context units) and its
+projection of source offsets into the target from it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum, auto
+from functools import cached_property
 
 from .tokens import tokenize
 
@@ -49,20 +53,83 @@ class EditInstance:
             raise ValueError("substitution requires distinct nonempty sides")
 
 
+@dataclass(frozen=True, slots=True)
+class Atom:
+    """Context unit: one identity token, or one whole non-identity instance."""
+
+    lhs: str
+    rhs: str
+    lhs_start: int
+    rhs_start: int
+    edit_index: int | None  # None for identity tokens
+
+
 @dataclass(frozen=True)
 class Bucket:
-    """A labeled, ordered list of edit instances for one artifact."""
+    """A labeled, ordered list of edit instances for one artifact, and the
+    projection of its source offsets into its target."""
 
     label: str
     edits: tuple[EditInstance, ...]
 
-    @property
+    @cached_property
     def source(self) -> str:
         return "".join(e.lhs for e in self.edits)
 
-    @property
+    @cached_property
     def target(self) -> str:
         return "".join(e.rhs for e in self.edits)
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """Identity instances split into tokens; every other instance whole."""
+        atoms: list[Atom] = []
+        for idx, inst in enumerate(self.edits):
+            l0, r0 = inst.lhs_span[0], inst.rhs_span[0]
+            if inst.kind is EditKind.IDENTITY:
+                atoms.extend(
+                    Atom(t.text, t.text, l0 + t.offset, r0 + t.offset, None)
+                    for t in tokenize(inst.lhs).tokens
+                )
+            else:
+                atoms.append(Atom(inst.lhs, inst.rhs, l0, r0, idx))
+        return tuple(atoms)
+
+    @cached_property
+    def _starts(self) -> tuple[list[int], list[int]]:
+        return (
+            [e.lhs_span[0] for e in self.edits] + [len(self.source)],
+            [e.rhs_span[0] for e in self.edits] + [len(self.target)],
+        )
+
+    def target_offsets(self, p: int) -> list[int] | None:
+        """Candidate target offsets for source offset p; None if undefined.
+
+        Inside an identity instance the projection is linear. At an instance
+        boundary it is every instance start there: an insertion anchored at
+        the boundary may or may not be covered by a span ending there.
+        """
+        b_lhs, b_rhs = self._starts
+        lo = bisect_left(b_lhs, p)
+        if lo < len(b_lhs) and b_lhs[lo] == p:
+            return b_rhs[lo : bisect_right(b_lhs, p)]
+        idx = lo - 1  # p lies strictly inside this instance
+        if idx < 0 or idx >= len(self.edits) or self.edits[idx].kind is not EditKind.IDENTITY:
+            return None
+        return [b_rhs[idx] + (p - b_lhs[idx])]
+
+    def agrees(self, start: int, end: int, rhs: str) -> bool:
+        """True if rewriting source[start:end] to rhs matches the alignment."""
+        t1s = self.target_offsets(start)
+        t2s = self.target_offsets(end) if t1s else None
+        if not t2s:
+            return False
+        tgt = self.target
+        for t1 in t1s:
+            for t2 in t2s:
+                if t1 <= t2 and tgt[t1:t2] == rhs:
+                    return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -76,6 +143,9 @@ class BucketSet:
 
     def __iter__(self):
         return iter(self.buckets)
+
+    def __getitem__(self, index: int) -> Bucket:
+        return self.buckets[index]
 
     def __len__(self) -> int:
         return len(self.buckets)

@@ -17,7 +17,7 @@ from enum import Enum, auto
 
 from .align import Bucket, BucketSet, dissect
 from .distance import _bag_distance, levenshtein, similarity
-from .moves import MoveRule, apply_move
+from .moves import MoveRule, apply_move, get_precise_move
 from .rules import ExtractionConfig, RewriteRule, apply_rewrite_to_text, decompose_rewrites
 from .tokens import tokenize_cached
 
@@ -290,8 +290,6 @@ def decompose(
     structural override steps so the round trip always holds. `pairing` is
     `pair_entries(base, changed)` when the caller has it already.
     """
-    from .moves import get_precise_move
-
     cfg = cfg or ExtractionConfig()
     buckets, structural = map_to_buckets(base, changed, pairing)
     current = {b.label: b.source for b in buckets}

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .align import BucketSet, EditInstance
+from .align import Atom, BucketSet, EditInstance
 from .rules import (
-    Atom,
     Candidate,
     RuleMetrics,
-    Scorer,
     _expand,
     _literal_form,
     _select,
@@ -123,71 +121,48 @@ def _is_trivial(s: str) -> bool:
     )
 
 
-def _searchable(scorer: Scorer) -> list[int]:
-    return [
-        i
-        for i, index in enumerate(scorer.indexes)
-        if not index.bucket.label.startswith("name:")
-    ]
+def _searchable(buckets: BucketSet) -> list[int]:
+    return [i for i, bucket in enumerate(buckets) if not bucket.label.startswith("name:")]
 
 
 def _longest_shared(
-    probe: str, scorer: Scorer, side: str
+    probe: str, buckets: BucketSet, side: str
 ) -> tuple[str, list[_Occurrence]] | None:
-    """Longest atom-aligned substring of the probe found on `side` of edits.
+    """Longest atom-aligned substring of the probe found on `side` of edits,
+    and its leftmost non-overlapping occurrences in each bucket.
 
     Candidate ranges start and end at deletion/substitution atoms (side lhs)
     or insertion/substitution atoms (side rhs); identity atoms may appear
-    inside. The probe occurrence must sit on probe token boundaries.
+    inside. The probe occurrence must sit on probe token boundaries. An
+    occurrence of the final best scanned before the range that made it best
+    would have made it best itself, so one scan collects them all; overlaps
+    within a bucket are then dropped, leftmost first.
     """
     best = ""
-    searchable = _searchable(scorer)
-    for bidx in searchable:
-        atoms = scorer.atoms(bidx)
-        n = len(atoms)
-        for u in range(n):
-            if not _qualifies(atoms[u], side):
+    found: list[_Occurrence] = []
+    for bidx in _searchable(buckets):
+        atoms = buckets[bidx].atoms
+        for u, first in enumerate(atoms):
+            if not _qualifies(first, side):
                 continue
             text = ""
-            for v in range(u, n):
+            for v in range(u, len(atoms)):
                 text += _contribution(atoms[v], side)
                 if len(text) > len(probe) or text not in probe:
                     break
-                if (
-                    _qualifies(atoms[v], side)
-                    and len(text) > len(best)
-                    and find_matches(probe, text)
-                ):
-                    best = text
+                if not _qualifies(atoms[v], side):
+                    continue
+                if len(text) > len(best) and find_matches(probe, text):
+                    best, found = text, []
+                if text == best:
+                    found.append(_Occurrence(bidx, u, v + 1, first.edit_index))
     if not best or _is_trivial(best):
         return None
     occurrences: list[_Occurrence] = []
-    for bidx in searchable:
-        atoms = scorer.atoms(bidx)
-        n = len(atoms)
-        u = 0
-        while u < n:
-            if not _qualifies(atoms[u], side):
-                u += 1
-                continue
-            text = ""
-            matched_hi = -1
-            for v in range(u, n):
-                text += _contribution(atoms[v], side)
-                if len(text) > len(best) or not best.startswith(text):
-                    break
-                if text == best and _qualifies(atoms[v], side):
-                    matched_hi = v + 1
-                    break
-            if matched_hi > 0:
-                occurrences.append(
-                    _Occurrence(bidx, u, matched_hi, atoms[u].edit_index)
-                )
-                u = matched_hi
-            else:
-                u += 1
-    if not occurrences:
-        return None
+    for o in found:
+        last = occurrences[-1] if occurrences else None
+        if last is None or last.bucket != o.bucket or last.hi <= o.lo:
+            occurrences.append(o)
     return best, occurrences
 
 
@@ -199,7 +174,7 @@ def find_longest_shared(
     probe = edit.rhs if side == "lhs" else edit.lhs
     if not probe:
         return None
-    found = _longest_shared(probe, Scorer(buckets), side)
+    found = _longest_shared(probe, buckets, side)
     if found is None:
         return None
     s, occurrences = found
@@ -208,7 +183,7 @@ def find_longest_shared(
 
 # --- candidate construction ---------------------------------------------------
 
-def _antecedent_form(atoms: list[Atom], core_lo: int, core_hi: int, head: str, tail: str):
+def _antecedent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, head: str, tail: str):
     """Form of the capture patterns around the atom range [core_lo, core_hi),
     whose lhs reads head + capture + tail."""
 
@@ -229,12 +204,12 @@ def _antecedent_form(atoms: list[Atom], core_lo: int, core_hi: int, head: str, t
     return form
 
 
-def _consequent_form(atoms: list[Atom], core_lo: int, offset: int, n: int):
+def _consequent_form(atoms: tuple[Atom, ...], core_lo: int, offset: int, n: int):
     """Form of the consequents around a core whose rhs holds the moved text
     (length n) `offset` characters in; the capture slot replaces it."""
 
     def consequent(j: int, k: int, lo: int, lhs: str, rhs: str) -> Consequent:
-        slot = atoms[core_lo].rhs_span[0] - atoms[lo].rhs_span[0] + offset
+        slot = atoms[core_lo].rhs_start - atoms[lo].rhs_start + offset
         return Consequent(lhs, MovePattern(rhs[:slot], rhs[slot + n :]))
 
     return _literal_form(atoms, consequent)
@@ -247,7 +222,7 @@ def _best(pool: dict) -> Candidate | None:
 
 
 def find_move(
-    scorer: Scorer, bucket_index: int, core: int, pool: dict, cfg
+    buckets: BucketSet, bucket_index: int, core: int, pool: dict, cfg
 ) -> None:
     """Extraction or inlining around the edit at atom `core` of a bucket; adds
     at most one move to the pool.
@@ -258,11 +233,11 @@ def find_move(
     of one or more other edits. The antecedent captures the moved text where
     it was deleted; the consequent writes it back where it was inserted.
     """
-    atom = scorer.atoms(bucket_index)[core]
+    atom = buckets[bucket_index].atoms[core]
     if atom.lhs and atom.rhs:  # an identity token or a substitution
         raise ValueError("find_move requires an insertion or deletion edit")
     side, own = ("rhs", atom.lhs) if atom.lhs else ("lhs", atom.rhs)
-    found = _longest_shared(own, scorer, side)
+    found = _longest_shared(own, buckets, side)
     if found is None:
         return
     s, occurrences = found
@@ -282,15 +257,15 @@ def find_move(
         c_cores = [(o.bucket, o.lo, o.hi, 0) for o in occurrences]
     a_pool: dict = {}
     for b, lo, hi, head, tail in a_cores:
-        form = _antecedent_form(scorer.atoms(b), lo, hi, head, tail)
-        _expand(scorer, b, lo, hi, cfg.window, a_pool, form)
+        form = _antecedent_form(buckets[b].atoms, lo, hi, head, tail)
+        _expand(buckets, b, lo, hi, cfg.window, a_pool, form)
     a_best = _best(a_pool)
     if a_best is None:
         return
     c_pool: dict = {}
     for b, lo, hi, offset in c_cores:
-        form = _consequent_form(scorer.atoms(b), lo, offset, len(s))
-        _expand(scorer, b, lo, hi, cfg.window, c_pool, form)
+        form = _consequent_form(buckets[b].atoms, lo, offset, len(s))
+        _expand(buckets, b, lo, hi, cfg.window, c_pool, form)
     c_best = _best(c_pool)
     if c_best is None:
         return
@@ -308,18 +283,17 @@ def find_move(
     # A move claims every occurrence of the moved text, not only the cores
     # its chosen antecedent and consequent grew from.
     claims = a_best.claims + c_best.claims
-    claims += [(o.bucket, _span(scorer.atoms(o.bucket), o.lo, o.hi)) for o in occurrences]
+    claims += [(o.bucket, _span(buckets[o.bucket].atoms, o.lo, o.hi)) for o in occurrences]
     pool[move] = Candidate(move, move.metrics, order, claims)
 
 
 def get_precise_move(buckets: BucketSet, cfg) -> list[MoveRule]:
     """All retained move rules, best first, pairwise non-overlapping."""
-    scorer = Scorer(buckets)
     pool: dict = {}
-    for bucket_index in _searchable(scorer):
-        for core, atom in enumerate(scorer.atoms(bucket_index)):
+    for bucket_index in _searchable(buckets):
+        for core, atom in enumerate(buckets[bucket_index].atoms):
             if not (atom.lhs and atom.rhs):  # an insertion or a deletion
-                find_move(scorer, bucket_index, core, pool, cfg)
+                find_move(buckets, bucket_index, core, pool, cfg)
     return [c.rule for c in _select(pool.values())]
 
 

@@ -18,12 +18,11 @@ context that is unique corpus-wide) close out anything left.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from .align import Bucket, BucketSet, EditKind, dissect
+from .align import Atom, Bucket, BucketSet, EditKind, dissect
 from .tokens import find_matches, tokenize
 
 
@@ -73,86 +72,7 @@ class ExtractionConfig:
 FIXUP_ROUNDS = 6  # rule rounds before the exact-anchor fallback takes over
 
 
-# --- bucket atomization and target projection -------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """Context unit: one identity token, or one whole non-identity instance."""
-
-    lhs: str
-    rhs: str
-    lhs_span: tuple[int, int]
-    rhs_span: tuple[int, int]
-    edit_index: int | None  # None for identity tokens
-
-
-def atomize(bucket: Bucket) -> list[Atom]:
-    atoms: list[Atom] = []
-    for idx, inst in enumerate(bucket.edits):
-        if inst.kind is EditKind.IDENTITY:
-            base_l = inst.lhs_span[0]
-            base_r = inst.rhs_span[0]
-            for tok in tokenize(inst.lhs).tokens:
-                atoms.append(
-                    Atom(
-                        tok.text,
-                        tok.text,
-                        (base_l + tok.offset, base_l + tok.end),
-                        (base_r + tok.offset, base_r + tok.end),
-                        None,
-                    )
-                )
-        else:
-            atoms.append(Atom(inst.lhs, inst.rhs, inst.lhs_span, inst.rhs_span, idx))
-    return atoms
-
-
-class BucketIndex:
-    """Offset projection from a bucket's source into its target.
-
-    At instance boundaries the projection is a small candidate set: an
-    insertion anchored exactly at a boundary may or may not be covered by a
-    span ending or starting there.
-    """
-
-    def __init__(self, bucket: Bucket):
-        self.bucket = bucket
-        self.source = bucket.source
-        self.target = bucket.target
-        self.atoms = atomize(bucket)
-        self._b_lhs = [a.lhs_span[0] for a in self.atoms] + [len(self.source)]
-        self._b_rhs = [a.rhs_span[0] for a in self.atoms] + [len(self.target)]
-
-    def target_offsets(self, p: int) -> list[int] | None:
-        """Candidate target offsets for source offset p; None if undefined."""
-        lo = bisect_left(self._b_lhs, p)
-        if lo < len(self._b_lhs) and self._b_lhs[lo] == p:
-            hi = bisect_right(self._b_lhs, p)
-            return self._b_rhs[lo:hi]
-        # Strictly inside the atom preceding insertion point `lo`.
-        idx = lo - 1
-        if idx < 0 or idx >= len(self.atoms):
-            return None
-        atom = self.atoms[idx]
-        if atom.edit_index is not None:
-            return None
-        return [atom.rhs_span[0] + (p - atom.lhs_span[0])]
-
-    def agrees(self, start: int, end: int, rhs: str) -> bool:
-        """True if rewriting source[start:end] to rhs matches the alignment."""
-        t1s = self.target_offsets(start)
-        if not t1s:
-            return False
-        t2s = self.target_offsets(end)
-        if not t2s:
-            return False
-        tgt = self.target
-        for t1 in t1s:
-            for t2 in t2s:
-                if t1 <= t2 and tgt[t1:t2] == rhs:
-                    return True
-        return False
-
+# --- scoring -------------------------------------------------------------------
 
 Region = tuple[int, tuple[int, int]]  # (bucket index, source span)
 
@@ -177,52 +97,40 @@ def _literal(lhs: str) -> Callable[[str], list[tuple[int, int]]]:
     return lambda source: [(start, start + n) for start in find_matches(source, lhs)]
 
 
-class Scorer:
-    """Shared per-corpus state for scoring many candidates cheaply."""
-
-    def __init__(self, buckets: BucketSet):
-        self.indexes = [BucketIndex(b) for b in buckets]
-
-    def atoms(self, bucket_index: int) -> list[Atom]:
-        return self.indexes[bucket_index].atoms
-
-    def score(self, lhs: str, rhs: str) -> tuple[RuleMetrics, list[Region]]:
-        """Corpus-wide tp/fp and tp sites of the plain rule lhs -> rhs."""
-        if not lhs:
-            raise ValueError("rule with empty lhs is unscorable; needs context expansion")
-        return self.score_matches(_literal(lhs), rhs)
-
-    def score_matches(
-        self, matcher: Callable[[str], Iterable[tuple[int, int]]], rhs: str
-    ) -> tuple[RuleMetrics, list[Region]]:
-        """Score rewriting to `rhs` every (start, end) that `matcher` finds in
-        a bucket source: a site is a tp when the alignment agrees there."""
-        tp = fp = 0
-        tp_sites: list[Region] = []
-        for bidx, index in enumerate(self.indexes):
-            for start, end in matcher(index.source):
-                if index.agrees(start, end, rhs):
-                    tp += 1
-                    tp_sites.append((bidx, (start, end)))
-                else:
-                    fp += 1
-        return RuleMetrics(tp, fp), tp_sites
+def _score(
+    buckets: BucketSet, matcher: Callable[[str], Iterable[tuple[int, int]]], rhs: str
+) -> tuple[RuleMetrics, list[Region]]:
+    """Corpus-wide tp/fp and tp sites of rewriting to `rhs` every (start, end)
+    that `matcher` finds in a bucket source: a site is a tp when the
+    alignment agrees there."""
+    tp = fp = 0
+    tp_sites: list[Region] = []
+    for bidx, bucket in enumerate(buckets):
+        for start, end in matcher(bucket.source):
+            if bucket.agrees(start, end, rhs):
+                tp += 1
+                tp_sites.append((bidx, (start, end)))
+            else:
+                fp += 1
+    return RuleMetrics(tp, fp), tp_sites
 
 
 def classification_metrics(rule: RewriteRule, buckets: BucketSet) -> RuleMetrics:
     """Corpus-wide tp/fp for one rule. Raises ValueError on an empty lhs."""
-    metrics, _ = Scorer(buckets).score(rule.lhs, rule.rhs)
+    if not rule.lhs:
+        raise ValueError("rule with empty lhs is unscorable; needs context expansion")
+    metrics, _ = _score(buckets, _literal(rule.lhs), rule.rhs)
     return metrics
 
 
 # --- candidate synthesis and selection ----------------------------------------
 
-def _span(atoms: list[Atom], lo: int, hi: int) -> tuple[int, int]:
-    return (atoms[lo].lhs_span[0], atoms[hi - 1].lhs_span[1])
+def _span(atoms: tuple[Atom, ...], lo: int, hi: int) -> tuple[int, int]:
+    return (atoms[lo].lhs_start, atoms[hi - 1].lhs_start + len(atoms[hi - 1].lhs))
 
 
 def _expand(
-    scorer: Scorer,
+    buckets: BucketSet,
     bucket_index: int,
     core_lo: int,
     core_hi: int,
@@ -237,7 +145,7 @@ def _expand(
     no rule. A rule already in `pool` keeps its first entry. A candidate
     claims its window, the core and every tp site.
     """
-    atoms = scorer.atoms(bucket_index)
+    atoms = buckets[bucket_index].atoms
     core = (bucket_index, _span(atoms, core_lo, core_hi))
     for j in range(window + 1):
         lo = max(0, core_lo - j)
@@ -247,12 +155,12 @@ def _expand(
             if formed is None or formed[0] in pool:
                 continue
             rule, order, matcher, rhs = formed
-            metrics, sites = scorer.score_matches(matcher, rhs)
+            metrics, sites = _score(buckets, matcher, rhs)
             claims = [(bucket_index, _span(atoms, lo, hi)), core, *sites]
             pool[rule] = Candidate(rule, metrics, order, claims)
 
 
-def _literal_form(atoms: list[Atom], rule_at: Callable) -> Callable:
+def _literal_form(atoms: tuple[Atom, ...], rule_at: Callable) -> Callable:
     """Form of the rules rewriting a window's source text to its target text;
     `rule_at(j, k, lo, lhs, rhs)` builds the rule."""
 
@@ -267,10 +175,10 @@ def _literal_form(atoms: list[Atom], rule_at: Callable) -> Callable:
 
 
 def expand_edit(
-    scorer: Scorer, bucket_index: int, core: int, pool: dict, cfg: ExtractionConfig
+    buckets: BucketSet, bucket_index: int, core: int, pool: dict, cfg: ExtractionConfig
 ) -> None:
     """Expand the edit at atom `core` of a bucket into scored rewrite candidates."""
-    atoms = scorer.atoms(bucket_index)
+    atoms = buckets[bucket_index].atoms
     edit_index = atoms[core].edit_index
     if edit_index is None:
         raise ValueError("expand_edit requires a non-identity edit")
@@ -280,7 +188,7 @@ def expand_edit(
             lhs, rhs, origin=(bucket_index, edit_index, j, k)
         ),
     )
-    _expand(scorer, bucket_index, core, core + 1, cfg.window, pool, form)
+    _expand(buckets, bucket_index, core, core + 1, cfg.window, pool, form)
 
 
 def spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -327,11 +235,10 @@ def get_precise_rewriting(
 ) -> list[tuple[RewriteRule, RuleMetrics]]:
     """Retained rewrite rules with their metrics, best first."""
     pool: dict = {}
-    scorer = Scorer(buckets)
-    for bucket_index, index in enumerate(scorer.indexes):
-        for core, atom in enumerate(index.atoms):
+    for bucket_index, bucket in enumerate(buckets):
+        for core, atom in enumerate(bucket.atoms):
             if atom.edit_index is not None:
-                expand_edit(scorer, bucket_index, core, pool, cfg)
+                expand_edit(buckets, bucket_index, core, pool, cfg)
     return sort_and_filter(pool)
 
 
@@ -451,7 +358,7 @@ def _exact_anchor_fallback(
 
 def _first_anchor_rule(bucket: Bucket, current: dict[str, str]) -> RewriteRule | None:
     """The unique anchor rule of the bucket's first edit that has one."""
-    atoms = atomize(bucket)
+    atoms = bucket.atoms
     for core, atom in enumerate(atoms):
         if atom.edit_index is not None:
             rule = _unique_anchor_rule(atoms, core, current, bucket.label)
@@ -461,7 +368,7 @@ def _first_anchor_rule(bucket: Bucket, current: dict[str, str]) -> RewriteRule |
 
 
 def _unique_anchor_rule(
-    atoms: list[Atom], core: int, current: dict[str, str], own_label: str
+    atoms: tuple[Atom, ...], core: int, current: dict[str, str], own_label: str
 ) -> RewriteRule | None:
     for m in range(len(atoms) + 1):
         lo = max(0, core - m)
@@ -475,7 +382,7 @@ def _unique_anchor_rule(
             hits.extend((label, h) for h in find_matches(text, lhs))
             if len(hits) > 1:
                 break
-        if hits == [(own_label, atoms[lo].lhs_span[0])]:
+        if hits == [(own_label, atoms[lo].lhs_start)]:
             return RewriteRule(lhs, rhs, fallback=True)
         if lo == 0 and hi == len(atoms):
             return None

@@ -46,11 +46,11 @@ def token_offsets(s: str) -> set[int]:
     return {0, len(s)} | {t.offset for t in tokenize(s).tokens}
 
 
-def core_atom(scorer, bucket_index: int, kind) -> int:
+def core_atom(buckets, bucket_index: int, kind) -> int:
     """Atom index of the first edit of `kind` (None: an identity token) in a
     bucket, as candidate synthesis takes it."""
-    bucket = scorer.indexes[bucket_index].bucket
-    for core, atom in enumerate(scorer.atoms(bucket_index)):
+    bucket = buckets[bucket_index]
+    for core, atom in enumerate(bucket.atoms):
         i = atom.edit_index
         if (bucket.edits[i].kind if i is not None else None) is kind:
             return core

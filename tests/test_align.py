@@ -2,6 +2,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from summer.align import (
+    Bucket,
     BucketSet,
     EditKind,
     align_tokens,
@@ -189,6 +190,39 @@ class TestDissect:
         a = dissect(source, target, "t")
         b = dissect(source, target, "t")
         assert shapes(a.edits) == shapes(b.edits)
+
+
+def atom_offsets(bucket: Bucket, p: int) -> list[int] | None:
+    """Reference projection over token-level atoms, scanned linearly: every
+    atom start at p (the end of the source included), else the linear image
+    of p inside an identity token, else None."""
+    atoms = []  # (lhs start, lhs end, rhs start, identity)
+    for e in bucket.edits:
+        (l0, l1), r0 = e.lhs_span, e.rhs_span[0]
+        if e.kind is EditKind.IDENTITY:
+            for t in tokenize(e.lhs).tokens:
+                atoms.append((l0 + t.offset, l0 + t.end, r0 + t.offset, True))
+        else:
+            atoms.append((l0, l1, r0, False))
+    atoms.append((len(bucket.source), len(bucket.source), len(bucket.target), False))
+    at = [r0 for l0, _, r0, _ in atoms if l0 == p]
+    inside = [r0 + p - l0 for l0, l1, r0, identity in atoms if identity and l0 < p < l1]
+    return at or inside or None
+
+
+class TestTargetOffsets:
+    @given(st.text("ab (x)1\n", max_size=60), st.text("ab (x)1\n", max_size=60))
+    @settings(max_examples=300)
+    def test_matches_atom_projection(self, source, target):
+        bucket = dissect(source, target, "t")
+        for p in range(-1, len(source) + 2):
+            assert bucket.target_offsets(p) == atom_offsets(bucket, p)
+
+    def test_insertion_at_boundary_offers_both_ends(self):
+        bucket = dissect("a b", "a X b", "t")
+        p = bucket.source.index("b")
+        assert bucket.target_offsets(p) == [2, 4]
+        assert bucket.agrees(p, p + 1, "X b") and bucket.agrees(p, p + 1, "b")
 
 
 class TestBucketSet:

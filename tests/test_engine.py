@@ -1,10 +1,11 @@
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 
 import summer.engine
-from summer.align import EditKind
+from summer.align import Bucket, EditKind
 from summer.distance import levenshtein, similarity
 from summer.engine import (
     Conflict,
@@ -287,6 +288,23 @@ class TestDecompose:
         steps = decompose(base, changed)
         out = apply_steps(base, steps)
         assert out.ok and out.result == changed
+
+    def test_atoms_built_once_per_dissection(self, monkeypatch):
+        # The move pass and the first rewrite round read the same dissection.
+        built = []
+        atoms = Bucket.atoms.func
+
+        def counted(bucket):
+            built.append(bucket.label)
+            return atoms(bucket)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Bucket, "atoms")
+        monkeypatch.setattr(Bucket, "atoms", prop)
+        base = "a = foo(1);\nb = foo(2);\n"
+        steps = decompose({"": base}, {"": base.replace("foo", "bar")})
+        assert steps == [RewriteRule("foo", "bar")]
+        assert built == ["content:"]
 
 
 class TestApplySteps:

@@ -9,7 +9,7 @@ from summer.moves import (
     get_precise_move,
     match_pattern,
 )
-from summer.rules import ExtractionConfig, Scorer
+from summer.rules import ExtractionConfig
 from tests.conftest import (
     EXTRACT_BASE,
     EXTRACT_CAPTURE_ON_RIGHT,
@@ -92,9 +92,9 @@ class TestFindLongestShared:
 
 class TestFindExtract:
     def test_flagship_extraction(self, extract_buckets):
-        scorer = Scorer(extract_buckets)
         pool = {}
-        find_move(scorer, 0, core_atom(scorer, 0, EditKind.INSERTION), pool, ExtractionConfig())
+        core = core_atom(extract_buckets, 0, EditKind.INSERTION)
+        find_move(extract_buckets, 0, core, pool, ExtractionConfig())
         assert len(pool) == 1
         (move,) = pool
         a, c = move.antecedent, move.consequent
@@ -112,16 +112,15 @@ class TestFindExtract:
 
     def test_insertion_without_source_elsewhere(self):
         corpus = BucketSet((dissect("a\nb\n", "a\nfresh new text\nb\n", "t"),))
-        scorer = Scorer(corpus)
         pool = {}
-        find_move(scorer, 0, core_atom(scorer, 0, EditKind.INSERTION), pool, ExtractionConfig())
+        find_move(corpus, 0, core_atom(corpus, 0, EditKind.INSERTION), pool, ExtractionConfig())
         assert pool == {}
 
     def test_wrong_kind_rejected(self, extract_buckets):
-        scorer = Scorer(extract_buckets)
+        identity = core_atom(extract_buckets, 0, None)
         with pytest.raises(ValueError):
-            find_move(scorer, 0, core_atom(scorer, 0, None), {}, ExtractionConfig())
-        substituted = Scorer(BucketSet((dissect("a x b\n", "a y b\n", "t"),)))
+            find_move(extract_buckets, 0, identity, {}, ExtractionConfig())
+        substituted = BucketSet((dissect("a x b\n", "a y b\n", "t"),))
         core = core_atom(substituted, 0, EditKind.SUBSTITUTION)
         with pytest.raises(ValueError):
             find_move(substituted, 0, core, {}, ExtractionConfig())
@@ -167,15 +166,13 @@ class TestFindInline:
 
     def test_deletion_without_shared_substring(self):
         corpus = BucketSet((dissect("a\nsolitary line\n", "a\n", "t"),))
-        scorer = Scorer(corpus)
         pool = {}
-        find_move(scorer, 0, core_atom(scorer, 0, EditKind.DELETION), pool, ExtractionConfig())
+        find_move(corpus, 0, core_atom(corpus, 0, EditKind.DELETION), pool, ExtractionConfig())
         assert pool == {}
 
     def test_wrong_kind_rejected(self, inline_buckets):
-        scorer = Scorer(inline_buckets)
         with pytest.raises(ValueError):
-            find_move(scorer, 0, core_atom(scorer, 0, None), {}, ExtractionConfig())
+            find_move(inline_buckets, 0, core_atom(inline_buckets, 0, None), {}, ExtractionConfig())
 
 
 class TestGetPreciseMove:

@@ -6,7 +6,6 @@ from summer.rules import (
     ExtractionConfig,
     RewriteRule,
     RuleMetrics,
-    Scorer,
     apply_rewrite_to_text,
     classification_metrics,
     decompose_rewrites,
@@ -106,33 +105,31 @@ class TestSortAndFilter:
 
 class TestExpandEdit:
     def test_host_rename_candidate_present(self, rename_corpus):
-        scorer = Scorer(rename_corpus)
         pool = {}
-        expand_edit(scorer, 0, core_atom(scorer, 0, EditKind.SUBSTITUTION), pool, ExtractionConfig())
+        core = core_atom(rename_corpus, 0, EditKind.SUBSTITUTION)
+        expand_edit(rename_corpus, 0, core, pool, ExtractionConfig())
         e = pool[RewriteRule("github", "gitlab")]
         assert (e.metrics.tp, e.metrics.fp) == (2, 0)
 
     def test_insertion_contexts_from_both_sides(self, rename_corpus):
-        scorer = Scorer(rename_corpus)
         pool = {}
-        expand_edit(scorer, 2, core_atom(scorer, 2, EditKind.INSERTION), pool, ExtractionConfig())
+        core = core_atom(rename_corpus, 2, EditKind.INSERTION)
+        expand_edit(rename_corpus, 2, core, pool, ExtractionConfig())
         nl = pool[RewriteRule("\n", '\nimport "fmt"\n')].metrics
         fn = pool[RewriteRule("func", 'import "fmt"\nfunc')].metrics
         assert (nl.tp, nl.fp) == (1, 6)
         assert (fn.tp, fn.fp) == (1, 0)
 
     def test_identity_edit_rejected(self, rename_corpus):
-        scorer = Scorer(rename_corpus)
         with pytest.raises(ValueError):
-            expand_edit(scorer, 2, core_atom(scorer, 2, None), {}, ExtractionConfig())
+            expand_edit(rename_corpus, 2, core_atom(rename_corpus, 2, None), {}, ExtractionConfig())
 
     def test_candidate_count_bounded_by_window_grid(self):
         corpus = BucketSet((dissect("a b x c d", "a b y c d", "t"),))
-        scorer = Scorer(corpus)
-        core = core_atom(scorer, 0, EditKind.SUBSTITUTION)
+        core = core_atom(corpus, 0, EditKind.SUBSTITUTION)
         for w in (0, 1, 2, 3):
             pool = {}
-            expand_edit(scorer, 0, core, pool, ExtractionConfig(window=w, window_max=8))
+            expand_edit(corpus, 0, core, pool, ExtractionConfig(window=w, window_max=8))
             assert len(pool) <= (w + 1) ** 2
 
 
