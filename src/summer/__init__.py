@@ -21,7 +21,7 @@ from .engine import (
     map_to_buckets,
     merge,
 )
-from .moves import MovePattern, MoveRule, find_longest_shared, get_precise_move
+from .moves import MovePattern, MoveRule, get_precise_move
 from .rules import (
     ExtractionConfig,
     RewriteRule,

@@ -8,8 +8,10 @@ to the source and right sides to the target.
 Identity, insertion, and deletion runs are coalesced into one instance each;
 substitutions stay one token pair per instance so that rule synthesis can
 expand each modified token independently. The bucket is the one record of
-its dissection: rule synthesis reads its atoms (the context units) and its
-projection of source offsets into the target from it.
+its dissection: rule synthesis reads its atoms (the context units), the
+indices of its edit atoms, and its projection of source offsets into the
+target from it. An edit is an atom whose two sides differ; an identity
+token's sides are equal.
 """
 
 from __future__ import annotations
@@ -55,13 +57,13 @@ class EditInstance:
 
 @dataclass(frozen=True, slots=True)
 class Atom:
-    """Context unit: one identity token, or one whole non-identity instance."""
+    """Context unit: one identity token (lhs == rhs), or one whole
+    non-identity instance, an edit (lhs != rhs)."""
 
     lhs: str
     rhs: str
     lhs_start: int
     rhs_start: int
-    edit_index: int | None  # None for identity tokens
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,21 @@ class Bucket:
     def atoms(self) -> tuple[Atom, ...]:
         """Identity instances split into tokens; every other instance whole."""
         atoms: list[Atom] = []
-        for idx, inst in enumerate(self.edits):
+        for inst in self.edits:
             l0, r0 = inst.lhs_span[0], inst.rhs_span[0]
             if inst.kind is EditKind.IDENTITY:
                 atoms.extend(
-                    Atom(t.text, t.text, l0 + t.offset, r0 + t.offset, None)
+                    Atom(t.text, t.text, l0 + t.offset, r0 + t.offset)
                     for t in tokenize(inst.lhs).tokens
                 )
             else:
-                atoms.append(Atom(inst.lhs, inst.rhs, l0, r0, idx))
+                atoms.append(Atom(inst.lhs, inst.rhs, l0, r0))
         return tuple(atoms)
+
+    @cached_property
+    def cores(self) -> tuple[int, ...]:
+        """Indices of the edit atoms, in order."""
+        return tuple(i for i, a in enumerate(self.atoms) if a.lhs != a.rhs)
 
     @cached_property
     def _starts(self) -> tuple[list[int], list[int]]:

@@ -181,36 +181,37 @@ def cmd_rebase(args: argparse.Namespace) -> int:
         steps = decompose(base, changed, _config(args))
         target_path = args.paths[2]
     outcome = apply_steps(target, steps)
-    if not outcome.ok:
-        print(f"conflict: {outcome.conflict.diagnostic}", file=sys.stderr)
-        return 1
-    if not args.quiet:
-        for note in outcome.diagnostics:
-            print(f"note: {note}", file=sys.stderr)
     dest = args.output if args.output else (target_path if is_dir else None)
-    _write_output(outcome.result, enc, is_dir, dest)
-    return 0
+    return _finish(args, outcome, enc, is_dir, dest)
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
     snaps, enc, is_dir = _load_uniform([args.base, args.left, args.right])
     base, left, right = snaps
     outcome = merge(base, left, right, _config(args), binary_paths=enc.binary)
+    return _finish(args, outcome, enc, is_dir, args.output if args.output else args.left)
+
+
+def _finish(
+    args: argparse.Namespace, outcome, enc: _Encodings, is_dir: bool, dest: str | None
+) -> int:
+    """Report a conflict (exit 1), or print the notes unless --quiet and
+    write the result (exit 0)."""
     if not outcome.ok:
         print(f"conflict: {outcome.conflict.diagnostic}", file=sys.stderr)
         return 1
     if not args.quiet:
         for note in outcome.diagnostics:
             print(f"note: {note}", file=sys.stderr)
-    dest = args.output if args.output else args.left
     _write_output(outcome.result, enc, is_dir, dest)
     return 0
 
 
-def _add_window_flags(p: argparse.ArgumentParser) -> None:
+def _add_window_flags(p: argparse.ArgumentParser, quiet: bool = True) -> None:
     p.add_argument("--window", type=int, default=2, help="context window (units)")
     p.add_argument("--window-max", type=int, default=8, help="window escalation cap")
-    p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
+    if quiet:
+        p.add_argument("--quiet", action="store_true", help="suppress notes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("base")
     p.add_argument("changed")
     p.add_argument("--steps-out", help="write the step JSON here instead of stdout")
-    _add_window_flags(p)
+    _add_window_flags(p, quiet=False)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser(

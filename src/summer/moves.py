@@ -5,7 +5,13 @@ antecedent's left side is a one-slot pattern (literal prefix, capture slot,
 literal suffix); the consequent's right side is a template carrying a
 backreference to the captured text. Extraction is many-to-one: the antecedent
 rewrites each site the moved text left, the consequent inserts it (with the
-site-local wording it captured) at the new location. Inlining mirrors this.
+site-local wording it captured) at the new location. Inlining mirrors this:
+the same construction with the two site lists swapped.
+
+The moved text is found by probing each inserted or deleted block for the
+longest text that other edits share with it. An edit is an atom whose two
+sides differ (align.Bucket.cores lists a bucket's edit atoms); a shared range
+starts and ends at one, so a probe walks only from a bucket's edit atoms.
 
 Antecedent candidates are scored by simulating capture matching against the
 corpus, because the lazy capture can under-reach when the suffix anchor is
@@ -14,9 +20,10 @@ too weak; only the simulation sees that.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .align import Atom, BucketSet, EditInstance
+from .align import Atom, BucketSet
 from .rules import (
     Candidate,
     RuleMetrics,
@@ -63,22 +70,6 @@ class MoveRule:
     metrics: RuleMetrics = field(default=RuleMetrics(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
-class SharedSubstring:
-    """The moved text and the edits whose changed side contains it."""
-
-    s: str
-    sites: tuple[tuple[int, int], ...]  # (bucket index, edit index)
-
-
-@dataclass(frozen=True, slots=True)
-class _Occurrence:
-    bucket: int
-    lo: int  # atom range, inclusive
-    hi: int  # atom range, exclusive
-    edit_index: int
-
-
 def match_pattern(text: str, pattern: MovePattern) -> list[tuple[int, int, int, int]]:
     """Leftmost non-overlapping capture matches as (start, end, cap0, cap1).
 
@@ -104,14 +95,6 @@ def match_pattern(text: str, pattern: MovePattern) -> list[tuple[int, int, int, 
 
 # --- shared-substring search -------------------------------------------------
 
-def _contribution(atom: Atom, side: str) -> str:
-    return atom.lhs if side == "lhs" else atom.rhs
-
-
-def _qualifies(atom: Atom, side: str) -> bool:
-    return atom.edit_index is not None and bool(_contribution(atom, side))
-
-
 def _is_trivial(s: str) -> bool:
     toks = tokenize_cached(s).tokens
     if len(toks) < 3:
@@ -125,67 +108,61 @@ def _searchable(buckets: BucketSet) -> list[int]:
     return [i for i, bucket in enumerate(buckets) if not bucket.label.startswith("name:")]
 
 
+Range = tuple[int, int, int]  # (bucket index, atom lo, atom hi exclusive)
+
+
 def _longest_shared(
     probe: str, buckets: BucketSet, side: str
-) -> tuple[str, list[_Occurrence]] | None:
+) -> tuple[str, int, list[Range]] | None:
     """Longest atom-aligned substring of the probe found on `side` of edits,
-    and its leftmost non-overlapping occurrences in each bucket.
+    its first token-aligned offset in the probe, and its leftmost
+    non-overlapping occurrences in each bucket.
 
-    Candidate ranges start and end at deletion/substitution atoms (side lhs)
-    or insertion/substitution atoms (side rhs); identity atoms may appear
-    inside. The probe occurrence must sit on probe token boundaries. An
-    occurrence of the final best scanned before the range that made it best
-    would have made it best itself, so one scan collects them all; overlaps
-    within a bucket are then dropped, leftmost first.
+    Candidate ranges start and end at edit atoms with a nonempty `side`
+    (deletions and substitutions for side lhs, insertions and substitutions
+    for side rhs), so a probe walks only from a bucket's edit atoms; identity
+    atoms may appear inside. The probe occurrence must sit on probe token
+    boundaries. An occurrence of the final best scanned before the range that
+    made it best would have made it best itself, so one scan collects them
+    all; overlaps within a bucket are then dropped, leftmost first.
     """
-    best = ""
-    found: list[_Occurrence] = []
+    best, offset = "", -1
+    found: list[Range] = []
     for bidx in _searchable(buckets):
         atoms = buckets[bidx].atoms
-        for u, first in enumerate(atoms):
-            if not _qualifies(first, side):
-                continue
+        for u in buckets[bidx].cores:
             text = ""
             for v in range(u, len(atoms)):
-                text += _contribution(atoms[v], side)
-                if len(text) > len(probe) or text not in probe:
+                atom = atoms[v]
+                part = getattr(atom, side)
+                text += part
+                if not text or len(text) > len(probe) or text not in probe:
                     break
-                if not _qualifies(atoms[v], side):
+                if not part or atom.lhs == atom.rhs:
                     continue
-                if len(text) > len(best) and find_matches(probe, text):
-                    best, found = text, []
+                if len(text) > len(best):
+                    matches = find_matches(probe, text)
+                    if matches:
+                        best, offset, found = text, matches[0], []
                 if text == best:
-                    found.append(_Occurrence(bidx, u, v + 1, first.edit_index))
+                    found.append((bidx, u, v + 1))
     if not best or _is_trivial(best):
         return None
-    occurrences: list[_Occurrence] = []
-    for o in found:
-        last = occurrences[-1] if occurrences else None
-        if last is None or last.bucket != o.bucket or last.hi <= o.lo:
-            occurrences.append(o)
-    return best, occurrences
-
-
-def find_longest_shared(
-    edit: EditInstance, buckets: BucketSet, side: str
-) -> SharedSubstring | None:
-    """Public probe: side='lhs' matches the edit's rhs against deletion and
-    substitution sources elsewhere; side='rhs' mirrors it for inlining."""
-    probe = edit.rhs if side == "lhs" else edit.lhs
-    if not probe:
-        return None
-    found = _longest_shared(probe, buckets, side)
-    if found is None:
-        return None
-    s, occurrences = found
-    return SharedSubstring(s, tuple((o.bucket, o.edit_index) for o in occurrences))
+    occurrences = found[:1]
+    for b, lo, hi in found[1:]:
+        if occurrences[-1][0] != b or occurrences[-1][2] <= lo:
+            occurrences.append((b, lo, hi))
+    return best, offset, occurrences
 
 
 # --- candidate construction ---------------------------------------------------
 
-def _antecedent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, head: str, tail: str):
+def _antecedent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, offset: int, n: int):
     """Form of the capture patterns around the atom range [core_lo, core_hi),
-    whose lhs reads head + capture + tail."""
+    whose lhs holds the moved text (length n) `offset` characters in; the
+    capture slot replaces it."""
+    core = "".join(a.lhs for a in atoms[core_lo:core_hi])
+    head, tail = core[:offset], core[offset + n :]
 
     def form(j: int, k: int, lo: int, hi: int):
         prefix = "".join(a.lhs for a in atoms[lo:core_lo]) + head
@@ -204,9 +181,10 @@ def _antecedent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, head: 
     return form
 
 
-def _consequent_form(atoms: tuple[Atom, ...], core_lo: int, offset: int, n: int):
-    """Form of the consequents around a core whose rhs holds the moved text
-    (length n) `offset` characters in; the capture slot replaces it."""
+def _consequent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, offset: int, n: int):
+    """Form of the consequents around the atom range [core_lo, core_hi),
+    whose rhs holds the moved text (length n) `offset` characters in; the
+    capture slot replaces it."""
 
     def consequent(j: int, k: int, lo: int, lhs: str, rhs: str) -> Consequent:
         slot = atoms[core_lo].rhs_start - atoms[lo].rhs_start + offset
@@ -215,7 +193,13 @@ def _consequent_form(atoms: tuple[Atom, ...], core_lo: int, offset: int, n: int)
     return _literal_form(atoms, consequent)
 
 
-def _best(pool: dict) -> Candidate | None:
+def _best(buckets: BucketSet, sites: list, form_at: Callable, n: int, cfg) -> Candidate | None:
+    """Best precise candidate that `form_at` builds around any of the sites
+    (bucket index, lo, hi, offset of the moved text of length n)."""
+    pool: dict = {}
+    for b, lo, hi, offset in sites:
+        form = form_at(buckets[b].atoms, lo, hi, offset, n)
+        _expand(buckets, b, lo, hi, cfg.window, pool, form)
     return min(
         (c for c in pool.values() if c.metrics.precise), key=Candidate.rank, default=None
     )
@@ -240,33 +224,16 @@ def find_move(
     found = _longest_shared(own, buckets, side)
     if found is None:
         return
-    s, occurrences = found
-    s_in_own = find_matches(own, s)
-    if not s_in_own:
-        return
-    off = s_in_own[0]
-    if side == "lhs":
-        # Each deletion site is captured whole; the block holds s at `off`.
-        a_cores = [(o.bucket, o.lo, o.hi, "", "") for o in occurrences]
-        c_cores = [(bucket_index, core, core + 1, off)]
-    else:
-        # The definition is captured inside its own lhs; each reuse site's
-        # rhs is exactly s.
-        head, tail = atom.lhs[:off], atom.lhs[off + len(s) :]
-        a_cores = [(bucket_index, core, core + 1, head, tail)]
-        c_cores = [(o.bucket, o.lo, o.hi, 0) for o in occurrences]
-    a_pool: dict = {}
-    for b, lo, hi, head, tail in a_cores:
-        form = _antecedent_form(buckets[b].atoms, lo, hi, head, tail)
-        _expand(buckets, b, lo, hi, cfg.window, a_pool, form)
-    a_best = _best(a_pool)
+    s, off, occurrences = found
+    here = [(bucket_index, core, core + 1, off)]
+    there = [(b, lo, hi, 0) for b, lo, hi in occurrences]  # each reads exactly s
+    # The moved text is deleted at the antecedent's sites and inserted at the
+    # consequent's.
+    a_sites, c_sites = (there, here) if side == "lhs" else (here, there)
+    a_best = _best(buckets, a_sites, _antecedent_form, len(s), cfg)
     if a_best is None:
         return
-    c_pool: dict = {}
-    for b, lo, hi, offset in c_cores:
-        form = _consequent_form(buckets[b].atoms, lo, offset, len(s))
-        _expand(buckets, b, lo, hi, cfg.window, c_pool, form)
-    c_best = _best(c_pool)
+    c_best = _best(buckets, c_sites, _consequent_form, len(s), cfg)
     if c_best is None:
         return
     move = MoveRule(a_best.rule, c_best.rule, a_best.metrics + c_best.metrics)
@@ -283,7 +250,7 @@ def find_move(
     # A move claims every occurrence of the moved text, not only the cores
     # its chosen antecedent and consequent grew from.
     claims = a_best.claims + c_best.claims
-    claims += [(o.bucket, _span(buckets[o.bucket].atoms, o.lo, o.hi)) for o in occurrences]
+    claims += [(b, _span(buckets[b].atoms, lo, hi)) for b, lo, hi in occurrences]
     pool[move] = Candidate(move, move.metrics, order, claims)
 
 
@@ -291,7 +258,9 @@ def get_precise_move(buckets: BucketSet, cfg) -> list[MoveRule]:
     """All retained move rules, best first, pairwise non-overlapping."""
     pool: dict = {}
     for bucket_index in _searchable(buckets):
-        for core, atom in enumerate(buckets[bucket_index].atoms):
+        bucket = buckets[bucket_index]
+        for core in bucket.cores:
+            atom = bucket.atoms[core]
             if not (atom.lhs and atom.rhs):  # an insertion or a deletion
                 find_move(buckets, bucket_index, core, pool, cfg)
     return [c.rule for c in _select(pool.values())]

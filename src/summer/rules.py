@@ -51,6 +51,7 @@ class RewriteRule:
 
     lhs: str
     rhs: str
+    # (bucket index, core atom index, j, k) of the window the rule grew from
     origin: tuple[int, int, int, int] | None = field(default=None, compare=False)
     fallback: bool = field(default=False, compare=False)
 
@@ -179,14 +180,11 @@ def expand_edit(
 ) -> None:
     """Expand the edit at atom `core` of a bucket into scored rewrite candidates."""
     atoms = buckets[bucket_index].atoms
-    edit_index = atoms[core].edit_index
-    if edit_index is None:
+    if atoms[core].lhs == atoms[core].rhs:
         raise ValueError("expand_edit requires a non-identity edit")
     form = _literal_form(
         atoms,
-        lambda j, k, lo, lhs, rhs: RewriteRule(
-            lhs, rhs, origin=(bucket_index, edit_index, j, k)
-        ),
+        lambda j, k, lo, lhs, rhs: RewriteRule(lhs, rhs, origin=(bucket_index, core, j, k)),
     )
     _expand(buckets, bucket_index, core, core + 1, cfg.window, pool, form)
 
@@ -236,9 +234,8 @@ def get_precise_rewriting(
     """Retained rewrite rules with their metrics, best first."""
     pool: dict = {}
     for bucket_index, bucket in enumerate(buckets):
-        for core, atom in enumerate(bucket.atoms):
-            if atom.edit_index is not None:
-                expand_edit(buckets, bucket_index, core, pool, cfg)
+        for core in bucket.cores:
+            expand_edit(buckets, bucket_index, core, pool, cfg)
     return sort_and_filter(pool)
 
 
@@ -358,12 +355,10 @@ def _exact_anchor_fallback(
 
 def _first_anchor_rule(bucket: Bucket, current: dict[str, str]) -> RewriteRule | None:
     """The unique anchor rule of the bucket's first edit that has one."""
-    atoms = bucket.atoms
-    for core, atom in enumerate(atoms):
-        if atom.edit_index is not None:
-            rule = _unique_anchor_rule(atoms, core, current, bucket.label)
-            if rule is not None:
-                return rule
+    for core in bucket.cores:
+        rule = _unique_anchor_rule(bucket.atoms, core, current, bucket.label)
+        if rule is not None:
+            return rule
     return None
 
 

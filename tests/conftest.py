@@ -8,10 +8,19 @@ exactly 7 newline tokens (see tests/test_rules.py for the pinned counts).
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from summer.align import BucketSet, dissect
+import summer
+from summer.align import BucketSet, EditKind, dissect
 from summer.tokens import tokenize
+
+# Interpreters the tests spawn (`python -m summer`) import the package the
+# tests import, also from a checkout that is not installed.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(summer.__file__)), os.environ.get("PYTHONPATH")])
+)
 
 RENAME_SUBMODULE_SRC = "github.com/txaty/bigcomplex"
 RENAME_SUBMODULE_TGT = "gitlab.com/txaty/bigcomplex"
@@ -46,13 +55,20 @@ def token_offsets(s: str) -> set[int]:
     return {0, len(s)} | {t.offset for t in tokenize(s).tokens}
 
 
+def atom_kind(atom):
+    """An atom's kind read from its sides; None for an identity token."""
+    if atom.lhs == atom.rhs:
+        return None
+    if not atom.lhs:
+        return EditKind.INSERTION
+    return EditKind.DELETION if not atom.rhs else EditKind.SUBSTITUTION
+
+
 def core_atom(buckets, bucket_index: int, kind) -> int:
     """Atom index of the first edit of `kind` (None: an identity token) in a
     bucket, as candidate synthesis takes it."""
-    bucket = buckets[bucket_index]
-    for core, atom in enumerate(bucket.atoms):
-        i = atom.edit_index
-        if (bucket.edits[i].kind if i is not None else None) is kind:
+    for core, atom in enumerate(buckets[bucket_index].atoms):
+        if atom_kind(atom) is kind:
             return core
     raise LookupError(kind)
 

@@ -94,6 +94,14 @@ class TestDecomposeCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope"), str(tmp_path / "nope2")]) == 2
 
+    def test_no_quiet_flag(self, trio, capsys):
+        # It prints no notes, so there is nothing to silence.
+        base, left, _ = trio
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", str(base), str(left), "--quiet"])
+        assert exc.value.code == 2
+        assert "--quiet" in capsys.readouterr().err
+
 
 class TestRebaseCommand:
     def test_three_path_form(self, trio, capsys):
@@ -172,6 +180,24 @@ class TestRebaseCommand:
     def test_wrong_arity_exits_2(self, trio):
         base, left, _ = trio
         assert main(["rebase", str(base), str(left)]) == 2
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_quiet_suppresses_notes(self, tmp_path, capsys, quiet):
+        # Two captures differ, so replay notes that it used the first.
+        target = tmp_path / "t.txt"
+        write(target, "(a) (b) END")
+        steps_file = tmp_path / "steps.json"
+        move = MoveRule(
+            Antecedent(MovePattern("(", ")"), "[]"),
+            Consequent("END", MovePattern("END (", ")")),
+        )
+        write(steps_file, serialize_steps([move]))
+        argv = ["rebase", "--steps-in", str(steps_file), str(target)]
+        assert main(argv + ["--quiet"] * quiet) == 0
+        out, err = capsys.readouterr()
+        assert out == "[] [] END (a)"
+        note = "note: move rule captured differing texts; first capture used\n"
+        assert err == ("" if quiet else note)
 
 
 class TestMergeCommand:

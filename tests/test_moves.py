@@ -1,15 +1,19 @@
+import random
+
 import pytest
 
 from summer.align import BucketSet, EditKind, dissect
 from summer.moves import (
     MovePattern,
+    _is_trivial,
+    _longest_shared,
     apply_move,
-    find_longest_shared,
     find_move,
     get_precise_move,
     match_pattern,
 )
 from summer.rules import ExtractionConfig
+from summer.tokens import find_matches
 from tests.conftest import (
     EXTRACT_BASE,
     EXTRACT_CAPTURE_ON_RIGHT,
@@ -62,16 +66,18 @@ class TestFindLongestShared:
     def test_extraction_body(self, extract_buckets):
         bucket = extract_buckets.buckets[0]
         ins = next(e for e in bucket.edits if e.kind is EditKind.INSERTION)
-        shared = find_longest_shared(ins, extract_buckets, side="lhs")
+        shared = _longest_shared(ins.rhs, extract_buckets, "lhs")
         assert shared is not None
-        assert shared.s == EXTRACT_SHARED
-        assert len(shared.sites) == 1
+        s, offset, occurrences = shared
+        assert s == EXTRACT_SHARED
+        assert ins.rhs[offset:].startswith(s)
+        assert len(occurrences) == 1
 
     def test_no_deletion_or_substitution_edits(self):
         corpus = BucketSet((dissect("a\n", "a\nnew line of text\n", "t"),))
         bucket = corpus.buckets[0]
         ins = next(e for e in bucket.edits if e.kind is EditKind.INSERTION)
-        assert find_longest_shared(ins, corpus, side="lhs") is None
+        assert _longest_shared(ins.rhs, corpus, "lhs") is None
 
     def test_no_common_tokens(self):
         corpus = BucketSet(
@@ -79,7 +85,7 @@ class TestFindLongestShared:
         )
         bucket = corpus.buckets[1]
         ins = next(e for e in bucket.edits if e.kind is EditKind.INSERTION)
-        assert find_longest_shared(ins, corpus, side="lhs") is None
+        assert _longest_shared(ins.rhs, corpus, "lhs") is None
 
     def test_trivial_candidates_rejected(self):
         # A shared bare symbol is too trivial to move.
@@ -87,7 +93,115 @@ class TestFindLongestShared:
         bucket = corpus.buckets[0]
         for i, e in enumerate(bucket.edits):
             if e.kind is EditKind.INSERTION:
-                assert find_longest_shared(e, corpus, side="lhs") is None
+                assert _longest_shared(e.rhs, corpus, "lhs") is None
+
+
+def _reference_longest_shared(probe, buckets, side):
+    """The probe as a walk from every atom of every bucket, identity tokens
+    included; an edit is an atom whose sides differ."""
+
+    def qualifies(atom):
+        return atom.lhs != atom.rhs and bool(getattr(atom, side))
+
+    best, found = "", []
+    for bidx, bucket in enumerate(buckets):
+        if bucket.label.startswith("name:"):
+            continue
+        atoms = bucket.atoms
+        for u, first in enumerate(atoms):
+            if not qualifies(first):
+                continue
+            text = ""
+            for v in range(u, len(atoms)):
+                text += getattr(atoms[v], side)
+                if len(text) > len(probe) or text not in probe:
+                    break
+                if not qualifies(atoms[v]):
+                    continue
+                if len(text) > len(best) and find_matches(probe, text):
+                    best, found = text, []
+                if text == best:
+                    found.append((bidx, u, v + 1))
+    if not best or _is_trivial(best):
+        return None
+    occurrences = []
+    for o in found:
+        if not occurrences or occurrences[-1][0] != o[0] or occurrences[-1][2] <= o[1]:
+            occurrences.append(o)
+    return best, find_matches(probe, best)[0], occurrences
+
+
+_WORDS = ["a", "b", "x1", "foo", "(", ")", ";", " ", "  ", "="]
+
+
+def _random_corpus(rng):
+    """One to three dissections whose targets move, copy, drop and reword
+    lines of their sources."""
+    buckets = []
+    for b in range(rng.randint(1, 3)):
+        lines = [
+            "".join(rng.choice(_WORDS) for _ in range(rng.randint(1, 6))) + "\n"
+            for _ in range(rng.randint(1, 8))
+        ]
+        target = list(lines)
+        for _ in range(rng.randint(1, 4)):
+            op = rng.randrange(4)
+            i = rng.randrange(len(target) + 1)
+            if op == 0 and target:
+                target.insert(i, target.pop(rng.randrange(len(target))))
+            elif op == 1:
+                target.insert(i, rng.choice(lines))
+            elif op == 2 and target:
+                del target[rng.randrange(len(target))]
+            elif target:
+                j = rng.randrange(len(target))
+                target[j] = target[j].replace(rng.choice(_WORDS), rng.choice(_WORDS), 1)
+        label = f"name:{b}" if rng.random() < 0.1 else f"content:{b}"
+        buckets.append(dissect("".join(lines), "".join(target), label))
+    return BucketSet(tuple(buckets))
+
+
+class TestLongestShared:
+    def test_matches_walk_over_every_atom(self):
+        rng = random.Random(11)
+        probes = shared = 0
+        for _ in range(1000):
+            buckets = _random_corpus(rng)
+            for bucket in buckets:
+                for atom in bucket.atoms:
+                    for side, probe in (("lhs", atom.rhs), ("rhs", atom.lhs)):
+                        if atom.lhs == atom.rhs or not probe:
+                            continue
+                        found = _longest_shared(probe, buckets, side)
+                        assert found == _reference_longest_shared(probe, buckets, side)
+                        probes += 1
+                        shared += found is not None
+        assert probes > 3000 and shared > 400
+
+    @pytest.mark.parametrize("run", [200, 400])
+    def test_probe_reads_no_identity_run(self, run):
+        # A line moved across an identity run: the probe reads the atoms
+        # around the two edits, not the run between them.
+        body = "".join(f"line {i} = step({i});\n" for i in range(run))
+        moved = "moved(x, y);\n"
+        buckets = BucketSet((dissect(moved + body, body + moved, "content:m"),))
+        bucket = buckets[0]
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
+
+            def __iter__(self):
+                for i in range(len(self)):
+                    yield self[i]
+
+        assert len(bucket.cores) == 2
+        bucket.__dict__["atoms"] = Counted(bucket.atoms)
+        found = _longest_shared(moved, buckets, "lhs")
+        assert len(reads) <= 4
+        assert found == (moved, 0, [(0, 0, 1)])
 
 
 class TestFindExtract:
