@@ -17,6 +17,7 @@ token's sides are equal.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, auto
 from functools import cached_property
@@ -139,6 +140,14 @@ class Bucket:
         return False
 
 
+# A renamed entry's name bucket is labeled NAME_PREFIX + old path.
+NAME_PREFIX = "name:"
+
+
+def is_name_label(label: str) -> bool:
+    return label.startswith(NAME_PREFIX)
+
+
 @dataclass(frozen=True)
 class BucketSet:
     buckets: tuple[Bucket, ...]
@@ -174,128 +183,102 @@ def split_lines(s: str) -> list[str]:
 def line_diff(source: str, target: str) -> list[tuple[str, int, int, int, int]]:
     """Line-level edit script as (tag, a0, a1, b0, b1) opcodes.
 
-    Tags are 'equal', 'replace', 'delete', 'insert'. Change blocks pair a run
-    of deleted lines with a run of added lines. Anchors are chosen histogram
-    style: the rarest common line, with longer common runs breaking ties.
+    Tags are 'equal', 'replace', 'delete', 'insert'; neighbouring ops never
+    share a tag class (no two equal ops, no two change ops). Change blocks
+    pair a run of deleted lines with a run of added lines. Anchors are chosen
+    histogram style (see `_best_anchor`): a common line of lowest occurrence
+    count, the one that comes first in the target.
     """
     a = split_lines(source)
     b = split_lines(target)
     out: list[tuple[str, int, int, int, int]] = []
     _histogram(a, 0, len(a), b, 0, len(b), out)
-    return _coalesce(out)
+    return out
+
+
+def _equal(out, a0, a1, b0, b1) -> None:
+    """Append an equal op, extending the last op if it is equal too."""
+    if out and out[-1][0] == "equal":
+        _, a0, _, b0, _ = out.pop()
+    out.append(("equal", a0, a1, b0, b1))
 
 
 def _histogram(a, alo, ahi, b, blo, bhi, out) -> None:
     # Iterative in-order traversal; deep alternating diffs would otherwise
-    # blow the recursion limit.
+    # blow the recursion limit. An anchor or a common prefix or suffix sits
+    # between any two change ops, so only equal ops ever need merging.
     stack: list[tuple] = [("region", alo, ahi, blo, bhi)]
     while stack:
-        item = stack.pop()
-        if item[0] == "emit":
-            out.append(item[1])
+        kind, alo, ahi, blo, bhi = stack.pop()
+        if kind == "equal":
+            _equal(out, alo, ahi, blo, bhi)
             continue
-        _, alo, ahi, blo, bhi = item
         pre = 0
         while alo + pre < ahi and blo + pre < bhi and a[alo + pre] == b[blo + pre]:
             pre += 1
         if pre:
-            out.append(("equal", alo, alo + pre, blo, blo + pre))
+            _equal(out, alo, alo + pre, blo, blo + pre)
             alo += pre
             blo += pre
         suf = 0
         while alo < ahi - suf and blo < bhi - suf and a[ahi - 1 - suf] == b[bhi - 1 - suf]:
             suf += 1
         if suf:
-            stack.append(("emit", ("equal", ahi - suf, ahi, bhi - suf, bhi)))
+            stack.append(("equal", ahi - suf, ahi, bhi - suf, bhi))
             ahi -= suf
             bhi -= suf
         anchor = _best_anchor(a, alo, ahi, b, blo, bhi)
         if anchor is None:
             if alo < ahi and blo < bhi:
-                op = ("replace", alo, ahi, blo, bhi)
+                out.append(("replace", alo, ahi, blo, bhi))
             elif alo < ahi:
-                op = ("delete", alo, ahi, blo, blo)
+                out.append(("delete", alo, ahi, blo, blo))
             elif blo < bhi:
-                op = ("insert", alo, alo, blo, bhi)
-            else:
-                continue
-            out.append(op)
+                out.append(("insert", alo, alo, blo, bhi))
         else:
             i, j, n = anchor
             stack.append(("region", i + n, ahi, j + n, bhi))
-            stack.append(("emit", ("equal", i, i + n, j, j + n)))
+            stack.append(("equal", i, i + n, j, j + n))
             stack.append(("region", alo, i, blo, j))
 
 
 def _best_anchor(a, alo, ahi, b, blo, bhi):
-    """Pick (i, j, run_len): rarest common line, longest run, leftmost."""
-    if alo >= ahi or blo >= bhi:
+    """Pick (i, j, run_len) anchoring a[alo:ahi] against b[blo:bhi], or None
+    if the two share no line.
+
+    A line's rarity is its occurrence count on both sides together. The
+    anchor line is, among the rarest common lines, the one whose first
+    occurrence in b comes earliest; i and j are its first occurrences. The
+    run is how far the match extends forward from (i, j); its length never
+    affects the choice.
+
+    Rarest lines compete in order of first occurrence in a, and only until
+    their occurrence pairs (count_a * count_b per line) add up to 256. The
+    cap bounds the search on a region of a few lines repeated many times,
+    where the pairs grow quadratically; it decides which lines compete
+    there, so the anchors, and the step documents built on them, depend on
+    its value.
+    """
+    count_a = Counter(a[alo:ahi])
+    count_b = Counter(b[blo:bhi])
+    rarity = {ln: n + count_b[ln] for ln, n in count_a.items() if ln in count_b}
+    if not rarity:
         return None
-    count_a: dict[str, int] = {}
-    pos_a: dict[str, list[int]] = {}
-    for i in range(alo, ahi):
-        line = a[i]
-        count_a[line] = count_a.get(line, 0) + 1
-        pos_a.setdefault(line, []).append(i)
-    count_b: dict[str, int] = {}
-    pos_b: dict[str, list[int]] = {}
-    for j in range(blo, bhi):
-        line = b[j]
-        count_b[line] = count_b.get(line, 0) + 1
-        pos_b.setdefault(line, []).append(j)
-    common = [ln for ln in count_a if ln in count_b]
-    if not common:
-        return None
-    # Rarity of a line is its total occurrence count across both sides. The
-    # anchor is the earliest (in the new side) occurrence of the rarest line;
-    # the matching run around it only shapes the split.
-    common.sort(key=lambda ln: count_a[ln] + count_b[ln])
-    rarest = count_a[common[0]] + count_b[common[0]]
-    best = None
-    budget = 256  # cap pair enumeration on degenerate inputs
-    for ln in common:
-        rarity = count_a[ln] + count_b[ln]
-        if rarity > rarest:
-            break
-        for i in pos_a[ln]:
-            for j in pos_b[ln]:
-                key = (rarity, j, i)
-                if best is None or key < best[0]:
-                    best = (key, (i, j))
-                budget -= 1
-                if budget <= 0:
-                    break
-        if budget <= 0:
-            break
-    if best is None:
-        return None
-    i, j = best[1]
+    rarest = min(rarity.values())
+    lines: set[str] = set()
+    budget = 256
+    for ln, r in rarity.items():  # first-occurrence order in a
+        if r == rarest:
+            lines.add(ln)
+            budget -= count_a[ln] * count_b[ln]
+            if budget <= 0:
+                break
+    j = next(j for j in range(blo, bhi) if b[j] in lines)
+    i = a.index(b[j], alo, ahi)
     n = 1
     while i + n < ahi and j + n < bhi and a[i + n] == b[j + n]:
         n += 1
     return i, j, n
-
-
-def _coalesce(ops):
-    """Merge adjacent opcodes; adjacent delete/insert runs become one block."""
-    merged: list[list] = []
-    for tag, a0, a1, b0, b1 in ops:
-        if a0 == a1 and b0 == b1:
-            continue
-        if merged:
-            last = merged[-1]
-            both_change = last[0] != "equal" and tag != "equal"
-            if (last[0] == tag or both_change) and last[2] == a0 and last[4] == b0:
-                last[2], last[4] = a1, b1
-                if last[0] != tag:
-                    has_del = last[1] < last[2]
-                    has_add = last[3] < last[4]
-                    last[0] = "replace" if (has_del and has_add) else (
-                        "delete" if has_del else "insert"
-                    )
-                continue
-        merged.append([tag, a0, a1, b0, b1])
-    return [tuple(op) for op in merged]
 
 
 # --- token-level alignment -------------------------------------------------
@@ -350,8 +333,6 @@ def _instances(parts: list[Part]) -> list[EditInstance]:
     substitution stays its own instance) and span them from offset 0."""
     runs: list[tuple[EditKind, list[str], list[str]]] = []
     for kind, lhs, rhs in parts:
-        if not (lhs or rhs):
-            continue
         if not runs or kind is not runs[-1][0] or kind is EditKind.SUBSTITUTION:
             runs.append((kind, [], []))
         runs[-1][1].append(lhs)
@@ -366,18 +347,17 @@ def _instances(parts: list[Part]) -> list[EditInstance]:
     return out
 
 
+def _token_texts(s: str) -> list[str]:
+    return [t.text for t in tokenize(s).tokens]
+
+
 def align_tokens(del_side: str, add_side: str) -> list[EditInstance]:
     """Align the tokens of two strings into edit instances at minimal edit cost.
 
     Identity, insertion, and deletion runs coalesce; each substituted token
     becomes its own instance. Spans are local to the aligned pair.
     """
-    return _instances(
-        _token_parts(
-            [t.text for t in tokenize(del_side).tokens],
-            [t.text for t in tokenize(add_side).tokens],
-        )
-    )
+    return _instances(_token_parts(_token_texts(del_side), _token_texts(add_side)))
 
 
 _LINE_KINDS = {
@@ -396,7 +376,7 @@ def dissect(source: str, target: str, label: str) -> Bucket:
         del_text = "".join(a[a0:a1])
         add_text = "".join(b[b0:b1])
         if tag == "replace":
-            parts.extend((e.kind, e.lhs, e.rhs) for e in align_tokens(del_text, add_text))
+            parts.extend(_token_parts(_token_texts(del_text), _token_texts(add_text)))
         else:
             parts.append((_LINE_KINDS[tag], del_text, add_text))
     bucket = Bucket(label, tuple(_instances(parts)))

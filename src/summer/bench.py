@@ -200,12 +200,12 @@ def report(verdicts: list[tuple[Scenario, Verdict]]) -> Report:
 
 
 def run_benchmark(
-    manifest: str, tool: str, timeout: float = 30.0, workers: int | None = None
+    manifest: str, tool: str, timeout: float = 30.0
 ) -> tuple[list[tuple[Scenario, Verdict]], Report]:
     """Evaluate every scenario (worker pool; each runs in its own scratch
     directory) and aggregate the verdicts in manifest order."""
     scenarios = load_manifest(manifest)
-    workers = workers or min(8, os.cpu_count() or 1, max(1, len(scenarios)))
+    workers = min(8, os.cpu_count() or 1, max(1, len(scenarios)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda s: evaluate(s, tool, timeout=timeout), scenarios))
     verdicts = list(zip(scenarios, results))

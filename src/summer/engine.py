@@ -15,10 +15,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
-from .align import Bucket, BucketSet, dissect
+from .align import NAME_PREFIX, Bucket, BucketSet, dissect, is_name_label
 from .distance import _bag_distance, levenshtein, similarity
 from .moves import MoveRule, apply_move, get_precise_move
-from .rules import ExtractionConfig, RewriteRule, apply_rewrite_to_text, decompose_rewrites
+from .rules import (
+    ExtractionConfig,
+    RewriteRule,
+    _redissect,
+    apply_rewrite_to_text,
+    decompose_rewrites,
+)
 from .tokens import tokenize_cached
 
 Snapshot = dict[str, str]
@@ -176,7 +182,7 @@ def map_to_buckets(
     buckets: list[Bucket] = []
     for old, new in pairing.pairs:
         if old != new:
-            buckets.append(dissect(old, new, f"name:{old}"))
+            buckets.append(dissect(old, new, NAME_PREFIX + old))
         if base[old] != changed[new]:
             buckets.append(dissect(base[old], changed[new], f"content:{old}"))
     steps: list[Step] = [FileDelete(p) for p in pairing.deleted]
@@ -271,7 +277,7 @@ def determine_direction(
 # --- decompose -------------------------------------------------------------------
 
 def _content_keys(texts: dict[str, str]) -> dict[str, str]:
-    return {k: v for k, v in texts.items() if not k.startswith("name:")}
+    return {k: v for k, v in texts.items() if not is_name_label(k)}
 
 
 def decompose(
@@ -301,9 +307,7 @@ def decompose(
         moves.append(mv)
         current.update(app.texts)
     if moves:
-        buckets = BucketSet(
-            tuple(dissect(current[b.label], b.target, b.label) for b in buckets)
-        )
+        buckets = _redissect(current, {b.label: b.target for b in buckets})
     steps: list[Step] = [*structural, *moves, *decompose_rewrites(buckets, cfg)]
     return _verify_and_patch(base, changed, steps)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .align import Atom, BucketSet
+from .align import Atom, BucketSet, is_name_label
 from .rules import (
     Candidate,
     RuleMetrics,
@@ -105,7 +105,7 @@ def _is_trivial(s: str) -> bool:
 
 
 def _searchable(buckets: BucketSet) -> list[int]:
-    return [i for i, bucket in enumerate(buckets) if not bucket.label.startswith("name:")]
+    return [i for i, bucket in enumerate(buckets) if not is_name_label(bucket.label)]
 
 
 Range = tuple[int, int, int]  # (bucket index, atom lo, atom hi exclusive)

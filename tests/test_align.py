@@ -5,6 +5,7 @@ from summer.align import (
     Bucket,
     BucketSet,
     EditKind,
+    _best_anchor,
     align_tokens,
     dissect,
     line_diff,
@@ -72,6 +73,89 @@ class TestLineDiff:
                 assert a1 > a0 and b1 > b0
             pa, pb = a1, b1
         assert (pa, pb) == (len(la), len(lb))
+
+
+def pairwise_anchor(a, alo, ahi, b, blo, bhi):
+    """Reference anchor search: enumerate the occurrence pairs of the rarest
+    common lines, taken in order of first occurrence in a, 256 pairs at
+    most, and keep the least (rarity, j, i); then extend the run."""
+    count_a: dict[str, int] = {}
+    pos_a: dict[str, list[int]] = {}
+    for i in range(alo, ahi):
+        count_a[a[i]] = count_a.get(a[i], 0) + 1
+        pos_a.setdefault(a[i], []).append(i)
+    count_b: dict[str, int] = {}
+    pos_b: dict[str, list[int]] = {}
+    for j in range(blo, bhi):
+        count_b[b[j]] = count_b.get(b[j], 0) + 1
+        pos_b.setdefault(b[j], []).append(j)
+    common = [ln for ln in count_a if ln in count_b]
+    if not common:
+        return None
+    common.sort(key=lambda ln: count_a[ln] + count_b[ln])
+    rarest = count_a[common[0]] + count_b[common[0]]
+    best = None
+    budget = 256
+    for ln in common:
+        rarity = count_a[ln] + count_b[ln]
+        if rarity > rarest:
+            break
+        for i in pos_a[ln]:
+            for j in pos_b[ln]:
+                key = (rarity, j, i)
+                if best is None or key < best:
+                    best = key
+                budget -= 1
+                if budget <= 0:
+                    break
+            if budget <= 0:
+                break
+        if budget <= 0:
+            break
+    _, j, i = best
+    n = 1
+    while i + n < ahi and j + n < bhi and a[i + n] == b[j + n]:
+        n += 1
+    return i, j, n
+
+
+@st.composite
+def repetitive_line_lists(draw):
+    """Two line lists over 1 to 6 distinct lines, so that lines repeat and
+    the 256-pair anchor budget is crossed. Half the draws hold every line
+    equally often on each side, so that all lines tie on rarity."""
+    lines = [f"l{c}\n" for c in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        return [
+            draw(st.permutations(lines * draw(st.integers(0, 80 // len(lines)))))
+            for _ in range(2)
+        ]
+    return [draw(st.lists(st.sampled_from(lines), max_size=80)) for _ in range(2)]
+
+
+class TestRepetitiveLines:
+    @given(repetitive_line_lists())
+    @settings(max_examples=300)
+    def test_ops_tile_and_alternate(self, lists):
+        la, lb = lists
+        ops = line_diff("".join(la), "".join(lb))
+        pa = pb = 0
+        for tag, a0, a1, b0, b1 in ops:
+            assert (a0, b0) == (pa, pb) and (a0 < a1 or b0 < b1)
+            if tag == "equal":
+                assert la[a0:a1] == lb[b0:b1]
+            pa, pb = a1, b1
+        assert (pa, pb) == (len(la), len(lb))
+        for prev, op in zip(ops, ops[1:]):
+            assert (prev[0] == "equal") != (op[0] == "equal")
+
+    @given(repetitive_line_lists())
+    @settings(max_examples=300)
+    def test_anchor_matches_pair_enumeration(self, lists):
+        la, lb = lists
+        assert _best_anchor(la, 0, len(la), lb, 0, len(lb)) == pairwise_anchor(
+            la, 0, len(la), lb, 0, len(lb)
+        )
 
 
 class TestAlignTokens:

@@ -1,5 +1,6 @@
 import os
 import stat
+import subprocess
 import sys
 
 import hypothesis.strategies as st
@@ -18,6 +19,7 @@ from summer.bench import (
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "manifest.json")
+RUN_BENCH = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_bench.py")
 SUMMER_TOOL = f"{sys.executable} -m summer merge"
 
 
@@ -155,8 +157,12 @@ class TestBundledCorpus:
     duplicated doc tag) and the conflict when an extraction's anchor is
     gone."""
 
-    def test_corpus_run(self):
-        verdicts, rep = run_benchmark(CORPUS, SUMMER_TOOL, timeout=120)
+    @pytest.fixture(scope="class")
+    def corpus_run(self):
+        return run_benchmark(CORPUS, SUMMER_TOOL, timeout=120)
+
+    def test_corpus_run(self, corpus_run):
+        verdicts, rep = corpus_run
         by_id = {s.id: v for s, v in verdicts}
         assert by_id["one-token-edit"].kind is VerdictKind.LITERAL_MATCH
         assert by_id["rename-vs-add"].kind is VerdictKind.LITERAL_MATCH
@@ -174,6 +180,22 @@ class TestBundledCorpus:
         assert by_id["extract-anchor-gone"].kind is VerdictKind.TOOL_CONFLICT
         overall = rep.rows[-1]
         assert overall["total"] == 12 and overall["literal_matches"] == 8
+
+    def test_script_runs_from_an_uninstalled_checkout(self, corpus_run, tmp_path):
+        # The script must hand src/ to the merge tool's own interpreter; with
+        # no PYTHONPATH that child cannot import summer otherwise.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, RUN_BENCH], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = proc.stdout.split("\n\n")[0].splitlines()
+        want = [
+            f"{s.id:<24} {v.kind.value}" + (f"  ({v.detail})" if v.detail else "")
+            for s, v in corpus_run[0]
+        ]
+        assert got == want
 
     def test_pinned_characterizations(self):
         # The version scenario bumps the wrong component; both sides of the
