@@ -149,7 +149,7 @@ def _write_output(
 
 
 def _config(args: argparse.Namespace) -> ExtractionConfig:
-    return ExtractionConfig(window=args.window, window_max=args.window_max)
+    return ExtractionConfig(window=args.window)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -209,7 +209,6 @@ def _finish(
 
 def _add_window_flags(p: argparse.ArgumentParser, quiet: bool = True) -> None:
     p.add_argument("--window", type=int, default=2, help="context window (units)")
-    p.add_argument("--window-max", type=int, default=8, help="window escalation cap")
     if quiet:
         p.add_argument("--quiet", action="store_true", help="suppress notes")
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
-from .align import NAME_PREFIX, Bucket, BucketSet, dissect, is_name_label
+from .align import NAME_PREFIX, Bucket, BucketSet, _token_texts, dissect, is_name_label
 from .distance import _bag_distance, levenshtein, similarity
 from .moves import MoveRule, apply_move, get_precise_move
 from .rules import (
@@ -25,7 +25,6 @@ from .rules import (
     apply_rewrite_to_text,
     decompose_rewrites,
 )
-from .tokens import tokenize_cached
 
 Snapshot = dict[str, str]
 
@@ -101,10 +100,6 @@ class MergeOutcome:
 
 
 # --- pairing and bucket mapping ------------------------------------------------
-
-def _token_texts(s: str) -> list[str]:
-    return [t.text for t in tokenize_cached(s).tokens]
-
 
 @dataclass
 class Pairing:
@@ -276,10 +271,6 @@ def determine_direction(
 
 # --- decompose -------------------------------------------------------------------
 
-def _content_keys(texts: dict[str, str]) -> dict[str, str]:
-    return {k: v for k, v in texts.items() if not is_name_label(k)}
-
-
 def decompose(
     base: Snapshot,
     changed: Snapshot,
@@ -298,16 +289,13 @@ def decompose(
     """
     cfg = cfg or ExtractionConfig()
     buckets, structural = map_to_buckets(base, changed, pairing)
-    current = {b.label: b.source for b in buckets}
     moves: list[MoveRule] = []
     for mv in get_precise_move(buckets, cfg):
-        app = apply_move(_content_keys(current), mv)
+        app = apply_move({b.label: b.source for b in buckets if not is_name_label(b.label)}, mv)
         if not app.captures or not app.consequent_sites:
             continue
         moves.append(mv)
-        current.update(app.texts)
-    if moves:
-        buckets = _redissect(current, {b.label: b.target for b in buckets})
+        buckets = _redissect(buckets, (app.texts.get(b.label, b.source) for b in buckets))
     steps: list[Step] = [*structural, *moves, *decompose_rewrites(buckets, cfg)]
     return _verify_and_patch(base, changed, steps)
 
@@ -338,27 +326,21 @@ def apply_steps(target: Snapshot, steps: list[Step]) -> MergeOutcome:
     applied: list[AppliedStep] = []
     diagnostics: list[str] = []
     for step in steps:
+        conflict = None
+        sites: list[Site] = []
         if isinstance(step, FileAdd):
             entries[step.path] = step.content
-            applied.append(AppliedStep(step, 1))
         elif isinstance(step, FileDelete):
-            if step.path not in entries:
-                return MergeOutcome(
-                    None, Conflict(f"delete of missing path {step.path!r}"), applied
-                )
-            del entries[step.path]
-            applied.append(AppliedStep(step, 1))
+            if step.path in entries:
+                del entries[step.path]
+            else:
+                conflict = f"delete of missing path {step.path!r}"
         elif isinstance(step, FileRename):
-            if step.old not in entries or step.new in entries:
-                return MergeOutcome(
-                    None,
-                    Conflict(f"rename {step.old!r} -> {step.new!r} not applicable"),
-                    applied,
-                )
-            entries[step.new] = entries.pop(step.old)
-            applied.append(AppliedStep(step, 1))
+            if step.old in entries and step.new not in entries:
+                entries[step.new] = entries.pop(step.old)
+            else:
+                conflict = f"rename {step.old!r} -> {step.new!r} not applicable"
         elif isinstance(step, RewriteRule):
-            sites: list[Site] = []
             new_entries: dict[str, str] = {}
             for path in entries:
                 content, cs = apply_rewrite_to_text(entries[path], step.lhs, step.rhs)
@@ -368,40 +350,31 @@ def apply_steps(target: Snapshot, steps: list[Step]) -> MergeOutcome:
                     new_path, ns = apply_rewrite_to_text(path, step.lhs, step.rhs)
                     sites.extend(Site(path, s, e, "name") for s, e in ns)
                 if new_path in new_entries:
-                    return MergeOutcome(
-                        None,
-                        Conflict(
-                            f"rewrite {step.lhs!r} -> {step.rhs!r} renames two "
-                            f"entries to {new_path!r}"
-                        ),
-                        applied,
+                    conflict = (
+                        f"rewrite {step.lhs!r} -> {step.rhs!r} renames two "
+                        f"entries to {new_path!r}"
                     )
+                    break
                 new_entries[new_path] = content
             entries = new_entries
-            applied.append(AppliedStep(step, len(sites), tuple(sites)))
         elif isinstance(step, MoveRule):
             app = apply_move(entries, step)
             if app.captures and not app.consequent_sites:
-                return MergeOutcome(
-                    None,
-                    Conflict(
-                        "move rule antecedent matched but consequent "
-                        f"{step.consequent.lhs!r} has no application site"
-                    ),
-                    applied,
+                conflict = (
+                    "move rule antecedent matched but consequent "
+                    f"{step.consequent.lhs!r} has no application site"
                 )
-            if app.soft_conflict:
-                diagnostics.append(
-                    "move rule captured differing texts; first capture used"
-                )
+            elif app.soft_conflict:
+                diagnostics.append("move rule captured differing texts; first capture used")
             entries = app.texts
-            sites = tuple(
-                [Site(p, s, e, "antecedent") for p, s, e in app.antecedent_sites]
-                + [Site(p, s, e, "consequent") for p, s, e in app.consequent_sites]
-            )
-            applied.append(AppliedStep(step, len(sites), sites))
+            sites = [Site(p, s, e, "antecedent") for p, s, e in app.antecedent_sites]
+            sites += [Site(p, s, e, "consequent") for p, s, e in app.consequent_sites]
         else:
             raise TypeError(f"unknown step type: {step!r}")
+        if conflict is not None:
+            return MergeOutcome(None, Conflict(conflict), applied)
+        count = len(sites) if isinstance(step, (RewriteRule, MoveRule)) else 1
+        applied.append(AppliedStep(step, count, tuple(sites)))
     return MergeOutcome(entries, None, applied, diagnostics)
 
 

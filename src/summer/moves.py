@@ -31,6 +31,7 @@ from .rules import (
     _literal_form,
     _select,
     _span,
+    _splice,
     apply_rewrite_to_text,
 )
 from .tokens import CharCategory, _find_aligned, find_matches, tokenize_cached
@@ -289,20 +290,12 @@ def apply_move(texts: dict[str, str], move: MoveRule) -> MoveApplication:
     a_sites: list[tuple[str, int, int]] = []
     after_a: dict[str, str] = {}
     for key, text in texts.items():
-        matches = match_pattern(text, move.antecedent.lhs)
-        if not matches:
-            after_a[key] = text
-            continue
-        pieces: list[str] = []
-        pos = 0
-        for start, end, c0, c1 in matches:
+        spans = []
+        for start, end, c0, c1 in match_pattern(text, move.antecedent.lhs):
             captures.append(text[c0:c1])
             a_sites.append((key, start, end))
-            pieces.append(text[pos:start])
-            pieces.append(move.antecedent.rhs)
-            pos = end
-        pieces.append(text[pos:])
-        after_a[key] = "".join(pieces)
+            spans.append((start, end))
+        after_a[key] = _splice(text, spans, move.antecedent.rhs) if spans else text
     if not captures:
         return MoveApplication(dict(texts), [], [], [], False, dict(texts))
     replacement = move.consequent.rhs.fill(captures[0])

@@ -10,10 +10,12 @@ survivors are ranked and greedily retained so that no two rules claim the
 same stretch of source. Move rules (moves.py) are built on the same window
 grid and retained by the same selection pass.
 
-A fix-up loop replays retained rules, re-dissects whatever still differs,
-and tries again, widening the context window whenever a round leaves no
-fewer token edits in that dissection; exact-anchor fallback rules (minimal
-context that is unique corpus-wide) close out anything left.
+A fix-up loop replays retained rules on the bucket sources, re-dissects
+only the buckets those rules rewrote, and tries again, widening the context
+window whenever a round leaves no fewer token edits in that dissection;
+exact-anchor fallback rules (minimal context that is unique corpus-wide)
+close out anything left. The BucketSet is the loop's only state: every
+bucket a round did not rewrite keeps its atoms and offset projection.
 """
 
 from __future__ import annotations
@@ -60,17 +62,17 @@ class RewriteRule:
             raise ValueError("rewrite rule requires lhs != rhs")
 
 
+FIXUP_ROUNDS = 6  # rule rounds before the exact-anchor fallback takes over
+WINDOW_MAX = 8  # the widest window a round widens to
+
+
 @dataclass(frozen=True, slots=True)
 class ExtractionConfig:
     window: int = 2
-    window_max: int = 8
 
     def __post_init__(self) -> None:
-        if not (0 <= self.window <= self.window_max):
-            raise ValueError("need 0 <= window <= window_max")
-
-
-FIXUP_ROUNDS = 6  # rule rounds before the exact-anchor fallback takes over
+        if not (0 <= self.window <= WINDOW_MAX):
+            raise ValueError(f"need 0 <= window <= {WINDOW_MAX}")
 
 
 # --- scoring -------------------------------------------------------------------
@@ -241,19 +243,22 @@ def get_precise_rewriting(
 
 # --- application -------------------------------------------------------------
 
-def apply_rewrite_to_text(text: str, lhs: str, rhs: str) -> tuple[str, list[tuple[int, int]]]:
-    """One frozen left-to-right token-boundary scan; output is not rescanned."""
-    sites = find_matches(text, lhs)
-    if not sites:
-        return text, []
+def _splice(text: str, spans: Iterable[tuple[int, int]], rhs: str) -> str:
+    """The text with each of the ordered, disjoint spans replaced by rhs."""
     pieces: list[str] = []
     pos = 0
-    for start in sites:
+    for start, end in spans:
         pieces.append(text[pos:start])
         pieces.append(rhs)
-        pos = start + len(lhs)
+        pos = end
     pieces.append(text[pos:])
-    return "".join(pieces), [(s, s + len(lhs)) for s in sites]
+    return "".join(pieces)
+
+
+def apply_rewrite_to_text(text: str, lhs: str, rhs: str) -> tuple[str, list[tuple[int, int]]]:
+    """One frozen left-to-right token-boundary scan; output is not rescanned."""
+    spans = [(s, s + len(lhs)) for s in find_matches(text, lhs)]
+    return (_splice(text, spans, rhs) if spans else text), spans
 
 
 # --- the fix-up loop ---------------------------------------------------------
@@ -265,10 +270,26 @@ class RoundTrace:
     ranked: list[tuple[RewriteRule, RuleMetrics]]
 
 
-def _redissect(current: dict[str, str], targets: dict[str, str]) -> BucketSet:
+def _redissect(buckets: BucketSet, sources: Iterable[str]) -> BucketSet:
+    """Each bucket whose source changed, dissected again against its own
+    target; every other bucket stays the same object, atoms and all."""
     return BucketSet(
-        tuple(dissect(current[label], targets[label], label) for label in current)
+        tuple(
+            b if s == b.source else dissect(s, b.target, b.label)
+            for b, s in zip(buckets, sources, strict=True)
+        )
     )
+
+
+def _rewritten(buckets: BucketSet, rules: Iterable[RewriteRule]) -> list[str] | None:
+    """Every bucket source with the rules applied in order, or None once
+    every source equals its target."""
+    sources = [b.source for b in buckets]
+    for rule in rules:
+        sources = [apply_rewrite_to_text(s, rule.lhs, rule.rhs)[0] for s in sources]
+    if all(s == b.target for s, b in zip(sources, buckets)):
+        return None
+    return sources
 
 
 def _cost(buckets: BucketSet) -> int:
@@ -280,11 +301,6 @@ def _cost(buckets: BucketSet) -> int:
         for e in bucket.edits
         if e.kind is not EditKind.IDENTITY
     )
-
-
-def _apply_everywhere(current: dict[str, str], rule: RewriteRule) -> None:
-    for label in current:
-        current[label], _ = apply_rewrite_to_text(current[label], rule.lhs, rule.rhs)
 
 
 def decompose_rewrites(buckets: BucketSet, cfg: ExtractionConfig) -> list[RewriteRule]:
@@ -302,69 +318,62 @@ def decompose_rewrites_trace(
     such twins are inseparable; engine.decompose covers that case with
     structural steps).
     """
-    current = {b.label: b.source for b in buckets}
-    targets = {b.label: b.target for b in buckets}
     steps: list[RewriteRule] = []
     trace: list[RoundTrace] = []
-    if current == targets:
+    if all(b.source == b.target for b in buckets):
         return steps, trace
     window = cfg.window
     prev = _cost(buckets)
     for _ in range(FIXUP_ROUNDS):
         ranked = get_precise_rewriting(buckets, replace(cfg, window=window))
         trace.append(RoundTrace(buckets, window, ranked))
-        for rule, _metrics in ranked:
-            _apply_everywhere(current, rule)
-            steps.append(rule)
-        if current == targets:
+        steps.extend(rule for rule, _metrics in ranked)
+        sources = _rewritten(buckets, (rule for rule, _metrics in ranked))
+        if sources is None:
             return steps, trace
-        buckets = _redissect(current, targets)
+        buckets = _redissect(buckets, sources)
         cost = _cost(buckets)
         if cost >= prev:
-            if window < cfg.window_max:
+            if window < WINDOW_MAX:
                 window += 1
             else:
                 break
         prev = min(prev, cost)
-    steps.extend(_exact_anchor_fallback(current, targets, buckets))
+    steps.extend(_exact_anchor_fallback(buckets))
     return steps, trace
 
 
-def _exact_anchor_fallback(
-    current: dict[str, str], targets: dict[str, str], buckets: BucketSet
-) -> list[RewriteRule]:
+def _exact_anchor_fallback(buckets: BucketSet) -> list[RewriteRule]:
     """Anchor rules with the minimal context unique across the whole corpus.
 
-    `buckets` dissects `current` against `targets`. One rule is emitted and
-    applied at a time, left to right, re-dissecting in between: a rule's
-    context may overlap neighboring edits, so later anchors must be derived
-    from the already-patched text.
+    One rule is emitted and applied at a time, left to right, re-dissecting
+    in between: a rule's context may overlap neighboring edits, so later
+    anchors must be derived from the already-patched text.
     """
     out: list[RewriteRule] = []
     for _ in range(10000):
-        rule = next(filter(None, (_first_anchor_rule(b, current) for b in buckets)), None)
+        rule = next(filter(None, (_first_anchor_rule(b, buckets) for b in buckets)), None)
         if rule is None:
             break
-        _apply_everywhere(current, rule)
         out.append(rule)
-        if current == targets:
+        sources = _rewritten(buckets, (rule,))
+        if sources is None:
             break
-        buckets = _redissect(current, targets)
+        buckets = _redissect(buckets, sources)
     return out
 
 
-def _first_anchor_rule(bucket: Bucket, current: dict[str, str]) -> RewriteRule | None:
+def _first_anchor_rule(bucket: Bucket, buckets: BucketSet) -> RewriteRule | None:
     """The unique anchor rule of the bucket's first edit that has one."""
     for core in bucket.cores:
-        rule = _unique_anchor_rule(bucket.atoms, core, current, bucket.label)
+        rule = _unique_anchor_rule(bucket, core, buckets)
         if rule is not None:
             return rule
     return None
 
 
-def _unique_anchor_rule(
-    atoms: tuple[Atom, ...], core: int, current: dict[str, str], own_label: str
-) -> RewriteRule | None:
+def _unique_anchor_rule(bucket: Bucket, core: int, buckets: BucketSet) -> RewriteRule | None:
+    atoms = bucket.atoms
     for m in range(len(atoms) + 1):
         lo = max(0, core - m)
         hi = min(len(atoms), core + 1 + m)
@@ -373,11 +382,11 @@ def _unique_anchor_rule(
         if not lhs or lhs == rhs:
             continue
         hits: list[tuple[str, int]] = []
-        for label, text in current.items():
-            hits.extend((label, h) for h in find_matches(text, lhs))
+        for other in buckets:
+            hits.extend((other.label, h) for h in find_matches(other.source, lhs))
             if len(hits) > 1:
                 break
-        if hits == [(own_label, atoms[lo].lhs_start)]:
+        if hits == [(bucket.label, atoms[lo].lhs_start)]:
             return RewriteRule(lhs, rhs, fallback=True)
         if lo == 0 and hi == len(atoms):
             return None

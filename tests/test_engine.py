@@ -1,13 +1,16 @@
 import itertools
 import random
+from collections import Counter
 from functools import cached_property
 
 import pytest
 
 import summer.engine
-from summer.align import Bucket, EditKind
+import summer.rules
+from summer.align import Bucket, EditKind, dissect
 from summer.distance import levenshtein, similarity
 from summer.engine import (
+    AppliedStep,
     Conflict,
     DirectionReason,
     FileAdd,
@@ -306,6 +309,25 @@ class TestDecompose:
         assert steps == [RewriteRule("foo", "bar")]
         assert built == ["content:"]
 
+    def test_round_redissects_only_rewritten_buckets(self, monkeypatch):
+        # Round one settles a.txt; b.txt needs a window of 6, so its rule
+        # comes four rounds later and settles everything. No round before
+        # that rewrites b.txt, and the last round leaves nothing to dissect.
+        calls = Counter()
+
+        def counted(source, target, label):
+            calls[label] += 1
+            return dissect(source, target, label)
+
+        for module in (summer.engine, summer.rules):
+            monkeypatch.setattr(module, "dissect", counted)
+        base = {"a.txt": "total = 1;", "b.txt": "x p q k p q p q k p q y"}
+        changed = {"a.txt": "total = 2;", "b.txt": "x p q j p q p q k p q y"}
+        steps = decompose(base, changed)
+        assert calls == {"content:a.txt": 2, "content:b.txt": 1}
+        out = apply_steps(base, steps)
+        assert out.ok and out.result == changed
+
 
 class TestApplySteps:
     def test_rewrite_applies_at_token_boundaries(self):
@@ -334,15 +356,31 @@ class TestApplySteps:
             {"a1.txt": "x", "a2.txt": "y"}, [RewriteRule("1", "2")]
         )
         assert not out.ok
+        assert out.conflict.diagnostic == "rewrite '1' -> '2' renames two entries to 'a2.txt'"
+
+    def test_first_name_collision_named_and_earlier_steps_kept(self):
+        # a1 and a2 both become a2, then b1 and b2 both become b2: the
+        # diagnostic names the first collision, and only the steps before
+        # the failing rewrite count as applied.
+        add = FileAdd("c", "q")
+        out = apply_steps(
+            {"a1": "w", "a2": "x", "b1": "y", "b2": "z"}, [add, RewriteRule("1", "2")]
+        )
+        assert out.result is None and out.diagnostics == []
+        assert out.conflict.diagnostic == "rewrite '1' -> '2' renames two entries to 'a2'"
+        assert out.applied_steps == [AppliedStep(add, 1)]
 
     def test_delete_missing_path_conflicts(self):
         out = apply_steps({"a": "x"}, [FileDelete("nope")])
         assert not out.ok
+        assert out.conflict.diagnostic == "delete of missing path 'nope'"
 
     def test_rename_step(self):
         out = apply_steps({"a": "x"}, [FileRename("a", "b")])
         assert out.ok and out.result == {"b": "x"}
-        assert not apply_steps({"a": "x", "b": "y"}, [FileRename("a", "b")]).ok
+        out = apply_steps({"a": "x", "b": "y"}, [FileRename("a", "b")])
+        assert not out.ok
+        assert out.conflict.diagnostic == "rename 'a' -> 'b' not applicable"
 
     def test_move_consequent_failure_conflicts(self):
         steps = decompose({"": EXTRACT_BASE}, {"": EXTRACT_LEFT})
@@ -350,7 +388,9 @@ class TestApplySteps:
         broken = EXTRACT_RIGHT.replace("\t}\n\n}", "\t}\n}")
         out = apply_steps({"": broken}, steps)
         assert not out.ok
-        assert "consequent" in out.conflict.diagnostic
+        assert out.conflict.diagnostic == (
+            "move rule antecedent matched but consequent '\\n\\n' has no application site"
+        )
 
     def test_file_add_overwrites(self):
         out = apply_steps({"a": "x"}, [FileAdd("a", "y")])

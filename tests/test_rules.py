@@ -129,7 +129,7 @@ class TestExpandEdit:
         core = core_atom(corpus, 0, EditKind.SUBSTITUTION)
         for w in (0, 1, 2, 3):
             pool = {}
-            expand_edit(corpus, 0, core, pool, ExtractionConfig(window=w, window_max=8))
+            expand_edit(corpus, 0, core, pool, ExtractionConfig(window=w))
             assert len(pool) <= (w + 1) ** 2
 
 
@@ -181,9 +181,10 @@ class TestDecomposeRewrites:
         assert max(t.window for t in trace) >= 3
         assert not any(r.fallback for r in rules)
 
-    def test_fallback_rules_used_when_window_capped(self):
+    def test_fallback_rules_used_when_window_capped(self, monkeypatch):
+        monkeypatch.setattr("summer.rules.WINDOW_MAX", 0)
         corpus = BucketSet((dissect("k k k ", "j j k ", "t"),))
-        cfg = ExtractionConfig(window=0, window_max=0)
+        cfg = ExtractionConfig(window=0)
         rules = decompose_rewrites(corpus, cfg)
         assert replay(corpus, rules) == targets(corpus)
         assert any(r.fallback for r in rules)
