@@ -19,11 +19,10 @@ import os
 import random
 import sys
 import time
-from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from summer.distance import _bag_distance, levenshtein  # noqa: E402
+from summer.distance import _bag, _bag_distance, levenshtein  # noqa: E402
 from summer.engine import apply_steps, decompose, merge  # noqa: E402
 
 ALPHABET = [
@@ -80,7 +79,7 @@ def main() -> int:
         for k in (d - 1, d):
             if levenshtein(base[""], target[""], limit=k) != d:
                 failed.append(f"levenshtein limit={k}")
-        if _bag_distance(Counter(toks), Counter(target_toks)) > levenshtein(toks, target_toks):
+        if _bag_distance(_bag(toks), _bag(target_toks)) > levenshtein(toks, target_toks):
             failed.append("bag distance over levenshtein")
         if failed:
             print(f"FAIL at case {case}: {', '.join(failed)}")

@@ -11,7 +11,9 @@ expand each modified token independently. The bucket is the one record of
 its dissection: rule synthesis reads its atoms (the context units), the
 indices of its edit atoms, and its projection of source offsets into the
 target from it. An edit is an atom whose two sides differ; an identity
-token's sides are equal.
+token's sides are equal. A BucketSet holds one bucket per artifact and
+joins their sources into one text, so that scoring scans the whole corpus
+at once.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, auto
 from functools import cached_property
+from itertools import accumulate
 
-from .tokens import tokenize
+from .tokens import CharCategory, classify_char, tokenize
 
 
 class EditKind(Enum):
@@ -156,6 +159,27 @@ class BucketSet:
         labels = [b.label for b in self.buckets]
         if len(set(labels)) != len(labels):
             raise ValueError("bucket labels must be unique")
+
+    @cached_property
+    def joined(self) -> tuple[str, str, list[int]]:
+        """(joined, sep, starts): the bucket sources joined by `sep`, a symbol
+        character no source contains, and where each source starts.
+
+        Every offset next to a symbol is a token boundary, so the boundaries
+        inside each source stay as they were. A needle without `sep` cannot
+        span two sources; a needle with it matches no source.
+        """
+        sources = [b.source for b in self.buckets]
+        sep = "\x00"
+        while classify_char(sep) is not CharCategory.SYMBOL or any(sep in s for s in sources):
+            sep = chr(ord(sep) + 1)
+        starts = list(accumulate((len(s) + 1 for s in sources[:-1]), initial=0))
+        return sep.join(sources), sep, starts
+
+    @cached_property
+    def edit_count(self) -> int:
+        """Edit atoms in the set: one per non-identity instance."""
+        return sum(e.kind is not EditKind.IDENTITY for b in self.buckets for e in b.edits)
 
     def __iter__(self):
         return iter(self.buckets)

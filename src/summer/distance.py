@@ -9,8 +9,7 @@ along the diagonals, independent of the file size.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
 
 def _common_prefix(a: Sequence, i: int, b: Sequence, j: int) -> int:
@@ -134,11 +133,23 @@ def _bit_vector(a: Sequence, b: Sequence) -> int:
     return score
 
 
-def _bag_distance(a: Counter, b: Counter) -> int:
-    """max(|a|, |b|) - |a ∩ b| for sequences given as multisets: a lower bound
+def _bag(items: Iterable[Hashable]) -> frozenset:
+    """A multiset as the set of (item, k) pairs, k counting the item's earlier
+    occurrences, so that |a ∩ b| of two multisets is len(a & b)."""
+    seen: dict[Hashable, int] = {}
+    pairs = []
+    for item in items:
+        k = seen.get(item, 0)
+        seen[item] = k + 1
+        pairs.append((item, k))
+    return frozenset(pairs)
+
+
+def _bag_distance(a: frozenset, b: frozenset) -> int:
+    """max(|a|, |b|) - |a ∩ b| for sequences given as `_bag`s: a lower bound
     on their Levenshtein distance (Bartolini, Ciaccia and Patella 2002), since
     an alignment with d edits matches at least max(|a|, |b|) - d shared items."""
-    return max(a.total(), b.total()) - (a & b).total()
+    return max(len(a), len(b)) - len(a & b)
 
 
 def similarity(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:

@@ -11,12 +11,11 @@ the changed side byte for byte; merge replays it on the other branch.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
 from .align import NAME_PREFIX, Bucket, BucketSet, _token_texts, dissect, is_name_label
-from .distance import _bag_distance, levenshtein, similarity
+from .distance import _bag, _bag_distance, levenshtein, similarity
 from .moves import MoveRule, apply_move, get_precise_move
 from .rules import (
     ExtractionConfig,
@@ -135,10 +134,10 @@ def pair_entries(base: Snapshot, other: Snapshot) -> Pairing:
     if removed and added:
         removed_tokens = {p: _token_texts(base[p]) for p in removed}
         added_tokens = {q: _token_texts(other[q]) for q in added}
-        added_bags = {q: Counter(toks) for q, toks in added_tokens.items()}
+        added_bags = {q: _bag(toks) for q, toks in added_tokens.items()}
         heap = []  # (-similarity or its upper bound, p, q, exact)
         for p, ptoks in removed_tokens.items():
-            pbag = Counter(ptoks)
+            pbag = _bag(ptoks)
             for q, qtoks in added_tokens.items():
                 # Never 0: equal contents, "" included, were paired above.
                 longest = max(len(ptoks), len(qtoks))

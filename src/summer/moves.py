@@ -71,23 +71,33 @@ class MoveRule:
     metrics: RuleMetrics = field(default=RuleMetrics(0, 0), compare=False)
 
 
-def match_pattern(text: str, pattern: MovePattern) -> list[tuple[int, int, int, int]]:
+def match_pattern(
+    text: str, pattern: MovePattern, sep: str | None = None
+) -> list[tuple[int, int, int, int]]:
     """Leftmost non-overlapping capture matches as (start, end, cap0, cap1).
 
     The prefix and suffix must land on token boundaries; the capture is the
     lazily shortest nonempty boundary-to-boundary span before the first valid
-    suffix occurrence.
+    suffix occurrence. With `sep`, the text is entries joined by it (as
+    `BucketSet.joined`), and a match lies inside one entry: a prefix with no
+    suffix before its entry ends resumes the scan at the next entry.
     """
     prefix, suffix = pattern.literal_prefix, pattern.literal_suffix
     if not prefix or not suffix:
         raise ValueError("matching requires nonempty anchors around the capture")
     out: list[tuple[int, int, int, int]] = []
+    if sep is not None and (sep in prefix or sep in suffix):
+        return out
     i = _find_aligned(text, prefix, 0)
     while i >= 0:
         cap0 = i + len(prefix)
         cap1 = _find_aligned(text, suffix, cap0 + 1)
         if cap1 < 0:
             return out  # a later prefix site has no suffix after it either
+        stop = text.find(sep, cap0, cap1) if sep is not None else -1
+        if stop >= 0:
+            i = _find_aligned(text, prefix, stop + 1)
+            continue
         end = cap1 + len(suffix)
         out.append((i, end, cap0, cap1))
         i = _find_aligned(text, prefix, end)
@@ -175,7 +185,7 @@ def _antecedent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, offset
         return (
             Antecedent(pattern, rhs),
             (len(prefix) + len(suffix), prefix, suffix, rhs),
-            lambda source: [m[:2] for m in match_pattern(source, pattern)],
+            lambda joined, sep: [m[:2] for m in match_pattern(joined, pattern, sep)],
             rhs,
         )
 

@@ -3,29 +3,33 @@
 Candidate rules are formed by expanding each non-identity edit with context
 units: a unit is either a whole neighboring non-identity instance or one
 token peeled from a neighboring identity instance, nearest tokens first.
-Each candidate is scored corpus-wide: a match site counts as a true positive
-when replacing it reproduces exactly what the alignment demands there, and
-as a false positive otherwise. Rules at precision <= 0.5 are dropped; the
-survivors are ranked and greedily retained so that no two rules claim the
-same stretch of source. Move rules (moves.py) are built on the same window
-grid and retained by the same selection pass.
+Each candidate is scored corpus-wide, in one scan of the bucket sources
+joined into one text (`BucketSet.joined`): a match site counts as a true
+positive when replacing it reproduces exactly what the alignment demands
+there, and as a false positive otherwise. A literal candidate's scan stops
+once its false positives show it cannot clear the bar (see `_score`).
+Rules at precision <= 0.5 are dropped; the survivors are ranked and
+greedily retained so that no two rules claim the same stretch of source.
+Move rules (moves.py) are built on the same window grid, scored by the
+same scan and retained by the same selection pass.
 
 A fix-up loop replays retained rules on the bucket sources, re-dissects
 only the buckets those rules rewrote, and tries again, widening the context
 window whenever a round leaves no fewer token edits in that dissection;
-exact-anchor fallback rules (minimal context that is unique corpus-wide)
-close out anything left. The BucketSet is the loop's only state: every
+exact-anchor fallback rules (minimal context with one hit in the joined
+text) close out anything left. The BucketSet is the loop's only state: every
 bucket a round did not rewrite keeps its atoms and offset projection.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from .align import Atom, Bucket, BucketSet, EditKind, dissect
-from .tokens import find_matches, tokenize
+from .align import Atom, BucketSet, EditKind, dissect
+from .tokens import _find_aligned, find_matches, tokenize
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,35 +98,69 @@ class Candidate:
         return (-self.metrics.precision, -self.metrics.tp, *self.order)
 
 
-def _literal(lhs: str) -> Callable[[str], list[tuple[int, int]]]:
-    """Matcher of the token-aligned occurrences of lhs."""
+Matcher = Callable[[str, str], Iterable[tuple[int, int]]]  # (joined, sep) -> spans
+
+
+def _literal(joined: str, sep: str, lhs: str) -> Iterator[tuple[int, int]]:
+    """The token-aligned occurrences of lhs in the joined text, lazily, leftmost
+    and non-overlapping, as `find_matches` finds them in each source."""
+    if sep in lhs:
+        return
     n = len(lhs)
-    return lambda source: [(start, start + n) for start in find_matches(source, lhs)]
+    start = _find_aligned(joined, lhs, 0)
+    while start >= 0:
+        yield start, start + n
+        start = _find_aligned(joined, lhs, start + n)
 
 
 def _score(
-    buckets: BucketSet, matcher: Callable[[str], Iterable[tuple[int, int]]], rhs: str
+    buckets: BucketSet, lhs: str | Matcher, rhs: str, *, bounded: bool = True
 ) -> tuple[RuleMetrics, list[Region]]:
-    """Corpus-wide tp/fp and tp sites of rewriting to `rhs` every (start, end)
-    that `matcher` finds in a bucket source: a site is a tp when the
-    alignment agrees there."""
+    """Corpus-wide tp/fp and tp sites of rewriting to `rhs` every match of a
+    literal `lhs`, or every span a capture matcher finds, in one scan of the
+    joined bucket sources: a site is a tp when its bucket's alignment agrees
+    there.
+
+    A literal scan stops once the candidate can no longer clear the bar. A
+    literal candidate rewrites lhs to a different rhs, and on identity text
+    the alignment demands the text itself, so a tp site covers a whole edit
+    atom or touches an insertion point. Matches do not overlap, so a
+    deletion or substitution lies inside at most one tp site, and an
+    insertion point touches at most two (one ending there, one starting
+    there). Hence tp <= 2 x (edit atoms), and once fp reaches that cap,
+    tp / (tp + fp) <= 0.5 whatever the rest of the scan holds: the candidate
+    is imprecise, and a precise one never reaches the cap, so its metrics
+    are exact. A capture can fill prefix + capture + suffix to equal rhs on
+    identity text, a tp with no edit, so capture matchers are scored in full.
+    """
+    joined, sep, starts = buckets.joined
+    if isinstance(lhs, str):
+        spans = _literal(joined, sep, lhs)
+        cap = 2 * buckets.edit_count if bounded else None
+    else:
+        spans, cap = lhs(joined, sep), None
     tp = fp = 0
     tp_sites: list[Region] = []
-    for bidx, bucket in enumerate(buckets):
-        for start, end in matcher(bucket.source):
-            if bucket.agrees(start, end, rhs):
-                tp += 1
-                tp_sites.append((bidx, (start, end)))
-            else:
-                fp += 1
+    for start, end in spans:
+        bidx = bisect_right(starts, start) - 1
+        offset = starts[bidx]
+        span = (start - offset, end - offset)
+        if buckets[bidx].agrees(*span, rhs):
+            tp += 1
+            tp_sites.append((bidx, span))
+        else:
+            fp += 1
+            if fp == cap:
+                break
     return RuleMetrics(tp, fp), tp_sites
 
 
 def classification_metrics(rule: RewriteRule, buckets: BucketSet) -> RuleMetrics:
-    """Corpus-wide tp/fp for one rule. Raises ValueError on an empty lhs."""
+    """Corpus-wide tp/fp for one rule, every match counted. Raises ValueError
+    on an empty lhs."""
     if not rule.lhs:
         raise ValueError("rule with empty lhs is unscorable; needs context expansion")
-    metrics, _ = _score(buckets, _literal(rule.lhs), rule.rhs)
+    metrics, _ = _score(buckets, rule.lhs, rule.rhs, bounded=False)
     return metrics
 
 
@@ -144,9 +182,10 @@ def _expand(
     """Score the rules that `form(j, k, lo, hi)` builds on the (j, k) window
     grid: atoms [lo, hi) reach j atoms before [core_lo, core_hi) and k after.
 
-    `form` returns (rule, order, matcher, rhs), or None when the window makes
-    no rule. A rule already in `pool` keeps its first entry. A candidate
-    claims its window, the core and every tp site.
+    `form` returns (rule, order, lhs, rhs), or None when the window makes
+    no rule; lhs is a literal or a capture matcher, as `_score` takes it. A
+    rule already in `pool` keeps its first entry. A candidate claims its
+    window, the core and every tp site.
     """
     atoms = buckets[bucket_index].atoms
     core = (bucket_index, _span(atoms, core_lo, core_hi))
@@ -157,8 +196,8 @@ def _expand(
             formed = form(j, k, lo, hi)
             if formed is None or formed[0] in pool:
                 continue
-            rule, order, matcher, rhs = formed
-            metrics, sites = _score(buckets, matcher, rhs)
+            rule, order, lhs, rhs = formed
+            metrics, sites = _score(buckets, lhs, rhs)
             claims = [(bucket_index, _span(atoms, lo, hi)), core, *sites]
             pool[rule] = Candidate(rule, metrics, order, claims)
 
@@ -172,7 +211,7 @@ def _literal_form(atoms: tuple[Atom, ...], rule_at: Callable) -> Callable:
         rhs = "".join(a.rhs for a in atoms[lo:hi])
         if not lhs or lhs == rhs:
             return None
-        return rule_at(j, k, lo, lhs, rhs), (len(lhs), lhs, rhs), _literal(lhs), rhs
+        return rule_at(j, k, lo, lhs, rhs), (len(lhs), lhs, rhs), lhs, rhs
 
     return form
 
@@ -352,7 +391,12 @@ def _exact_anchor_fallback(buckets: BucketSet) -> list[RewriteRule]:
     """
     out: list[RewriteRule] = []
     for _ in range(10000):
-        rule = next(filter(None, (_first_anchor_rule(b, buckets) for b in buckets)), None)
+        anchors = (
+            _unique_anchor_rule(bidx, core, buckets)
+            for bidx, bucket in enumerate(buckets)
+            for core in bucket.cores
+        )
+        rule = next(filter(None, anchors), None)
         if rule is None:
             break
         out.append(rule)
@@ -363,17 +407,11 @@ def _exact_anchor_fallback(buckets: BucketSet) -> list[RewriteRule]:
     return out
 
 
-def _first_anchor_rule(bucket: Bucket, buckets: BucketSet) -> RewriteRule | None:
-    """The unique anchor rule of the bucket's first edit that has one."""
-    for core in bucket.cores:
-        rule = _unique_anchor_rule(bucket, core, buckets)
-        if rule is not None:
-            return rule
-    return None
-
-
-def _unique_anchor_rule(bucket: Bucket, core: int, buckets: BucketSet) -> RewriteRule | None:
-    atoms = bucket.atoms
+def _unique_anchor_rule(bidx: int, core: int, buckets: BucketSet) -> RewriteRule | None:
+    """The narrowest window around the core whose lhs has exactly one aligned
+    hit in the joined sources, the window's own."""
+    joined, _sep, starts = buckets.joined
+    atoms = buckets[bidx].atoms
     for m in range(len(atoms) + 1):
         lo = max(0, core - m)
         hi = min(len(atoms), core + 1 + m)
@@ -381,12 +419,11 @@ def _unique_anchor_rule(bucket: Bucket, core: int, buckets: BucketSet) -> Rewrit
         rhs = "".join(a.rhs for a in atoms[lo:hi])
         if not lhs or lhs == rhs:
             continue
-        hits: list[tuple[str, int]] = []
-        for other in buckets:
-            hits.extend((other.label, h) for h in find_matches(other.source, lhs))
-            if len(hits) > 1:
-                break
-        if hits == [(bucket.label, atoms[lo].lhs_start)]:
+        first = _find_aligned(joined, lhs, 0)
+        if (
+            first == starts[bidx] + atoms[lo].lhs_start
+            and _find_aligned(joined, lhs, first + len(lhs)) < 0
+        ):
             return RewriteRule(lhs, rhs, fallback=True)
         if lo == 0 and hi == len(atoms):
             return None

@@ -1,11 +1,15 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from summer.align import BucketSet, EditKind, dissect
+from summer.align import Bucket, BucketSet, EditKind, dissect
+from summer.moves import MovePattern, match_pattern
 from summer.rules import (
     Candidate,
     ExtractionConfig,
     RewriteRule,
     RuleMetrics,
+    _score,
     apply_rewrite_to_text,
     classification_metrics,
     decompose_rewrites,
@@ -14,6 +18,7 @@ from summer.rules import (
     get_precise_rewriting,
     sort_and_filter,
 )
+from summer.tokens import CharCategory, classify_char, find_matches
 from tests.conftest import core_atom
 
 
@@ -60,6 +65,164 @@ class TestClassificationMetrics:
     def test_empty_lhs_is_unscorable(self, rename_corpus):
         with pytest.raises(ValueError):
             classification_metrics(RewriteRule("", "x"), rename_corpus)
+
+
+# "\x00" in a source makes the joined text pick another separator.
+PIECES = ["a", "ab", "b", "1", "22", " ", "\n", "(", ")", "=", ".", "_", "\x00", "\x01", "é"]
+pieces_text = st.lists(st.sampled_from(PIECES), max_size=10).map("".join)
+LABELS = ["a.txt", "src/b.py", "c", "name:a.txt", "name:src/b.py", "content:c"]
+
+
+@st.composite
+def corpora(draw) -> BucketSet:
+    """1 to 5 buckets; empty sources, and targets either unrelated or the
+    source with one stretch replaced."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5, unique=True))
+    buckets = []
+    for label in labels:
+        source = draw(pieces_text)
+        if draw(st.booleans()):
+            target = draw(pieces_text)
+        else:
+            i = draw(st.integers(0, len(source)))
+            j = draw(st.integers(i, len(source)))
+            target = source[:i] + draw(pieces_text) + source[j:]
+        buckets.append(dissect(source, target, label))
+    return BucketSet(tuple(buckets))
+
+
+@st.composite
+def needles(draw, buckets: BucketSet, side: str) -> str:
+    """A nonempty stretch of some bucket's source or target, or random text,
+    now and then with the joined text's separator inside."""
+    texts = [getattr(b, side) for b in buckets]
+    text = draw(st.one_of(st.sampled_from(texts), pieces_text))
+    i = draw(st.integers(0, len(text)))
+    needle = text[i : draw(st.integers(i, len(text)))] or draw(st.sampled_from(PIECES))
+    if draw(st.integers(0, 9)) == 0:
+        k = draw(st.integers(0, len(needle)))
+        needle = needle[:k] + buckets.joined[1] + needle[k:]
+    return needle
+
+
+def reference_score(buckets: BucketSet, spans_in, rhs: str):
+    """Per-bucket scoring: every bucket source scanned on its own."""
+    tp = fp = 0
+    sites = []
+    for bidx, bucket in enumerate(buckets):
+        for start, end in spans_in(bucket.source):
+            if bucket.agrees(start, end, rhs):
+                tp += 1
+                sites.append((bidx, (start, end)))
+            else:
+                fp += 1
+    return RuleMetrics(tp, fp), sites
+
+
+class TestJoinedScoring:
+    """Scoring over the joined sources equals scanning each source."""
+
+    @given(corpora())
+    @settings(max_examples=100)
+    def test_joined_text(self, buckets):
+        joined, sep, starts = buckets.joined
+        assert classify_char(sep) is CharCategory.SYMBOL
+        assert not any(sep in b.source for b in buckets)
+        assert joined.split(sep) == [b.source for b in buckets]
+        assert [joined[s : s + len(b.source)] for s, b in zip(starts, buckets)] == [
+            b.source for b in buckets
+        ]
+
+    def test_match_at_the_start_of_a_later_source(self):
+        buckets = BucketSet(
+            (dissect("a b", "a c", "x"), dissect("", "", "y"), dissect("b c", "c c", "z"))
+        )
+        assert _score(buckets, "b", "c") == (RuleMetrics(2, 0), [(0, (2, 3)), (2, (0, 1))])
+
+    @given(st.data())
+    @settings(max_examples=250)
+    def test_literal_candidates(self, data):
+        buckets = data.draw(corpora())
+        lhs = data.draw(needles(buckets, "source"))
+        rhs = data.draw(st.one_of(needles(buckets, "target"), pieces_text))
+        if lhs == rhs:
+            return  # no candidate rewrites a text to itself
+        want = reference_score(
+            buckets, lambda s: [(i, i + len(lhs)) for i in find_matches(s, lhs)], rhs
+        )
+        assert _score(buckets, lhs, rhs, bounded=False) == want
+        metrics, sites = _score(buckets, lhs, rhs)
+        if want[0].precise:
+            assert (metrics, sites) == want
+        else:
+            assert not metrics.precise
+
+    @given(st.data())
+    @settings(max_examples=250)
+    def test_capture_candidates(self, data):
+        buckets = data.draw(corpora())
+        prefix = data.draw(needles(buckets, "source"))
+        suffix = data.draw(needles(buckets, "source"))
+        rhs = data.draw(st.one_of(needles(buckets, "target"), pieces_text))
+        self.check_capture(buckets, MovePattern(prefix, suffix), rhs)
+
+    def test_capture_whose_only_suffix_is_in_a_later_source(self):
+        buckets = BucketSet((dissect("a(b", "a(c", "x"), dissect("c)d(e)", "c)d", "y")))
+        self.check_capture(buckets, MovePattern("(", ")"), "()")
+
+    def check_capture(self, buckets, pattern, rhs):
+        joined, sep, starts = buckets.joined
+        per_bucket = [
+            (bidx, m) for bidx, b in enumerate(buckets) for m in match_pattern(b.source, pattern)
+        ]
+        found = []
+        for m in match_pattern(joined, pattern, sep):
+            bidx = max(i for i, s in enumerate(starts) if s <= m[0])
+            found.append((bidx, tuple(x - starts[bidx] for x in m)))
+        assert found == per_bucket
+
+        def matcher(text, sep):
+            return [m[:2] for m in match_pattern(text, pattern, sep)]
+
+        want = reference_score(buckets, lambda s: matcher(s, None), rhs)
+        assert _score(buckets, matcher, rhs) == want
+
+
+class TestBarBound:
+    def corpus(self) -> BucketSet:
+        # 50 lines read "v = 1;" and stay; the first and last line change
+        # their 1 to 2. So "1 -> 2" has 2 tp sites, 50 fp sites and a cap of
+        # 2 x 2 edit atoms.
+        source = "w = 1;\n" + "v = 1;\n" * 50 + "u = 1;\n"
+        target = "w = 2;\n" + "v = 1;\n" * 50 + "u = 2;\n"
+        return BucketSet((dissect(source, target, "t"),))
+
+    def count_agrees(self, monkeypatch) -> list:
+        calls = []
+        agrees = Bucket.agrees
+
+        def counted(self, start, end, rhs):
+            calls.append((start, end))
+            return agrees(self, start, end, rhs)
+
+        monkeypatch.setattr(Bucket, "agrees", counted)
+        return calls
+
+    def test_scoring_stops_at_the_cap(self, monkeypatch):
+        buckets = self.corpus()
+        cap = 2 * buckets.edit_count
+        assert cap == 4
+        calls = self.count_agrees(monkeypatch)
+        metrics, _ = _score(buckets, "1", "2")
+        assert not metrics.precise
+        assert metrics.fp == cap
+        assert len(calls) <= cap + metrics.tp
+
+    def test_classification_metrics_counts_every_match(self, monkeypatch):
+        buckets = self.corpus()
+        calls = self.count_agrees(monkeypatch)
+        assert classification_metrics(RewriteRule("1", "2"), buckets) == RuleMetrics(2, 50)
+        assert len(calls) == 52
 
 
 def entry(lhs, rhs, tp, fp, bucket=0, span=(0, 1), core=(0, 1), sites=()):
