@@ -6,7 +6,10 @@ merge(B, X, X) == X for its base B and target X, and that the bounded
 distance levenshtein(B, X, limit=k) agrees with d = levenshtein(B, X) at
 k = d and at k = d - 1, where the distance is over the limit by one: both
 must return d. The bag distance of B's and X's token lists, which rename
-pairing uses as a bound, must not exceed their Levenshtein distance.
+pairing uses as a bound, must not exceed their Levenshtein distance. The
+atoms of dissect(B, X) must tile both sides from offset 0, every identity
+atom must be one token, every substitution one token for another, and no
+two neighbouring atoms may both be insertions or both deletions.
 
 Usage: python3 scripts/fuzz_roundtrip.py [CASES] [SEED]
 Prints a failure reproduction (base and target repr) and exits 1 on the
@@ -22,8 +25,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from summer.align import dissect  # noqa: E402
 from summer.distance import _bag, _bag_distance, levenshtein  # noqa: E402
 from summer.engine import apply_steps, decompose, merge  # noqa: E402
+from summer.tokens import tokenize  # noqa: E402
 
 ALPHABET = [
     "alpha", "beta", "gamma", "x", "y", "z", "0", "17", "+", "-", "=", ";",
@@ -56,6 +61,27 @@ def mutate(rng: random.Random, tokens: list[str]) -> list[str]:
     return t
 
 
+def atom_faults(source: str, target: str) -> list[str]:
+    """The atom invariants that dissect(source, target) breaks."""
+    faults = []
+    lo = ro = 0
+    prev = None
+    for a in dissect(source, target, "").atoms:
+        if (a.lhs_start, a.rhs_start) != (lo, ro):
+            faults.append(f"atom {a!r} does not tile")
+        lo += len(a.lhs)
+        ro += len(a.rhs)
+        kind = "=" if a.lhs == a.rhs else "+" if not a.lhs else "-" if not a.rhs else "~"
+        if kind in "=~" and any(len(tokenize(side).tokens) != 1 for side in {a.lhs, a.rhs}):
+            faults.append(f"atom {a!r} is not one token a side")
+        if kind == prev and kind in "+-":
+            faults.append(f"atom {a!r} continues a run of its kind")
+        prev = kind
+    if (lo, ro) != (len(source), len(target)):
+        faults.append("atoms do not cover both sides")
+    return faults
+
+
 def main() -> int:
     cases = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     seed = int(sys.argv[2], 0) if len(sys.argv) > 2 else 0x5EED
@@ -81,6 +107,7 @@ def main() -> int:
                 failed.append(f"levenshtein limit={k}")
         if _bag_distance(_bag(toks), _bag(target_toks)) > levenshtein(toks, target_toks):
             failed.append("bag distance over levenshtein")
+        failed += atom_faults(base[""], target[""])
         if failed:
             print(f"FAIL at case {case}: {', '.join(failed)}")
             print("base   =", repr(base[""]))
@@ -91,7 +118,7 @@ def main() -> int:
     elapsed = time.perf_counter() - started
     print(
         f"{cases} cases round-tripped byte-exactly, kept the merge laws, "
-        f"bounded distances and bag bounds in {elapsed:.1f}s (seed {seed:#x})"
+        f"bounded distances, bag bounds and atom invariants in {elapsed:.1f}s (seed {seed:#x})"
     )
     return 0
 

@@ -4,7 +4,7 @@ Decomposes one branch's changes into string-rewriting rules and move rules,
 then replays them on the other branch.
 """
 
-from .align import Bucket, BucketSet, EditInstance, EditKind, align_tokens, dissect, line_diff
+from .align import Bucket, BucketSet, dissect, line_diff
 from .engine import (
     Conflict,
     DirectionReason,

@@ -1,19 +1,18 @@
-"""Alignment of a (source, target) string pair into ordered edit instances.
+"""Alignment of a (source, target) string pair into ordered atoms.
 
 The pipeline is: line-level histogram diff (rare lines anchor the split),
 then token-level Levenshtein alignment inside each change block. The result
-is a Bucket, an ordered list of edit instances whose left sides concatenate
-to the source and right sides to the target.
+is a Bucket, an ordered tuple of atoms whose left sides concatenate to the
+source and right sides to the target.
 
-Identity, insertion, and deletion runs are coalesced into one instance each;
-substitutions stay one token pair per instance so that rule synthesis can
-expand each modified token independently. The bucket is the one record of
-its dissection: rule synthesis reads its atoms (the context units), the
-indices of its edit atoms, and its projection of source offsets into the
-target from it. An edit is an atom whose two sides differ; an identity
-token's sides are equal. A BucketSet holds one bucket per artifact and
-joins their sources into one text, so that scoring scans the whole corpus
-at once.
+An atom is one identity token (its two sides equal), or one edit (its sides
+differ). Insertion and deletion runs coalesce into one edit each;
+substitutions stay one token pair per atom so that rule synthesis can expand
+each modified token independently. The bucket is the one record of its
+dissection: rule synthesis reads its atoms (the context units), the indices
+of its edit atoms, and its projection of source offsets into the target
+from it. A BucketSet holds one bucket per artifact and joins their sources
+into one text, so that scoring scans the whole corpus at once.
 """
 
 from __future__ import annotations
@@ -21,48 +20,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum, auto
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .tokens import CharCategory, classify_char, tokenize
 
 
-class EditKind(Enum):
-    IDENTITY = auto()
-    SUBSTITUTION = auto()
-    INSERTION = auto()
-    DELETION = auto()
-
-
-@dataclass(frozen=True, slots=True)
-class EditInstance:
-    """One aligned rewriting instance lhs => rhs with spans into the bucket."""
-
-    lhs: str
-    rhs: str
-    kind: EditKind
-    lhs_span: tuple[int, int]
-    rhs_span: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        k = self.kind
-        if k is EditKind.IDENTITY and self.lhs != self.rhs:
-            raise ValueError("identity instance requires lhs == rhs")
-        if k is EditKind.INSERTION and self.lhs:
-            raise ValueError("insertion instance requires empty lhs")
-        if k is EditKind.DELETION and self.rhs:
-            raise ValueError("deletion instance requires empty rhs")
-        if k is EditKind.SUBSTITUTION and (
-            not self.lhs or not self.rhs or self.lhs == self.rhs
-        ):
-            raise ValueError("substitution requires distinct nonempty sides")
-
-
 @dataclass(frozen=True, slots=True)
 class Atom:
-    """Context unit: one identity token (lhs == rhs), or one whole
-    non-identity instance, an edit (lhs != rhs)."""
+    """Context unit: one identity token (lhs == rhs), or one edit
+    (lhs != rhs): a substituted token pair, or a whole inserted or deleted
+    run. The starts place it in its bucket's source and target."""
 
     lhs: str
     rhs: str
@@ -72,34 +40,19 @@ class Atom:
 
 @dataclass(frozen=True)
 class Bucket:
-    """A labeled, ordered list of edit instances for one artifact, and the
+    """A labeled, ordered tuple of atoms for one artifact, and the
     projection of its source offsets into its target."""
 
     label: str
-    edits: tuple[EditInstance, ...]
+    atoms: tuple[Atom, ...]
 
     @cached_property
     def source(self) -> str:
-        return "".join(e.lhs for e in self.edits)
+        return "".join(a.lhs for a in self.atoms)
 
     @cached_property
     def target(self) -> str:
-        return "".join(e.rhs for e in self.edits)
-
-    @cached_property
-    def atoms(self) -> tuple[Atom, ...]:
-        """Identity instances split into tokens; every other instance whole."""
-        atoms: list[Atom] = []
-        for inst in self.edits:
-            l0, r0 = inst.lhs_span[0], inst.rhs_span[0]
-            if inst.kind is EditKind.IDENTITY:
-                atoms.extend(
-                    Atom(t.text, t.text, l0 + t.offset, r0 + t.offset)
-                    for t in tokenize(inst.lhs).tokens
-                )
-            else:
-                atoms.append(Atom(inst.lhs, inst.rhs, l0, r0))
-        return tuple(atoms)
+        return "".join(a.rhs for a in self.atoms)
 
     @cached_property
     def cores(self) -> tuple[int, ...]:
@@ -109,23 +62,23 @@ class Bucket:
     @cached_property
     def _starts(self) -> tuple[list[int], list[int]]:
         return (
-            [e.lhs_span[0] for e in self.edits] + [len(self.source)],
-            [e.rhs_span[0] for e in self.edits] + [len(self.target)],
+            [a.lhs_start for a in self.atoms] + [len(self.source)],
+            [a.rhs_start for a in self.atoms] + [len(self.target)],
         )
 
     def target_offsets(self, p: int) -> list[int] | None:
         """Candidate target offsets for source offset p; None if undefined.
 
-        Inside an identity instance the projection is linear. At an instance
-        boundary it is every instance start there: an insertion anchored at
-        the boundary may or may not be covered by a span ending there.
+        Inside an identity token the projection is linear. At an atom
+        boundary it is every atom start there: an insertion anchored at the
+        boundary may or may not be covered by a span ending there.
         """
         b_lhs, b_rhs = self._starts
         lo = bisect_left(b_lhs, p)
         if lo < len(b_lhs) and b_lhs[lo] == p:
             return b_rhs[lo : bisect_right(b_lhs, p)]
-        idx = lo - 1  # p lies strictly inside this instance
-        if idx < 0 or idx >= len(self.edits) or self.edits[idx].kind is not EditKind.IDENTITY:
+        idx = lo - 1  # p lies strictly inside this atom
+        if idx < 0 or idx >= len(self.atoms) or self.atoms[idx].lhs != self.atoms[idx].rhs:
             return None
         return [b_rhs[idx] + (p - b_lhs[idx])]
 
@@ -178,8 +131,8 @@ class BucketSet:
 
     @cached_property
     def edit_count(self) -> int:
-        """Edit atoms in the set: one per non-identity instance."""
-        return sum(e.kind is not EditKind.IDENTITY for b in self.buckets for e in b.edits)
+        """Edit atoms in the set."""
+        return sum(len(b.cores) for b in self.buckets)
 
     def __iter__(self):
         return iter(self.buckets)
@@ -307,14 +260,15 @@ def _best_anchor(a, alo, ahi, b, blo, bhi):
 
 # --- token-level alignment -------------------------------------------------
 
-Part = tuple[EditKind, str, str]  # (kind, lhs, rhs)
+Part = tuple[str, str]  # (lhs, rhs)
 
 
 def _token_parts(del_tokens: list[str], add_tokens: list[str]) -> list[Part]:
     """Minimal-cost token parts with match > sub > del > ins preference.
 
     The preference is applied scanning left to right over suffix-optimal
-    costs, which keeps shared prefixes aligned.
+    costs, which keeps shared prefixes aligned. A part is an identity (equal
+    sides), a deletion or an insertion (one side empty), or a substitution.
     """
     n, m = len(del_tokens), len(add_tokens)
     # cost[i][j] = distance between del_tokens[i:] and add_tokens[j:]
@@ -335,64 +289,54 @@ def _token_parts(del_tokens: list[str], add_tokens: list[str]) -> list[Part]:
     i = j = 0
     while i < n or j < m:
         c = cost[i][j]
-        if i < n and j < m and del_tokens[i] == add_tokens[j] and c == cost[i + 1][j + 1]:
-            parts.append((EditKind.IDENTITY, del_tokens[i], add_tokens[j]))
-            i += 1
-            j += 1
-        elif i < n and j < m and del_tokens[i] != add_tokens[j] and c == 1 + cost[i + 1][j + 1]:
-            parts.append((EditKind.SUBSTITUTION, del_tokens[i], add_tokens[j]))
+        if i < n and j < m and c == (del_tokens[i] != add_tokens[j]) + cost[i + 1][j + 1]:
+            parts.append((del_tokens[i], add_tokens[j]))
             i += 1
             j += 1
         elif i < n and c == 1 + cost[i + 1][j]:
-            parts.append((EditKind.DELETION, del_tokens[i], ""))
+            parts.append((del_tokens[i], ""))
             i += 1
         else:
-            parts.append((EditKind.INSERTION, "", add_tokens[j]))
+            parts.append(("", add_tokens[j]))
             j += 1
     return parts
 
 
-def _instances(parts: list[Part]) -> list[EditInstance]:
+def _run_kind(part: Part) -> str:
+    """Identity, insertion, deletion or substitution, told by the sides."""
+    lhs, rhs = part
+    return "=" if lhs == rhs else "+" if not lhs else "-" if not rhs else "~"
+
+
+def _atoms(parts: list[Part]) -> tuple[Atom, ...]:
     """Coalesce identity, insertion and deletion runs of parts (each
-    substitution stays its own instance) and span them from offset 0."""
-    runs: list[tuple[EditKind, list[str], list[str]]] = []
-    for kind, lhs, rhs in parts:
-        if not runs or kind is not runs[-1][0] or kind is EditKind.SUBSTITUTION:
-            runs.append((kind, [], []))
-        runs[-1][1].append(lhs)
-        runs[-1][2].append(rhs)
-    out: list[EditInstance] = []
+    substitution stays its own atom), placed from offset 0. Each identity
+    run is tokenized whole, as a token may span two line ops: "\\n  " ends
+    an equal line and begins a replaced line's indent."""
+    atoms: list[Atom] = []
     lo = ro = 0
-    for kind, lhs_parts, rhs_parts in runs:
-        lhs, rhs = "".join(lhs_parts), "".join(rhs_parts)
-        out.append(EditInstance(lhs, rhs, kind, (lo, lo + len(lhs)), (ro, ro + len(rhs))))
-        lo += len(lhs)
-        ro += len(rhs)
-    return out
+    for kind, run in groupby(parts, _run_kind):
+        run = list(run)
+        if kind != "~":
+            run = [("".join(lhs for lhs, _ in run), "".join(rhs for _, rhs in run))]
+        for lhs, rhs in run:
+            if kind == "=":
+                atoms.extend(
+                    Atom(t.text, t.text, lo + t.offset, ro + t.offset) for t in tokenize(lhs).tokens
+                )
+            else:
+                atoms.append(Atom(lhs, rhs, lo, ro))
+            lo += len(lhs)
+            ro += len(rhs)
+    return tuple(atoms)
 
 
 def _token_texts(s: str) -> list[str]:
     return [t.text for t in tokenize(s).tokens]
 
 
-def align_tokens(del_side: str, add_side: str) -> list[EditInstance]:
-    """Align the tokens of two strings into edit instances at minimal edit cost.
-
-    Identity, insertion, and deletion runs coalesce; each substituted token
-    becomes its own instance. Spans are local to the aligned pair.
-    """
-    return _instances(_token_parts(_token_texts(del_side), _token_texts(add_side)))
-
-
-_LINE_KINDS = {
-    "equal": EditKind.IDENTITY,
-    "delete": EditKind.DELETION,
-    "insert": EditKind.INSERTION,
-}
-
-
 def dissect(source: str, target: str, label: str) -> Bucket:
-    """Break one coarse string edit into an ordered bucket of fine instances."""
+    """Break one coarse string edit into an ordered bucket of atoms."""
     parts: list[Part] = []
     a = split_lines(source)
     b = split_lines(target)
@@ -402,7 +346,7 @@ def dissect(source: str, target: str, label: str) -> Bucket:
         if tag == "replace":
             parts.extend(_token_parts(_token_texts(del_text), _token_texts(add_text)))
         else:
-            parts.append((_LINE_KINDS[tag], del_text, add_text))
-    bucket = Bucket(label, tuple(_instances(parts)))
+            parts.append((del_text, add_text))
+    bucket = Bucket(label, _atoms(parts))
     assert bucket.source == source and bucket.target == target
     return bucket

@@ -1,8 +1,8 @@
-"""Synthesis of precise string-rewriting rules from bucketed edit instances.
+"""Synthesis of precise string-rewriting rules from the atoms of buckets.
 
-Candidate rules are formed by expanding each non-identity edit with context
-units: a unit is either a whole neighboring non-identity instance or one
-token peeled from a neighboring identity instance, nearest tokens first.
+Candidate rules are formed by expanding each edit atom with context units:
+the neighboring atoms, each either a whole edit or one identity token,
+nearest first.
 Each candidate is scored corpus-wide, in one scan of the bucket sources
 joined into one text (`BucketSet.joined`): a match site counts as a true
 positive when replacing it reproduces exactly what the alignment demands
@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from .align import Atom, BucketSet, EditKind, dissect
+from .align import Atom, BucketSet, dissect
 from .tokens import _find_aligned, find_matches, tokenize
 
 
@@ -222,7 +222,7 @@ def expand_edit(
     """Expand the edit at atom `core` of a bucket into scored rewrite candidates."""
     atoms = buckets[bucket_index].atoms
     if atoms[core].lhs == atoms[core].rhs:
-        raise ValueError("expand_edit requires a non-identity edit")
+        raise ValueError("expand_edit requires an edit atom")
     form = _literal_form(
         atoms,
         lambda j, k, lo, lhs, rhs: RewriteRule(lhs, rhs, origin=(bucket_index, core, j, k)),
@@ -335,10 +335,9 @@ def _cost(buckets: BucketSet) -> int:
     """Token edits a dissection still demands: one per substitution, plus
     the tokens of every inserted or deleted run."""
     return sum(
-        1 if e.kind is EditKind.SUBSTITUTION else len(tokenize(e.lhs + e.rhs).tokens)
+        1 if a.lhs and a.rhs else len(tokenize(a.lhs or a.rhs).tokens)
         for bucket in buckets
-        for e in bucket.edits
-        if e.kind is not EditKind.IDENTITY
+        for a in (bucket.atoms[i] for i in bucket.cores)
     )
 
 

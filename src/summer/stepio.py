@@ -50,18 +50,25 @@ def _str(obj: dict, name: str) -> str:
     return value
 
 
+def _needle(obj: dict, name: str) -> str:
+    value = _str(obj, name)
+    if not value:  # replay cannot search for it, and decompose emits none
+        raise ValueError(f"malformed step: {obj!r} needs a nonempty {name!r}")
+    return value
+
+
 def obj_to_step(obj: object) -> Step:
     if not isinstance(obj, dict):
         raise ValueError(f"malformed step: {obj!r}")
     kind = obj.get("kind")
     if kind == "rewrite":
-        return RewriteRule(_str(obj, "lhs"), _str(obj, "rhs"))
+        return RewriteRule(_needle(obj, "lhs"), _str(obj, "rhs"))
     if kind == "move":
         a = obj.get("antecedent")
         c = obj.get("consequent")
         return MoveRule(
-            Antecedent(MovePattern(_str(a, "prefix"), _str(a, "suffix")), _str(a, "rhs")),
-            Consequent(_str(c, "lhs"), MovePattern(_str(c, "prefix"), _str(c, "suffix"))),
+            Antecedent(MovePattern(_needle(a, "prefix"), _needle(a, "suffix")), _str(a, "rhs")),
+            Consequent(_needle(c, "lhs"), MovePattern(_str(c, "prefix"), _str(c, "suffix"))),
         )
     if kind == "file_add":
         return FileAdd(_str(obj, "path"), _str(obj, "content"))

@@ -13,7 +13,7 @@ import os
 import pytest
 
 import summer
-from summer.align import BucketSet, EditKind, dissect
+from summer.align import BucketSet, dissect
 from summer.tokens import tokenize
 
 # Interpreters the tests spawn (`python -m summer`) import the package the
@@ -55,20 +55,24 @@ def token_offsets(s: str) -> set[int]:
     return {0, len(s)} | {t.offset for t in tokenize(s).tokens}
 
 
+# The kinds of edit atom, as tests label them.
+SUBSTITUTION, INSERTION, DELETION = "substitution", "insertion", "deletion"
+
+
 def atom_kind(atom):
     """An atom's kind read from its sides; None for an identity token."""
     if atom.lhs == atom.rhs:
         return None
     if not atom.lhs:
-        return EditKind.INSERTION
-    return EditKind.DELETION if not atom.rhs else EditKind.SUBSTITUTION
+        return INSERTION
+    return DELETION if not atom.rhs else SUBSTITUTION
 
 
 def core_atom(buckets, bucket_index: int, kind) -> int:
     """Atom index of the first edit of `kind` (None: an identity token) in a
     bucket, as candidate synthesis takes it."""
     for core, atom in enumerate(buckets[bucket_index].atoms):
-        if atom_kind(atom) is kind:
+        if atom_kind(atom) == kind:
             return core
     raise LookupError(kind)
 

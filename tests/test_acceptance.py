@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from summer.align import BucketSet, EditKind, dissect
+from summer.align import BucketSet, dissect
 from summer.bench import normalize, run_benchmark
 from summer.engine import (
     Conflict,
@@ -74,13 +74,14 @@ def _ref_occurrences(source: str, needle: str) -> list[int]:
 
 def _ref_projection(bucket, offset: int) -> set[int]:
     opts: set[int] = set()
-    for e in bucket.edits:
-        (s0, s1), (t0, t1) = e.lhs_span, e.rhs_span
+    for a in bucket.atoms:
+        s0, s1 = a.lhs_start, a.lhs_start + len(a.lhs)
+        t0, t1 = a.rhs_start, a.rhs_start + len(a.rhs)
         if s0 == offset:
             opts.add(t0)
         if s1 == offset:
             opts.add(t1)
-        if e.kind is EditKind.IDENTITY and s0 < offset < s1:
+        if a.lhs == a.rhs and s0 < offset < s1:
             opts.add(t0 + (offset - s0))
     if offset == 0:
         opts.add(0)
@@ -249,7 +250,7 @@ def test_criterion_06_precision_property():
 
 
 def test_criterion_07_alignment_oracle():
-    from summer.align import align_tokens
+    from summer.align import _token_parts
 
     def oracle(a, b):
         prev = list(range(len(b) + 1))
@@ -262,16 +263,9 @@ def test_criterion_07_alignment_oracle():
             prev = cur
         return prev[-1]
 
-    def cost(instances):
-        total = 0
-        for e in instances:
-            if e.kind is EditKind.SUBSTITUTION:
-                total += 1
-            elif e.kind is EditKind.INSERTION:
-                total += len(tokenize(e.rhs).tokens)
-            elif e.kind is EditKind.DELETION:
-                total += len(tokenize(e.lhs).tokens)
-        return total
+    def cost(parts):
+        # Each part is one token pair, one token, or an identity.
+        return sum(lhs != rhs for lhs, rhs in parts)
 
     rng = random.Random(0xA11E)
     for _ in range(500):
@@ -279,7 +273,7 @@ def test_criterion_07_alignment_oracle():
         b = "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(0, 50)))
         a_toks = [t.text for t in tokenize(a).tokens]
         b_toks = [t.text for t in tokenize(b).tokens]
-        assert cost(align_tokens(a, b)) == oracle(a_toks, b_toks)
+        assert cost(_token_parts(a_toks, b_toks)) == oracle(a_toks, b_toks)
     ok(7, "500 random pairs aligned at exactly the oracle's Levenshtein cost")
 
 

@@ -1,22 +1,26 @@
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from summer.align import (
+    Atom,
     Bucket,
     BucketSet,
-    EditKind,
     _best_anchor,
-    align_tokens,
+    _token_parts,
+    _token_texts,
     dissect,
     line_diff,
     split_lines,
 )
 from summer.tokens import tokenize
-from tests.conftest import RENAME_CONTENT_SRC, RENAME_CONTENT_TGT
-
-
-def shapes(instances):
-    return [(e.kind, e.lhs, e.rhs) for e in instances]
+from tests.conftest import (
+    DELETION,
+    INSERTION,
+    RENAME_CONTENT_SRC,
+    RENAME_CONTENT_TGT,
+    SUBSTITUTION,
+    atom_kind,
+)
 
 
 class TestSplitLines:
@@ -158,29 +162,42 @@ class TestRepetitiveLines:
         )
 
 
+def pairs(atoms):
+    return [(a.lhs, a.rhs) for a in atoms]
+
+
+def kinds(bucket):
+    """Atom kinds in order, each run of identity tokens read as one None."""
+    out = []
+    for atom in bucket.atoms:
+        kind = atom_kind(atom)
+        if kind is not None or not out or out[-1] is not None:
+            out.append(kind)
+    return out
+
+
 class TestAlignTokens:
     def test_file_rename(self):
-        assert shapes(align_tokens("bc.go", "Program.go")) == [
-            (EditKind.SUBSTITUTION, "bc", "Program"),
-            (EditKind.IDENTITY, ".go", ".go"),
-        ]
+        assert dissect("bc.go", "Program.go", "t").atoms == (
+            Atom("bc", "Program", 0, 0),
+            Atom(".", ".", 2, 7),
+            Atom("go", "go", 3, 8),
+        )
 
     def test_equal_sequences_collapse_to_one_identity(self):
-        assert shapes(align_tokens("a b", "a b")) == [(EditKind.IDENTITY, "a b", "a b")]
+        # One identity run, read as its tokens; no edit.
+        bucket = dissect("a b", "a b", "t")
+        assert pairs(bucket.atoms) == [("a", "a"), (" ", " "), ("b", "b")]
+        assert bucket.cores == ()
 
     def test_substitutions_stay_per_token(self):
-        # One instance per modified token, so single-symbol rules can form.
-        assert shapes(align_tokens("i++", "i--")) == [
-            (EditKind.IDENTITY, "i", "i"),
-            (EditKind.SUBSTITUTION, "+", "-"),
-            (EditKind.SUBSTITUTION, "+", "-"),
-        ]
+        # One atom per modified token, so single-symbol rules can form.
+        assert pairs(dissect("i++", "i--", "t").atoms) == [("i", "i"), ("+", "-"), ("+", "-")]
 
     def test_insertion_run_coalesces(self):
-        got = align_tokens("a z", "a b c z")
-        assert (EditKind.INSERTION, "", "b c ") in [(e.kind, e.lhs, e.rhs) for e in got] or any(
-            e.kind is EditKind.INSERTION and "b" in e.rhs and "c" in e.rhs for e in got
-        )
+        got = dissect("a z", "a b c z", "t").atoms
+        assert [atom_kind(a) for a in got] == [None, None, INSERTION, None]
+        assert pairs(got)[2] == ("", "b c ")
 
     def levenshtein_oracle(self, a, b):
         prev = list(range(len(b) + 1))
@@ -193,69 +210,111 @@ class TestAlignTokens:
             prev = cur
         return prev[-1]
 
-    def cost(self, instances):
-        total = 0
-        for e in instances:
-            if e.kind is EditKind.IDENTITY:
-                continue
-            if e.kind is EditKind.SUBSTITUTION:
-                total += 1
-            elif e.kind is EditKind.INSERTION:
-                total += len(tokenize(e.rhs).tokens)
-            else:
-                total += len(tokenize(e.lhs).tokens)
-        return total
-
     @given(
         st.text(alphabet="ab+ \n1", max_size=24),
         st.text(alphabet="ab+ \n1", max_size=24),
     )
     @settings(max_examples=150)
     def test_cost_is_optimal(self, x, y):
-        xs = [t.text for t in tokenize(x).tokens]
-        ys = [t.text for t in tokenize(y).tokens]
-        got = align_tokens(x, y)
-        assert self.cost(got) == self.levenshtein_oracle(xs, ys)
+        xs, ys = _token_texts(x), _token_texts(y)
+        parts = _token_parts(xs, ys)
+        assert [lhs for lhs, _ in parts if lhs] == xs
+        assert [rhs for _, rhs in parts if rhs] == ys
+        assert sum(lhs != rhs for lhs, rhs in parts) == self.levenshtein_oracle(xs, ys)
+
+
+def reference_atoms(source, target):
+    """The two-step construction the atoms replaced: parts tagged with their
+    kind (from the line op, or from the two sides of a token part) coalesce
+    into instances, each substitution alone; then each identity instance
+    splits into its tokens."""
+    a, b = split_lines(source), split_lines(target)
+    line_kinds = {"equal": None, "delete": DELETION, "insert": INSERTION}
+    parts = []
+    for tag, a0, a1, b0, b1 in line_diff(source, target):
+        lhs, rhs = "".join(a[a0:a1]), "".join(b[b0:b1])
+        if tag == "replace":
+            parts += [
+                (atom_kind(Atom(x, y, 0, 0)), x, y)
+                for x, y in _token_parts(_token_texts(lhs), _token_texts(rhs))
+            ]
+        else:
+            parts.append((line_kinds[tag], lhs, rhs))
+    instances = []
+    for kind, lhs, rhs in parts:
+        if not instances or kind != instances[-1][0] or kind == SUBSTITUTION:
+            instances.append([kind, "", ""])
+        instances[-1][1] += lhs
+        instances[-1][2] += rhs
+    atoms = []
+    lo = ro = 0
+    for kind, lhs, rhs in instances:
+        if kind is None:
+            atoms += [Atom(t.text, t.text, lo + t.offset, ro + t.offset) for t in tokenize(lhs).tokens]
+        else:
+            atoms.append(Atom(lhs, rhs, lo, ro))
+        lo += len(lhs)
+        ro += len(rhs)
+    return tuple(atoms)
+
+
+# Line breaks followed by indentation, \r\n and tabs, so that tokens span
+# the junction of an equal line op and a replaced line's first token.
+_PIECES = ["a", "x", "y", "17", "(", ")", " ", "  ", "\t", "\n", "\r\n", "\n  "]
+_texts = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
 
 
 class TestDissect:
+    @given(_texts, _texts)
+    @settings(max_examples=400)
+    @example("a\n  x\n", "a\n  y\n")
+    @example("a\r\n\tx\r\n", "a\r\n\ty\r\n")
+    @example("", "x\n")
+    @example("x\n", "")
+    def test_atoms_match_instance_reference(self, source, target):
+        assert dissect(source, target, "t").atoms == reference_atoms(source, target)
+
+    def test_identity_run_tokenized_across_line_ops(self):
+        # "\n  " ends the equal line "a\n" and begins the replaced "  x\n".
+        atoms = dissect("a\n  x\n", "a\n  y\n", "t").atoms
+        assert pairs(atoms) == [("a", "a"), ("\n  ", "\n  "), ("x", "y"), ("\n", "\n")]
+
     def test_rename_content_bucket_structure(self):
         bucket = dissect(RENAME_CONTENT_SRC, RENAME_CONTENT_TGT, "content")
-        kinds = [e.kind for e in bucket.edits]
-        assert kinds == [
-            EditKind.IDENTITY,
-            EditKind.SUBSTITUTION,
-            EditKind.IDENTITY,
-            EditKind.INSERTION,
-            EditKind.IDENTITY,
-            EditKind.SUBSTITUTION,
-            EditKind.IDENTITY,
-            EditKind.SUBSTITUTION,
-            EditKind.IDENTITY,
+        assert kinds(bucket) == [
+            None,
+            SUBSTITUTION,
+            None,
+            INSERTION,
+            None,
+            SUBSTITUTION,
+            None,
+            SUBSTITUTION,
+            None,
         ]
-        assert bucket.edits[1].lhs == "github" and bucket.edits[1].rhs == "gitlab"
-        assert bucket.edits[3].rhs == 'import "fmt"\n'
-        assert bucket.edits[5].lhs == "div" and bucket.edits[5].rhs == "res"
+        edits = [bucket.atoms[i] for i in bucket.cores]
+        assert edits[0].lhs == "github" and edits[0].rhs == "gitlab"
+        assert edits[1].rhs == 'import "fmt"\n'
+        assert edits[2].lhs == "div" and edits[2].rhs == "res"
 
     def test_identical_pair(self):
         bucket = dissect("same\n", "same\n", "t")
-        assert shapes(bucket.edits) == [(EditKind.IDENTITY, "same\n", "same\n")]
+        assert pairs(bucket.atoms) == [("same", "same"), ("\n", "\n")]
+        assert bucket.cores == ()
 
     def test_empty_to_content(self):
-        bucket = dissect("", "x", "t")
-        assert shapes(bucket.edits) == [(EditKind.INSERTION, "", "x")]
+        assert dissect("", "x", "t").atoms == (Atom("", "x", 0, 0),)
 
     def test_both_empty(self):
-        assert dissect("", "", "t").edits == ()
+        assert dissect("", "", "t").atoms == ()
 
     def test_spans_cover_both_sides(self):
         bucket = dissect(RENAME_CONTENT_SRC, RENAME_CONTENT_TGT, "t")
         lo = ro = 0
-        for e in bucket.edits:
-            assert e.lhs_span == (lo, lo + len(e.lhs))
-            assert e.rhs_span == (ro, ro + len(e.rhs))
-            lo += len(e.lhs)
-            ro += len(e.rhs)
+        for a in bucket.atoms:
+            assert (a.lhs_start, a.rhs_start) == (lo, ro)
+            lo += len(a.lhs)
+            ro += len(a.rhs)
         assert lo == len(RENAME_CONTENT_SRC) and ro == len(RENAME_CONTENT_TGT)
 
     @given(st.text(max_size=120), st.text(max_size=120))
@@ -264,33 +323,29 @@ class TestDissect:
         bucket = dissect(source, target, "t")
         assert bucket.source == source
         assert bucket.target == target
-        for e in bucket.edits:
-            if e.kind is EditKind.IDENTITY:
-                assert e.lhs == e.rhs
+        for a in bucket.atoms:
+            if atom_kind(a) is None:
+                assert len(tokenize(a.lhs).tokens) == 1
 
     @given(st.text(max_size=80), st.text(max_size=80))
     @settings(max_examples=60)
     def test_determinism(self, source, target):
         a = dissect(source, target, "t")
         b = dissect(source, target, "t")
-        assert shapes(a.edits) == shapes(b.edits)
+        assert a.atoms == b.atoms
 
 
 def atom_offsets(bucket: Bucket, p: int) -> list[int] | None:
-    """Reference projection over token-level atoms, scanned linearly: every
-    atom start at p (the end of the source included), else the linear image
-    of p inside an identity token, else None."""
-    atoms = []  # (lhs start, lhs end, rhs start, identity)
-    for e in bucket.edits:
-        (l0, l1), r0 = e.lhs_span, e.rhs_span[0]
-        if e.kind is EditKind.IDENTITY:
-            for t in tokenize(e.lhs).tokens:
-                atoms.append((l0 + t.offset, l0 + t.end, r0 + t.offset, True))
-        else:
-            atoms.append((l0, l1, r0, False))
-    atoms.append((len(bucket.source), len(bucket.source), len(bucket.target), False))
-    at = [r0 for l0, _, r0, _ in atoms if l0 == p]
-    inside = [r0 + p - l0 for l0, l1, r0, identity in atoms if identity and l0 < p < l1]
+    """Reference projection over the atoms, scanned linearly: every atom
+    start at p (the end of the source included), else the linear image of p
+    inside an identity token, else None."""
+    spans = [
+        (a.lhs_start, a.lhs_start + len(a.lhs), a.rhs_start, atom_kind(a) is None)
+        for a in bucket.atoms
+    ]
+    spans.append((len(bucket.source), len(bucket.source), len(bucket.target), False))
+    at = [r0 for l0, _, r0, _ in spans if l0 == p]
+    inside = [r0 + p - l0 for l0, l1, r0, identity in spans if identity and l0 < p < l1]
     return at or inside or None
 
 

@@ -109,6 +109,15 @@ class TestDecomposeCommand:
         assert "--quiet" in capsys.readouterr().err
 
 
+def _move(prefix="(", suffix=")", lhs="END"):
+    """A move step object whose antecedent matches nothing in "i+=1"."""
+    return {
+        "kind": "move",
+        "antecedent": {"prefix": prefix, "suffix": suffix, "rhs": "[]"},
+        "consequent": {"lhs": lhs, "prefix": "<", "suffix": ">"},
+    }
+
+
 class TestRebaseCommand:
     def test_three_path_form(self, trio, capsys):
         base, left, right = trio
@@ -137,6 +146,12 @@ class TestRebaseCommand:
             {"version": 1, "steps": ["x"]},
             {"version": 1, "steps": [{"kind": "rewrite", "lhs": 1, "rhs": "-"}]},
             {"version": 1, "steps": [{"kind": "move", "antecedent": {}, "consequent": {}}]},
+            # Empty needles, which replay cannot search for and decompose never emits.
+            {"version": 1, "steps": [{"kind": "rewrite", "lhs": "", "rhs": "-"}]},
+            {"version": 1, "steps": [_move(prefix="")]},
+            {"version": 1, "steps": [_move(suffix="")]},
+            # Its antecedent matches nothing, so replay would never reach it.
+            {"version": 1, "steps": [_move(lhs="")]},
         ],
     )
     def test_malformed_steps_exit_2(self, trio, tmp_path, capsys, doc):

@@ -1,13 +1,12 @@
 import itertools
 import random
 from collections import Counter
-from functools import cached_property
 
 import pytest
 
 import summer.engine
 import summer.rules
-from summer.align import Bucket, EditKind, dissect
+from summer.align import dissect
 from summer.distance import levenshtein, similarity
 from summer.engine import (
     AppliedStep,
@@ -34,6 +33,8 @@ from tests.conftest import (
     EXTRACT_RIGHT,
     RENAME_CONTENT_SRC,
     RENAME_CONTENT_TGT,
+    SUBSTITUTION,
+    atom_kind,
     token_offsets,
 )
 
@@ -47,9 +48,10 @@ class TestMapToBuckets:
         labels = [b.label for b in buckets]
         assert labels == ["name:bc.go", "content:bc.go"]
         name_bucket = buckets.buckets[0]
-        assert [(e.kind, e.lhs, e.rhs) for e in name_bucket.edits] == [
-            (EditKind.SUBSTITUTION, "bc", "Program"),
-            (EditKind.IDENTITY, ".go", ".go"),
+        assert [(atom_kind(a), a.lhs, a.rhs) for a in name_bucket.atoms] == [
+            (SUBSTITUTION, "bc", "Program"),
+            (None, ".", "."),
+            (None, "go", "go"),
         ]
 
     def test_unchanged_snapshot(self):
@@ -293,21 +295,20 @@ class TestDecompose:
         assert out.ok and out.result == changed
 
     def test_atoms_built_once_per_dissection(self, monkeypatch):
-        # The move pass and the first rewrite round read the same dissection.
-        built = []
-        atoms = Bucket.atoms.func
+        # Only dissect builds atoms; the move pass and the first rewrite
+        # round read the same dissection.
+        calls = []
 
-        def counted(bucket):
-            built.append(bucket.label)
-            return atoms(bucket)
+        def counted(source, target, label):
+            calls.append(label)
+            return dissect(source, target, label)
 
-        prop = cached_property(counted)
-        prop.__set_name__(Bucket, "atoms")
-        monkeypatch.setattr(Bucket, "atoms", prop)
+        for module in (summer.engine, summer.rules):
+            monkeypatch.setattr(module, "dissect", counted)
         base = "a = foo(1);\nb = foo(2);\n"
         steps = decompose({"": base}, {"": base.replace("foo", "bar")})
         assert steps == [RewriteRule("foo", "bar")]
-        assert built == ["content:"]
+        assert calls == ["content:"]
 
     def test_round_redissects_only_rewritten_buckets(self, monkeypatch):
         # Round one settles a.txt; b.txt needs a window of 6, so its rule

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from summer.align import BucketSet, EditKind, dissect
+from summer.align import BucketSet, dissect
 from summer.moves import (
     MovePattern,
     _is_trivial,
@@ -15,12 +15,16 @@ from summer.moves import (
 from summer.rules import ExtractionConfig
 from summer.tokens import find_matches
 from tests.conftest import (
+    DELETION,
     EXTRACT_BASE,
     EXTRACT_CAPTURE_ON_RIGHT,
     EXTRACT_EXPECTED_MERGE,
     EXTRACT_LEFT,
     EXTRACT_RIGHT,
     EXTRACT_SHARED,
+    INSERTION,
+    SUBSTITUTION,
+    atom_kind,
     core_atom,
     token_offsets,
 )
@@ -65,7 +69,7 @@ class TestMatchPattern:
 class TestFindLongestShared:
     def test_extraction_body(self, extract_buckets):
         bucket = extract_buckets.buckets[0]
-        ins = next(e for e in bucket.edits if e.kind is EditKind.INSERTION)
+        ins = next(a for a in bucket.atoms if atom_kind(a) == INSERTION)
         shared = _longest_shared(ins.rhs, extract_buckets, "lhs")
         assert shared is not None
         s, offset, occurrences = shared
@@ -76,7 +80,7 @@ class TestFindLongestShared:
     def test_no_deletion_or_substitution_edits(self):
         corpus = BucketSet((dissect("a\n", "a\nnew line of text\n", "t"),))
         bucket = corpus.buckets[0]
-        ins = next(e for e in bucket.edits if e.kind is EditKind.INSERTION)
+        ins = next(a for a in bucket.atoms if atom_kind(a) == INSERTION)
         assert _longest_shared(ins.rhs, corpus, "lhs") is None
 
     def test_no_common_tokens(self):
@@ -84,16 +88,16 @@ class TestFindLongestShared:
             (dissect("ab\n", "\n", "t1"), dissect("q\n", "q\nxy\n", "t2"))
         )
         bucket = corpus.buckets[1]
-        ins = next(e for e in bucket.edits if e.kind is EditKind.INSERTION)
+        ins = next(a for a in bucket.atoms if atom_kind(a) == INSERTION)
         assert _longest_shared(ins.rhs, corpus, "lhs") is None
 
     def test_trivial_candidates_rejected(self):
         # A shared bare symbol is too trivial to move.
         corpus = BucketSet((dissect("x ; y\n", "x y\n;\n", "t"),))
         bucket = corpus.buckets[0]
-        for i, e in enumerate(bucket.edits):
-            if e.kind is EditKind.INSERTION:
-                assert _longest_shared(e.rhs, corpus, "lhs") is None
+        for a in bucket.atoms:
+            if atom_kind(a) == INSERTION:
+                assert _longest_shared(a.rhs, corpus, "lhs") is None
 
 
 def _reference_longest_shared(probe, buckets, side):
@@ -207,7 +211,7 @@ class TestLongestShared:
 class TestFindExtract:
     def test_flagship_extraction(self, extract_buckets):
         pool = {}
-        core = core_atom(extract_buckets, 0, EditKind.INSERTION)
+        core = core_atom(extract_buckets, 0, INSERTION)
         find_move(extract_buckets, 0, core, pool, ExtractionConfig())
         assert len(pool) == 1
         (move,) = pool
@@ -227,7 +231,7 @@ class TestFindExtract:
     def test_insertion_without_source_elsewhere(self):
         corpus = BucketSet((dissect("a\nb\n", "a\nfresh new text\nb\n", "t"),))
         pool = {}
-        find_move(corpus, 0, core_atom(corpus, 0, EditKind.INSERTION), pool, ExtractionConfig())
+        find_move(corpus, 0, core_atom(corpus, 0, INSERTION), pool, ExtractionConfig())
         assert pool == {}
 
     def test_wrong_kind_rejected(self, extract_buckets):
@@ -235,7 +239,7 @@ class TestFindExtract:
         with pytest.raises(ValueError):
             find_move(extract_buckets, 0, identity, {}, ExtractionConfig())
         substituted = BucketSet((dissect("a x b\n", "a y b\n", "t"),))
-        core = core_atom(substituted, 0, EditKind.SUBSTITUTION)
+        core = core_atom(substituted, 0, SUBSTITUTION)
         with pytest.raises(ValueError):
             find_move(substituted, 0, core, {}, ExtractionConfig())
 
@@ -281,7 +285,7 @@ class TestFindInline:
     def test_deletion_without_shared_substring(self):
         corpus = BucketSet((dissect("a\nsolitary line\n", "a\n", "t"),))
         pool = {}
-        find_move(corpus, 0, core_atom(corpus, 0, EditKind.DELETION), pool, ExtractionConfig())
+        find_move(corpus, 0, core_atom(corpus, 0, DELETION), pool, ExtractionConfig())
         assert pool == {}
 
     def test_wrong_kind_rejected(self, inline_buckets):

@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from summer.align import Bucket, BucketSet, EditKind, dissect
+from summer.align import Bucket, BucketSet, dissect
 from summer.moves import MovePattern, match_pattern
 from summer.rules import (
     Candidate,
@@ -19,7 +19,7 @@ from summer.rules import (
     sort_and_filter,
 )
 from summer.tokens import CharCategory, classify_char, find_matches
-from tests.conftest import core_atom
+from tests.conftest import INSERTION, SUBSTITUTION, core_atom
 
 
 def replay(buckets: BucketSet, rules) -> dict[str, str]:
@@ -269,14 +269,14 @@ class TestSortAndFilter:
 class TestExpandEdit:
     def test_host_rename_candidate_present(self, rename_corpus):
         pool = {}
-        core = core_atom(rename_corpus, 0, EditKind.SUBSTITUTION)
+        core = core_atom(rename_corpus, 0, SUBSTITUTION)
         expand_edit(rename_corpus, 0, core, pool, ExtractionConfig())
         e = pool[RewriteRule("github", "gitlab")]
         assert (e.metrics.tp, e.metrics.fp) == (2, 0)
 
     def test_insertion_contexts_from_both_sides(self, rename_corpus):
         pool = {}
-        core = core_atom(rename_corpus, 2, EditKind.INSERTION)
+        core = core_atom(rename_corpus, 2, INSERTION)
         expand_edit(rename_corpus, 2, core, pool, ExtractionConfig())
         nl = pool[RewriteRule("\n", '\nimport "fmt"\n')].metrics
         fn = pool[RewriteRule("func", 'import "fmt"\nfunc')].metrics
@@ -289,7 +289,7 @@ class TestExpandEdit:
 
     def test_candidate_count_bounded_by_window_grid(self):
         corpus = BucketSet((dissect("a b x c d", "a b y c d", "t"),))
-        core = core_atom(corpus, 0, EditKind.SUBSTITUTION)
+        core = core_atom(corpus, 0, SUBSTITUTION)
         for w in (0, 1, 2, 3):
             pool = {}
             expand_edit(corpus, 0, core, pool, ExtractionConfig(window=w))
