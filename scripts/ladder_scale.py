@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Time merge and decompose on the perfbench ladder at growing sizes.
+
+Builds `ladder_case(CASE)` from perfbench/workloads.py with `LADDER_LINES`
+multiplied by 1, 2, 4 and 8 (about 8.1k to 64.8k tokens a file), and prints
+one markdown table row per size: tokens, the merge of base, left and right,
+and the decompose of base to left, each the best wall time of REPEATS runs.
+The tokenizer cache is cleared before each run, so every run is cold.
+
+Usage: python3 scripts/ladder_scale.py [REPEATS] [CASE]
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+from summer.engine import decompose, merge  # noqa: E402
+from summer.tokens import tokenize, tokenize_cached  # noqa: E402
+
+FACTORS = (1, 2, 4, 8)
+
+
+def best_of(repeats: int, fn, *args) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        tokenize_cached.cache_clear()
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def main(argv: list[str]) -> int:
+    repeats = int(argv[0]) if argv else 1
+    case = int(argv[1]) if len(argv) > 1 else 3
+    lines = workloads.LADDER_LINES
+    words = workloads.spelling(workloads.CHECK_SEED, 0, 2)
+    print("| tokens | merge | decompose (left) |")
+    print("| --- | --- | --- |")
+    try:
+        for factor in FACTORS:
+            workloads.LADDER_LINES = lines * factor
+            base, left, right, _ref = workloads.ladder_case(case, words)
+            tokens = len(tokenize(base).tokens)
+            m = best_of(repeats, merge, {"": base}, {"": left}, {"": right})
+            d = best_of(repeats, decompose, {"": base}, {"": left})
+            print(f"| {tokens / 1000:.1f}k | {m:.2f} s | {d:.2f} s |", flush=True)
+    finally:
+        workloads.LADDER_LINES = lines
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, groupby
+from typing import NamedTuple
 
-from .tokens import CharCategory, classify_char, tokenize
+from .tokens import CharCategory, _runs, classify_char
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     """Context unit: one identity token (lhs == rhs), or one edit
     (lhs != rhs): a substituted token pair, or a whole inserted or deleted
     run. The starts place it in its bucket's source and target."""
@@ -38,13 +37,13 @@ class Atom:
     rhs_start: int
 
 
-@dataclass(frozen=True)
 class Bucket:
     """A labeled, ordered tuple of atoms for one artifact, and the
     projection of its source offsets into its target."""
 
-    label: str
-    atoms: tuple[Atom, ...]
+    def __init__(self, label: str, atoms: tuple[Atom, ...]) -> None:
+        self.label = label
+        self.atoms = atoms
 
     @cached_property
     def source(self) -> str:
@@ -104,14 +103,11 @@ def is_name_label(label: str) -> bool:
     return label.startswith(NAME_PREFIX)
 
 
-@dataclass(frozen=True)
 class BucketSet:
-    buckets: tuple[Bucket, ...]
-
-    def __post_init__(self) -> None:
-        labels = [b.label for b in self.buckets]
-        if len(set(labels)) != len(labels):
+    def __init__(self, buckets: tuple[Bucket, ...]) -> None:
+        if len({b.label for b in buckets}) != len(buckets):
             raise ValueError("bucket labels must be unique")
+        self.buckets = buckets
 
     @cached_property
     def joined(self) -> tuple[str, str, list[int]]:
@@ -321,9 +317,7 @@ def _atoms(parts: list[Part]) -> tuple[Atom, ...]:
             run = [("".join(lhs for lhs, _ in run), "".join(rhs for _, rhs in run))]
         for lhs, rhs in run:
             if kind == "=":
-                atoms.extend(
-                    Atom(t.text, t.text, lo + t.offset, ro + t.offset) for t in tokenize(lhs).tokens
-                )
+                atoms.extend(Atom(text, text, lo + at, ro + at) for text, _, at in _runs(lhs))
             else:
                 atoms.append(Atom(lhs, rhs, lo, ro))
             lo += len(lhs)
@@ -332,7 +326,7 @@ def _atoms(parts: list[Part]) -> tuple[Atom, ...]:
 
 
 def _token_texts(s: str) -> list[str]:
-    return [t.text for t in tokenize(s).tokens]
+    return [text for text, _, _ in _runs(s)]
 
 
 def dissect(source: str, target: str, label: str) -> Bucket:

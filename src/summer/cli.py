@@ -10,7 +10,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import ExtractionConfig, Snapshot, apply_steps, decompose, merge
 from .stepio import parse_steps, serialize_steps
@@ -43,8 +43,7 @@ def _encode_binary(content: str) -> bytes:
     return bytes(out)
 
 
-@dataclass
-class _Encodings:
+class _Encodings(NamedTuple):
     """How result entries go back to bytes. A path some input held as
     undecodable bytes is written as bytes. Content made only of byte
     characters is too (a step added, renamed or replaced a binary entry),
@@ -110,11 +109,11 @@ def _load_uniform(paths: list[str]) -> tuple[list[Snapshot], _Encodings, bool]:
         raise CliError("inputs must be uniformly files or uniformly directories")
     enc = _Encodings(set(), set())
     for snap, binary, _ in loaded:
-        enc.binary |= binary
-        enc.text |= {
+        enc.binary.update(binary)
+        enc.text.update(
             path for path, content in snap.items()
             if path not in binary and _BYTE_CHAR.search(content)
-        }
+        )
     return [snap for snap, _, _ in loaded], enc, kinds.pop()
 
 

@@ -11,8 +11,8 @@ the changed side byte for byte; merge replays it on the other branch.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .align import NAME_PREFIX, Bucket, BucketSet, _token_texts, dissect, is_name_label
 from .distance import _bag, _bag_distance, levenshtein, similarity
@@ -23,24 +23,25 @@ from .rules import (
     _redissect,
     apply_rewrite_to_text,
     decompose_rewrites,
+    typed,
 )
 
 Snapshot = dict[str, str]
 
 
-@dataclass(frozen=True, slots=True)
-class FileAdd:
+@typed()
+class FileAdd(NamedTuple):
     path: str
     content: str
 
 
-@dataclass(frozen=True, slots=True)
-class FileDelete:
+@typed()
+class FileDelete(NamedTuple):
     path: str
 
 
-@dataclass(frozen=True, slots=True)
-class FileRename:
+@typed()
+class FileRename(NamedTuple):
     old: str
     new: str
 
@@ -59,39 +60,39 @@ class DirectionReason(Enum):
     TIE = auto()
 
 
-@dataclass(frozen=True, slots=True)
-class MergeDirection:
+@typed(2)
+class MergeDirection(NamedTuple):
     decomposed_side: Side
     reason: DirectionReason
-    pairing: Pairing = field(compare=False, repr=False)  # the decomposed side's pair_entries
+    pairing: Pairing  # the decomposed side's pair_entries; left out of equality and hash
 
 
-@dataclass(frozen=True, slots=True)
-class Conflict:
+class Conflict(NamedTuple):
     diagnostic: str
 
 
-@dataclass(frozen=True, slots=True)
-class Site:
+class Site(NamedTuple):
     path: str
     start: int
     end: int
     role: str  # content | name | antecedent | consequent
 
 
-@dataclass(frozen=True, slots=True)
-class AppliedStep:
+class AppliedStep(NamedTuple):
     step: Step
     count: int
     sites: tuple[Site, ...] = ()
 
 
-@dataclass
 class MergeOutcome:
-    result: Snapshot | None
-    conflict: Conflict | None
-    applied_steps: list[AppliedStep] = field(default_factory=list)
-    diagnostics: list[str] = field(default_factory=list)
+    __slots__ = ("result", "conflict", "applied_steps", "diagnostics")
+
+    def __init__(self, result: Snapshot | None, conflict: Conflict | None,
+                 applied_steps: list[AppliedStep] | None = None,
+                 diagnostics: list[str] | None = None) -> None:
+        self.result, self.conflict = result, conflict
+        self.applied_steps = [] if applied_steps is None else applied_steps
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def ok(self) -> bool:
@@ -100,8 +101,7 @@ class MergeOutcome:
 
 # --- pairing and bucket mapping ------------------------------------------------
 
-@dataclass
-class Pairing:
+class Pairing(NamedTuple):
     pairs: list[tuple[str, str]]  # (base path, other path), renames included
     deleted: list[str]
     added: list[str]

@@ -21,7 +21,7 @@ too weak; only the simulation sees that.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .align import Atom, BucketSet, is_name_label
 from .rules import (
@@ -33,12 +33,13 @@ from .rules import (
     _span,
     _splice,
     apply_rewrite_to_text,
+    typed,
 )
 from .tokens import CharCategory, _find_aligned, find_matches, tokenize_cached
 
 
-@dataclass(frozen=True, slots=True)
-class MovePattern:
+@typed()
+class MovePattern(NamedTuple):
     """One-slot pattern: literal_prefix [capture] literal_suffix."""
 
     literal_prefix: str
@@ -48,27 +49,27 @@ class MovePattern:
         return self.literal_prefix + capture + self.literal_suffix
 
 
-@dataclass(frozen=True, slots=True)
-class Antecedent:
+@typed()
+class Antecedent(NamedTuple):
     """Capture-matching rewrite: pattern lhs, literal rhs."""
 
     lhs: MovePattern
     rhs: str
 
 
-@dataclass(frozen=True, slots=True)
-class Consequent:
+@typed()
+class Consequent(NamedTuple):
     """Literal-matching rewrite whose rhs backreferences the capture."""
 
     lhs: str
     rhs: MovePattern
 
 
-@dataclass(frozen=True, slots=True)
-class MoveRule:
+@typed(2)
+class MoveRule(NamedTuple):
     antecedent: Antecedent
     consequent: Consequent
-    metrics: RuleMetrics = field(default=RuleMetrics(0, 0), compare=False)
+    metrics: RuleMetrics = RuleMetrics(0, 0)  # left out of equality and hash
 
 
 def match_pattern(
@@ -279,14 +280,22 @@ def get_precise_move(buckets: BucketSet, cfg) -> list[MoveRule]:
 
 # --- application ---------------------------------------------------------------
 
-@dataclass
 class MoveApplication:
-    texts: dict[str, str]
-    captures: list[str]
-    antecedent_sites: list[tuple[str, int, int]]
-    consequent_sites: list[tuple[str, int, int]]
-    soft_conflict: bool
-    after_antecedent: dict[str, str] = field(default_factory=dict)  # post phase one
+    __slots__ = ("texts", "captures", "antecedent_sites", "consequent_sites", "soft_conflict",
+                 "after_antecedent")
+
+    def __init__(
+        self,
+        texts: dict[str, str],
+        captures: list[str],
+        antecedent_sites: list[tuple[str, int, int]],
+        consequent_sites: list[tuple[str, int, int]],
+        soft_conflict: bool,
+        after_antecedent: dict[str, str] | None = None,  # post phase one
+    ) -> None:
+        self.texts, self.captures, self.soft_conflict = texts, captures, soft_conflict
+        self.antecedent_sites, self.consequent_sites = antecedent_sites, consequent_sites
+        self.after_antecedent = {} if after_antecedent is None else after_antecedent
 
 
 def apply_move(texts: dict[str, str], move: MoveRule) -> MoveApplication:

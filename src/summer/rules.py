@@ -25,15 +25,27 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from .align import Atom, BucketSet, dissect
-from .tokens import _find_aligned, find_matches, tokenize
+from .tokens import _find_aligned, _runs, find_matches
 
 
-@dataclass(frozen=True, slots=True)
-class RuleMetrics:
+def typed(width: int | None = None) -> Callable[[type], type]:
+    """Class decorator for a NamedTuple rule or step record: it equals only its
+    own type, comparing and hashing its first `width` fields (all by default).
+    As bare tuples, FileRename("a", "b") == FileAdd("a", "b") == ("a", "b")."""
+
+    def decorate(cls: type) -> type:
+        cls.__eq__ = eq = lambda a, b: type(a) is type(b) and a[:width] == b[:width]
+        cls.__ne__ = lambda a, b: not eq(a, b)
+        cls.__hash__ = lambda a: hash(a[:width])
+        return cls
+
+    return decorate
+
+
+class RuleMetrics(NamedTuple):
     tp: int
     fp: int
 
@@ -51,32 +63,44 @@ class RuleMetrics:
         return RuleMetrics(self.tp + other.tp, self.fp + other.fp)
 
 
-@dataclass(frozen=True, slots=True)
 class RewriteRule:
-    """A reusable pattern lhs -> rhs applied by token-boundary replacement."""
+    """A reusable pattern lhs -> rhs applied by token-boundary replacement.
 
-    lhs: str
-    rhs: str
-    # (bucket index, core atom index, j, k) of the window the rule grew from
-    origin: tuple[int, int, int, int] | None = field(default=None, compare=False)
-    fallback: bool = field(default=False, compare=False)
+    Equality and hash read lhs and rhs: `origin`, the (bucket index, core
+    atom index, j, k) of the window the rule grew from, and `fallback` only
+    say where it came from.
+    """
 
-    def __post_init__(self) -> None:
-        if self.lhs == self.rhs:
+    __slots__ = ("lhs", "rhs", "origin", "fallback")
+
+    def __init__(
+        self, lhs: str, rhs: str, origin: tuple[int, ...] | None = None, fallback: bool = False
+    ) -> None:
+        if lhs == rhs:
             raise ValueError("rewrite rule requires lhs != rhs")
+        self.lhs, self.rhs, self.origin, self.fallback = lhs, rhs, origin, fallback
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is RewriteRule and (self.lhs, self.rhs) == (other.lhs, other.rhs)
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.rhs))
+
+    def __repr__(self) -> str:
+        return f"RewriteRule({self.lhs!r}, {self.rhs!r})"
 
 
 FIXUP_ROUNDS = 6  # rule rounds before the exact-anchor fallback takes over
 WINDOW_MAX = 8  # the widest window a round widens to
 
 
-@dataclass(frozen=True, slots=True)
 class ExtractionConfig:
-    window: int = 2
+    __slots__ = ("window",)
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.window <= WINDOW_MAX):
+    def __init__(self, window: int = 2) -> None:
+        if not (0 <= window <= WINDOW_MAX):
             raise ValueError(f"need 0 <= window <= {WINDOW_MAX}")
+        self.window = window
 
 
 # --- scoring -------------------------------------------------------------------
@@ -84,8 +108,7 @@ class ExtractionConfig:
 Region = tuple[int, tuple[int, int]]  # (bucket index, source span)
 
 
-@dataclass(slots=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A scored rule, its tie-break order after precision and tp, and the
     regions it claims once retained."""
 
@@ -302,8 +325,7 @@ def apply_rewrite_to_text(text: str, lhs: str, rhs: str) -> tuple[str, list[tupl
 
 # --- the fix-up loop ---------------------------------------------------------
 
-@dataclass
-class RoundTrace:
+class RoundTrace(NamedTuple):
     buckets: BucketSet
     window: int
     ranked: list[tuple[RewriteRule, RuleMetrics]]
@@ -335,7 +357,7 @@ def _cost(buckets: BucketSet) -> int:
     """Token edits a dissection still demands: one per substitution, plus
     the tokens of every inserted or deleted run."""
     return sum(
-        1 if a.lhs and a.rhs else len(tokenize(a.lhs or a.rhs).tokens)
+        1 if a.lhs and a.rhs else sum(1 for _ in _runs(a.lhs or a.rhs))
         for bucket in buckets
         for a in (bucket.atoms[i] for i in bucket.cores)
     )
@@ -363,7 +385,7 @@ def decompose_rewrites_trace(
     window = cfg.window
     prev = _cost(buckets)
     for _ in range(FIXUP_ROUNDS):
-        ranked = get_precise_rewriting(buckets, replace(cfg, window=window))
+        ranked = get_precise_rewriting(buckets, ExtractionConfig(window))
         trace.append(RoundTrace(buckets, window, ranked))
         steps.extend(rule for rule, _metrics in ranked)
         sources = _rewritten(buckets, (rule for rule, _metrics in ranked))

@@ -3,6 +3,8 @@
 Every piece of text the engine touches (file contents, file names) is split
 into tokens of four character categories. A token is a maximal run of
 same-category characters, except that each symbol character is its own token.
+`classify_char` defines the categories; the tokenizer finds the runs in one
+regex scan of the text (`_runs`), and `tokenize` wraps them as `Token`s.
 All pattern matching downstream is required to start and end on token
 boundaries of the text being searched. Whether an offset is a boundary is
 decided from the two characters around it, so matching needs no tokenization.
@@ -10,9 +12,12 @@ decided from the two characters around it, so matching needs no tokenization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections.abc import Iterator
 from enum import Enum, auto
 from functools import lru_cache
+from itertools import groupby
+from typing import NamedTuple
 
 
 class CharCategory(Enum):
@@ -37,8 +42,7 @@ def classify_char(ch: str) -> CharCategory:
     return CharCategory.SYMBOL
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """One token: its text, category, and offset into the source string."""
 
     text: str
@@ -50,12 +54,35 @@ class Token:
         return self.offset + len(self.text)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TokenString:
+class TokenString(NamedTuple):
     """A string together with its tokens."""
 
     source: str
     tokens: tuple[Token, ...]
+
+
+# Group i matches a run of the i-th CharCategory. `\d` is `str.isdecimal` and
+# `\s` is `str.isspace`. `[^\W\d_]` holds every letter, and also the numeric
+# characters that are not decimal digits (², ½, Ⅷ), which are symbols: `_runs`
+# splits a letter run holding any of them.
+_RUNS = re.compile(r"(\d+)|([^\W\d_]+)|(\s+)|(.)", re.S)
+_GROUP_CATEGORY = (None, *CharCategory)
+
+
+def _runs(s: str) -> Iterator[tuple[str, CharCategory, int]]:
+    """(text, category, offset) of every token of s, in order, from one scan."""
+    letter = CharCategory.LETTER
+    for m in _RUNS.finditer(s):
+        text = m.group()
+        category = _GROUP_CATEGORY[m.lastindex]
+        if category is not letter or text.isalpha():
+            yield text, category, m.start()
+            continue
+        offset = m.start()
+        for alpha, chars in groupby(text, str.isalpha):
+            for piece in ["".join(chars)] if alpha else chars:
+                yield piece, letter if alpha else CharCategory.SYMBOL, offset
+                offset += len(piece)
 
 
 def tokenize(s: str) -> TokenString:
@@ -63,29 +90,20 @@ def tokenize(s: str) -> TokenString:
 
     The concatenation of the token texts always equals the input.
     """
-    tokens: list[Token] = []
-    i = 0
-    n = len(s)
-    while i < n:
-        cat = classify_char(s[i])
-        if cat is CharCategory.SYMBOL:
-            j = i + 1
-        else:
-            j = i + 1
-            while j < n and classify_char(s[j]) is cat:
-                j += 1
-        tokens.append(Token(s[i:j], cat, i))
-        i = j
-    return TokenString(s, tuple(tokens))
+    return TokenString(s, tuple(Token(*run) for run in _runs(s)))
 
 
 # Tokenization is referentially transparent, so this caches by source string
-# the token lists of rename pairing's unpaired contents and of the shared
-# substrings the move pass weighs. Within one merge such a text is seldom
-# asked for twice: the benchmark workloads see no hits.
+# the token lists of the shared substrings the move pass weighs. Within one
+# merge such a text is seldom asked for twice: the benchmark workloads see no
+# hits.
 @lru_cache(maxsize=512)
 def tokenize_cached(s: str) -> TokenString:
     return tokenize(s)
+
+
+# The categories of the ASCII characters; others are classified as met.
+_ASCII = {chr(c): classify_char(chr(c)) for c in range(128)}
 
 
 def _at_boundary(s: str, i: int) -> bool:
@@ -96,8 +114,9 @@ def _at_boundary(s: str, i: int) -> bool:
     """
     if i <= 0 or i >= len(s):
         return True
-    before = classify_char(s[i - 1])
-    return before is CharCategory.SYMBOL or before is not classify_char(s[i])
+    a, b = s[i - 1], s[i]
+    before = _ASCII.get(a) or classify_char(a)
+    return before is CharCategory.SYMBOL or before is not (_ASCII.get(b) or classify_char(b))
 
 
 def _find_aligned(text: str, needle: str, pos: int) -> int:

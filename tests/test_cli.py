@@ -421,3 +421,15 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["steps"]
+
+    def test_import_leaves_dataclasses_out(self):
+        # A merge driver starts once per file; importing dataclasses (and the
+        # inspect module under it) costs start-up that nothing on the merge
+        # path needs.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, summer.cli; print('dataclasses' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

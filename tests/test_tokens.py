@@ -85,12 +85,56 @@ class TestTokenize:
         assert once == again
 
 
+def reference_tokens(s: str) -> list[tuple[str, CharCategory, int]]:
+    """The per-character loop that defines tokenization: classify each
+    character, extend a run while the category holds, and end a symbol
+    after one character."""
+    out = []
+    i, n = 0, len(s)
+    while i < n:
+        cat = classify_char(s[i])
+        j = i + 1
+        if cat is not CharCategory.SYMBOL:
+            while j < n and classify_char(s[j]) is cat:
+                j += 1
+        out.append((s[i:j], cat, i))
+        i = j
+    return out
+
+
+# Characters where a regex class and a str predicate could part ways:
+# numeric non-digits (², ½, Ⅷ) that `\w` holds but are no letters, a
+# non-ASCII decimal digit, underscore, combining accents, and whitespace
+# beyond ASCII's (file and group separators, NEL, line separator).
+TRICKY = "²½Ⅷ٣_\u0301\u0308\x1c\x1d\x1e\x1f\x85\u2028\r\n"
+tricky_text = st.text(
+    alphabet=st.one_of(st.sampled_from(TRICKY + "a1 +"), st.characters()), max_size=200
+)
+
+
+class TestTokenizeOracle:
+    @given(tricky_text)
+    @example("a²b½cⅧ٣3__\u0301x\r\n\x85\u2028")
+    def test_matches_reference_loop(self, s):
+        assert list(tokenize(s).tokens) == reference_tokens(s)
+
+    def test_every_code_point_between_a_letter_and_a_digit(self):
+        # One string "a" + c + "1" for every non-surrogate code point c,
+        # tokenized in slices that each end on "1" before an "a": a digit
+        # to letter change is a boundary, so each slice's tokens are the
+        # whole string's, shifted, and memory stays small.
+        points = [c for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+        for k in range(0, len(points), 1 << 14):
+            s = "".join(f"a{chr(c)}1" for c in points[k : k + (1 << 14)])
+            assert list(tokenize(s).tokens) == reference_tokens(s), hex(points[k])
+
+
 # The CLI maps each byte of a non-UTF-8 file to one private-use character.
 PRIVATE_USE_BYTES = "".join(chr(0xE000 + b) for b in range(256))
 
 
 class TestBoundaryPredicate:
-    @given(st.text(max_size=200))
+    @given(tricky_text)
     @example("_")
     @example("a_b1_")
     @example("x²y2")
