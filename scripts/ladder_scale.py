@@ -4,8 +4,9 @@
 Builds `ladder_case(CASE)` from perfbench/workloads.py with `LADDER_LINES`
 multiplied by 1, 2, 4 and 8 (about 8.1k to 64.8k tokens a file), and prints
 one markdown table row per size: tokens, the merge of base, left and right,
-and the decompose of base to left, each the best wall time of REPEATS runs.
-The tokenizer cache is cleared before each run, so every run is cold.
+and the decompose of base to left, each the best wall time of REPEATS runs
+and its ratio to the row before (the cost of one doubling). The tokenizer
+cache is cleared before each run, so every run is cold.
 
 Usage: python3 scripts/ladder_scale.py [REPEATS] [CASE]
 """
@@ -42,8 +43,9 @@ def main(argv: list[str]) -> int:
     case = int(argv[1]) if len(argv) > 1 else 3
     lines = workloads.LADDER_LINES
     words = workloads.spelling(workloads.CHECK_SEED, 0, 2)
-    print("| tokens | merge | decompose (left) |")
-    print("| --- | --- | --- |")
+    print("| tokens | merge | ratio | decompose (left) | ratio |")
+    print("| --- | --- | --- | --- | --- |")
+    prev = None
     try:
         for factor in FACTORS:
             workloads.LADDER_LINES = lines * factor
@@ -51,7 +53,12 @@ def main(argv: list[str]) -> int:
             tokens = len(tokenize(base).tokens)
             m = best_of(repeats, merge, {"": base}, {"": left}, {"": right})
             d = best_of(repeats, decompose, {"": base}, {"": left})
-            print(f"| {tokens / 1000:.1f}k | {m:.2f} s | {d:.2f} s |", flush=True)
+            ratios = [f"{t / p:.1f}x" for t, p in zip((m, d), prev)] if prev else ["", ""]
+            print(
+                f"| {tokens / 1000:.1f}k | {m:.2f} s | {ratios[0]} | {d:.2f} s | {ratios[1]} |",
+                flush=True,
+            )
+            prev = m, d
     finally:
         workloads.LADDER_LINES = lines
     return 0

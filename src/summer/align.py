@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import cached_property
-from itertools import accumulate, groupby
+from functools import cached_property, partial
+from itertools import accumulate, compress, count, groupby
+from operator import add, itemgetter, ne
 from typing import NamedTuple
 
-from .tokens import CharCategory, _runs, classify_char
+from .tokens import CharCategory, _token_texts, classify_char
 
 
 class Atom(NamedTuple):
@@ -47,22 +48,24 @@ class Bucket:
 
     @cached_property
     def source(self) -> str:
-        return "".join(a.lhs for a in self.atoms)
+        return "".join(map(itemgetter(0), self.atoms))
 
     @cached_property
     def target(self) -> str:
-        return "".join(a.rhs for a in self.atoms)
+        return "".join(map(itemgetter(1), self.atoms))
 
     @cached_property
     def cores(self) -> tuple[int, ...]:
         """Indices of the edit atoms, in order."""
-        return tuple(i for i, a in enumerate(self.atoms) if a.lhs != a.rhs)
+        lhss = map(itemgetter(0), self.atoms)
+        rhss = map(itemgetter(1), self.atoms)
+        return tuple(compress(count(), map(ne, lhss, rhss)))
 
     @cached_property
     def _starts(self) -> tuple[list[int], list[int]]:
         return (
-            [a.lhs_start for a in self.atoms] + [len(self.source)],
-            [a.rhs_start for a in self.atoms] + [len(self.target)],
+            [*map(itemgetter(2), self.atoms), len(self.source)],
+            [*map(itemgetter(3), self.atoms), len(self.target)],
         )
 
     def target_offsets(self, p: int) -> list[int] | None:
@@ -234,16 +237,17 @@ def _best_anchor(a, alo, ahi, b, blo, bhi):
     """
     count_a = Counter(a[alo:ahi])
     count_b = Counter(b[blo:bhi])
-    rarity = {ln: n + count_b[ln] for ln, n in count_a.items() if ln in count_b}
-    if not rarity:
+    common = list(filter(count_b.__contains__, count_a))  # first-occurrence order in a
+    if not common:
         return None
-    rarest = min(rarity.values())
+    rarest = min(map(add, map(count_a.__getitem__, common), map(count_b.__getitem__, common)))
     lines: set[str] = set()
     budget = 256
-    for ln, r in rarity.items():  # first-occurrence order in a
-        if r == rarest:
+    for ln in common:
+        n, m = count_a[ln], count_b[ln]
+        if n + m == rarest:
             lines.add(ln)
-            budget -= count_a[ln] * count_b[ln]
+            budget -= n * m
             if budget <= 0:
                 break
     j = next(j for j in range(blo, bhi) if b[j] in lines)
@@ -304,6 +308,11 @@ def _run_kind(part: Part) -> str:
     return "=" if lhs == rhs else "+" if not lhs else "-" if not rhs else "~"
 
 
+# An Atom from a 4-tuple with no Python frame per call, as `Atom(...)` and
+# `Atom._make` each run one; identity runs build tens of thousands of atoms.
+_new_atom = partial(tuple.__new__, Atom)
+
+
 def _atoms(parts: list[Part]) -> tuple[Atom, ...]:
     """Coalesce identity, insertion and deletion runs of parts (each
     substitution stays its own atom), placed from offset 0. Each identity
@@ -317,16 +326,15 @@ def _atoms(parts: list[Part]) -> tuple[Atom, ...]:
             run = [("".join(lhs for lhs, _ in run), "".join(rhs for _, rhs in run))]
         for lhs, rhs in run:
             if kind == "=":
-                atoms.extend(Atom(text, text, lo + at, ro + at) for text, _, at in _runs(lhs))
+                texts = _token_texts(lhs)
+                lhs_starts = accumulate(map(len, texts), initial=lo)
+                rhs_starts = accumulate(map(len, texts), initial=ro)
+                atoms.extend(map(_new_atom, zip(texts, texts, lhs_starts, rhs_starts)))
             else:
                 atoms.append(Atom(lhs, rhs, lo, ro))
             lo += len(lhs)
             ro += len(rhs)
     return tuple(atoms)
-
-
-def _token_texts(s: str) -> list[str]:
-    return [text for text, _, _ in _runs(s)]
 
 
 def dissect(source: str, target: str, label: str) -> Bucket:

@@ -14,7 +14,7 @@ import heapq
 from enum import Enum, auto
 from typing import NamedTuple
 
-from .align import NAME_PREFIX, Bucket, BucketSet, _token_texts, dissect, is_name_label
+from .align import NAME_PREFIX, Bucket, BucketSet, dissect, is_name_label
 from .distance import _bag, _bag_distance, levenshtein, similarity
 from .moves import MoveRule, apply_move, get_precise_move
 from .rules import (
@@ -25,6 +25,7 @@ from .rules import (
     decompose_rewrites,
     typed,
 )
+from .tokens import _token_texts
 
 Snapshot = dict[str, str]
 

@@ -23,12 +23,13 @@ bucket a round did not rewrite keeps its atoms and offset projection.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from typing import Any, NamedTuple
 
 from .align import Atom, BucketSet, dissect
-from .tokens import _find_aligned, _runs, find_matches
+from .tokens import _find_aligned, _token_texts, find_matches
 
 
 def typed(width: int | None = None) -> Callable[[type], type]:
@@ -253,32 +254,31 @@ def expand_edit(
     _expand(buckets, bucket_index, core, core + 1, cfg.window, pool, form)
 
 
-def spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Half-open interval overlap; zero-width spans behave as points."""
-    if a[0] == a[1] and b[0] == b[1]:
-        return a[0] == b[0]
-    if a[0] == a[1]:
-        return b[0] <= a[0] < b[1]
-    if b[0] == b[1]:
-        return a[0] <= b[0] < a[1]
-    return a[0] < b[1] and b[0] < a[1]
-
-
 def _select(candidates: Iterable[Candidate]) -> list[Candidate]:
     """Rank the candidates above the precision bar and retain, best first,
-    each one whose claims overlap no retained candidate's claims."""
+    each one whose claims overlap no retained candidate's claims.
+
+    A span [s, e) claims the offsets s..e-1; a zero-width span at p claims
+    p alone, as [p, p + 1) does. Two claims overlap when they share an
+    offset, so each bucket's claimed offsets are kept as one flat sorted
+    list of disjoint runs, [start, end, start, end, ...], and a claim is
+    tested with one bisect.
+    """
     kept: list[Candidate] = []
-    claimed: dict[int, list[tuple[int, int]]] = {}
+    claimed: defaultdict[int, list[int]] = defaultdict(list)
     for cand in sorted((c for c in candidates if c.metrics.precise), key=Candidate.rank):
-        if any(
-            spans_overlap(span, other)
-            for bucket, span in cand.claims
-            for other in claimed.get(bucket, ())
-        ):
-            continue
-        for bucket, span in cand.claims:
-            claimed.setdefault(bucket, []).append(span)
-        kept.append(cand)
+        spans = [(claimed[bucket], s, max(e, s + 1)) for bucket, (s, e) in cand.claims]
+        for runs, s, e in spans:
+            i = bisect_right(runs, s)
+            if i & 1 or (i < len(runs) and runs[i] < e):  # s in a run, or a run starts before e
+                break
+        else:
+            for runs, s, e in spans:
+                # Merge [s, e) with the runs it overlaps or touches: an odd
+                # index lies inside or at the end of a run, which keeps its bound.
+                i, j = bisect_left(runs, s), bisect_right(runs, e)
+                runs[i:j] = [s, e][i & 1 : 2 - (j & 1)]
+            kept.append(cand)
     return kept
 
 
@@ -357,7 +357,7 @@ def _cost(buckets: BucketSet) -> int:
     """Token edits a dissection still demands: one per substitution, plus
     the tokens of every inserted or deleted run."""
     return sum(
-        1 if a.lhs and a.rhs else sum(1 for _ in _runs(a.lhs or a.rhs))
+        1 if a.lhs and a.rhs else len(_token_texts(a.lhs or a.rhs))
         for bucket in buckets
         for a in (bucket.atoms[i] for i in bucket.cores)
     )

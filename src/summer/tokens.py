@@ -4,7 +4,8 @@ Every piece of text the engine touches (file contents, file names) is split
 into tokens of four character categories. A token is a maximal run of
 same-category characters, except that each symbol character is its own token.
 `classify_char` defines the categories; the tokenizer finds the runs in one
-regex scan of the text (`_runs`), and `tokenize` wraps them as `Token`s.
+regex scan of the text (`_runs`), and `tokenize` wraps them as `Token`s;
+`_token_texts` lists the texts alone.
 All pattern matching downstream is required to start and end on token
 boundaries of the text being searched. Whether an offset is a boundary is
 decided from the two characters around it, so matching needs no tokenization.
@@ -83,6 +84,17 @@ def _runs(s: str) -> Iterator[tuple[str, CharCategory, int]]:
             for piece in ["".join(chars)] if alpha else chars:
                 yield piece, letter if alpha else CharCategory.SYMBOL, offset
                 offset += len(piece)
+
+
+# The same scan without categories: on ASCII, `[^\W\d_]` is exactly isalpha.
+_TEXTS = re.compile(r"\d+|[^\W\d_]+|\s+|.", re.S)
+
+
+def _token_texts(s: str) -> list[str]:
+    """The texts of the tokens of s, in order."""
+    if s.isascii():
+        return _TEXTS.findall(s)
+    return [text for text, _, _ in _runs(s)]
 
 
 def tokenize(s: str) -> TokenString:

@@ -7,12 +7,11 @@ from summer.align import (
     BucketSet,
     _best_anchor,
     _token_parts,
-    _token_texts,
     dissect,
     line_diff,
     split_lines,
 )
-from summer.tokens import tokenize
+from summer.tokens import _token_texts, tokenize
 from tests.conftest import (
     DELETION,
     INSERTION,
@@ -153,13 +152,20 @@ class TestRepetitiveLines:
         for prev, op in zip(ops, ops[1:]):
             assert (prev[0] == "equal") != (op[0] == "equal")
 
-    @given(repetitive_line_lists())
+    @given(repetitive_line_lists(), st.data())
     @settings(max_examples=300)
-    def test_anchor_matches_pair_enumeration(self, lists):
+    def test_anchor_matches_pair_enumeration(self, lists, data):
+        # The whole lists, and a sub-region: its first occurrences and
+        # counts are the region's, not the list's.
         la, lb = lists
-        assert _best_anchor(la, 0, len(la), lb, 0, len(lb)) == pairwise_anchor(
-            la, 0, len(la), lb, 0, len(lb)
-        )
+        region = []
+        for lines in (la, lb):
+            lo = data.draw(st.integers(0, len(lines)))
+            region += [lo, data.draw(st.integers(lo, len(lines)))]
+        for alo, ahi, blo, bhi in [(0, len(la), 0, len(lb)), region]:
+            assert _best_anchor(la, alo, ahi, lb, blo, bhi) == pairwise_anchor(
+                la, alo, ahi, lb, blo, bhi
+            )
 
 
 def pairs(atoms):
@@ -333,6 +339,21 @@ class TestDissect:
         a = dissect(source, target, "t")
         b = dissect(source, target, "t")
         assert a.atoms == b.atoms
+
+
+class TestBucketFields:
+    @given(_texts, _texts)
+    @settings(max_examples=300)
+    def test_match_per_atom_reference(self, source, target):
+        bucket = dissect(source, target, "t")
+        atoms = bucket.atoms
+        assert bucket.source == "".join(a.lhs for a in atoms)
+        assert bucket.target == "".join(a.rhs for a in atoms)
+        assert bucket.cores == tuple(i for i, a in enumerate(atoms) if a.lhs != a.rhs)
+        assert bucket._starts == (
+            [a.lhs_start for a in atoms] + [len(source)],
+            [a.rhs_start for a in atoms] + [len(target)],
+        )
 
 
 def atom_offsets(bucket: Bucket, p: int) -> list[int] | None:

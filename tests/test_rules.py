@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from summer.align import Bucket, BucketSet, dissect
 from summer.moves import MovePattern, match_pattern
@@ -10,6 +10,7 @@ from summer.rules import (
     RewriteRule,
     RuleMetrics,
     _score,
+    _select,
     apply_rewrite_to_text,
     classification_metrics,
     decompose_rewrites,
@@ -264,6 +265,78 @@ class TestSortAndFilter:
         )
         kept = sort_and_filter(pool)
         assert [r.lhs for r, _ in kept] == ["x"]
+
+
+def spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Half-open interval overlap; zero-width spans behave as points."""
+    if a[0] == a[1] and b[0] == b[1]:
+        return a[0] == b[0]
+    if a[0] == a[1]:
+        return b[0] <= a[0] < b[1]
+    if b[0] == b[1]:
+        return a[0] <= b[0] < a[1]
+    return a[0] < b[1] and b[0] < a[1]
+
+
+def pairwise_select(candidates):
+    """Reference selection: test every claim of a candidate against every
+    claim retained so far in its bucket."""
+    kept = []
+    claimed: dict[int, list[tuple[int, int]]] = {}
+    for cand in sorted((c for c in candidates if c.metrics.precise), key=Candidate.rank):
+        if any(
+            spans_overlap(span, other)
+            for bucket, span in cand.claims
+            for other in claimed.get(bucket, ())
+        ):
+            continue
+        for bucket, span in cand.claims:
+            claimed.setdefault(bucket, []).append(span)
+        kept.append(cand)
+    return kept
+
+
+# Short spans over a few offsets, a quarter of them zero-width, so that
+# claims nest, touch and meet at run ends.
+_spans = st.tuples(st.integers(0, 12), st.sampled_from([0, 1, 1, 2, 3, 5])).map(
+    lambda t: (t[0], t[0] + t[1])
+)
+
+
+@st.composite
+def claim_pools(draw):
+    """Candidates over three buckets, each claiming a window, a core inside
+    it (window ⊇ core, as expand_edit claims them) and a few sites."""
+    pool = []
+    for k in range(draw(st.integers(0, 24))):
+        bucket = draw(st.integers(0, 2))
+        lo, hi = draw(_spans)
+        core_lo = draw(st.integers(lo, hi))
+        core = (core_lo, draw(st.integers(core_lo, hi)))
+        sites = draw(st.lists(st.tuples(st.integers(0, 2), _spans), max_size=3))
+        metrics = RuleMetrics(draw(st.integers(0, 3)), draw(st.integers(0, 1)))
+        order = (draw(st.integers(0, 2)), k)
+        pool.append(Candidate(k, metrics, order, [(bucket, (lo, hi)), (bucket, core), *sites]))
+    return pool
+
+
+def claims_of(*claims):
+    return [Candidate(k, RuleMetrics(1, 0), (k,), list(c)) for k, c in enumerate(claims)]
+
+
+class TestSelect:
+    @given(claim_pools())
+    @settings(max_examples=500)
+    # A point at a run's end is free, at its start taken.
+    @example(claims_of([(0, (2, 5))], [(0, (5, 5))], [(0, (2, 2))]))
+    # Adjacent spans merge into one run; a point inside it is taken.
+    @example(claims_of([(0, (2, 4))], [(0, (4, 6))], [(0, (3, 3))], [(0, (4, 4))], [(0, (6, 6))]))
+    # Points claim one offset: a point beside a point is free.
+    @example(claims_of([(0, (3, 3))], [(0, (4, 4))], [(0, (2, 3))], [(0, (3, 4))]))
+    # The same span in another bucket is free.
+    @example(claims_of([(0, (0, 9)), (0, (3, 4))], [(1, (0, 9))], [(2, (8, 8)), (0, (9, 9))]))
+    def test_matches_pairwise_reference(self, pool):
+        assert [c.rule for c in _select(pool)] == [c.rule for c in pairwise_select(pool)]
 
 
 class TestExpandEdit:

@@ -5,6 +5,8 @@ from hypothesis import example, given
 from summer.tokens import (
     CharCategory,
     _at_boundary,
+    _runs,
+    _token_texts,
     classify_char,
     find_matches,
     tokenize,
@@ -127,6 +129,14 @@ class TestTokenizeOracle:
         for k in range(0, len(points), 1 << 14):
             s = "".join(f"a{chr(c)}1" for c in points[k : k + (1 << 14)])
             assert list(tokenize(s).tokens) == reference_tokens(s), hex(points[k])
+
+
+class TestTokenTexts:
+    @given(st.one_of(tricky_text, st.text(st.characters(max_codepoint=127), max_size=200)))
+    @example("a²b½cⅧ٣3__\x85 x")
+    @example("if (x_1 >= 0x2F) {\r\n\treturn;\x1c}")
+    def test_match_the_runs(self, s):
+        assert _token_texts(s) == [text for text, _, _ in _runs(s)]
 
 
 # The CLI maps each byte of a non-UTF-8 file to one private-use character.
