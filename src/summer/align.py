@@ -1,7 +1,8 @@
 """Alignment of a (source, target) string pair into ordered atoms.
 
 The pipeline is: line-level histogram diff (rare lines anchor the split),
-then token-level Levenshtein alignment inside each change block. The result
+then token-level Levenshtein alignment inside each change block (paths of
+`distance`'s diagonal search, in memory that grows with its band). The result
 is a Bucket, an ordered tuple of atoms whose left sides concatenate to the
 source and right sides to the target.
 
@@ -24,6 +25,7 @@ from itertools import accumulate, compress, count, groupby
 from operator import add, itemgetter, ne
 from typing import NamedTuple
 
+from .distance import _alignment
 from .tokens import CharCategory, _token_texts, classify_char
 
 
@@ -263,45 +265,6 @@ def _best_anchor(a, alo, ahi, b, blo, bhi):
 Part = tuple[str, str]  # (lhs, rhs)
 
 
-def _token_parts(del_tokens: list[str], add_tokens: list[str]) -> list[Part]:
-    """Minimal-cost token parts with match > sub > del > ins preference.
-
-    The preference is applied scanning left to right over suffix-optimal
-    costs, which keeps shared prefixes aligned. A part is an identity (equal
-    sides), a deletion or an insertion (one side empty), or a substitution.
-    """
-    n, m = len(del_tokens), len(add_tokens)
-    # cost[i][j] = distance between del_tokens[i:] and add_tokens[j:]
-    cost = [[0] * (m + 1) for _ in range(n + 1)]
-    for j in range(m + 1):
-        cost[n][j] = m - j
-    for i in range(n - 1, -1, -1):
-        row = cost[i]
-        below = cost[i + 1]
-        row[m] = n - i
-        di = del_tokens[i]
-        for j in range(m - 1, -1, -1):
-            if di == add_tokens[j]:
-                row[j] = below[j + 1]
-            else:
-                row[j] = 1 + min(below[j + 1], below[j], row[j + 1])
-    parts: list[Part] = []
-    i = j = 0
-    while i < n or j < m:
-        c = cost[i][j]
-        if i < n and j < m and c == (del_tokens[i] != add_tokens[j]) + cost[i + 1][j + 1]:
-            parts.append((del_tokens[i], add_tokens[j]))
-            i += 1
-            j += 1
-        elif i < n and c == 1 + cost[i + 1][j]:
-            parts.append((del_tokens[i], ""))
-            i += 1
-        else:
-            parts.append(("", add_tokens[j]))
-            j += 1
-    return parts
-
-
 def _run_kind(part: Part) -> str:
     """Identity, insertion, deletion or substitution, told by the sides."""
     lhs, rhs = part
@@ -346,7 +309,7 @@ def dissect(source: str, target: str, label: str) -> Bucket:
         del_text = "".join(a[a0:a1])
         add_text = "".join(b[b0:b1])
         if tag == "replace":
-            parts.extend(_token_parts(_token_texts(del_text), _token_texts(add_text)))
+            parts.extend(_alignment(_token_texts(del_text), _token_texts(add_text)))
         else:
             parts.append((del_text, add_text))
     bucket = Bucket(label, _atoms(parts))

@@ -1,15 +1,16 @@
-"""Exact Levenshtein distances over characters and token sequences.
+"""Exact Levenshtein distances and minimal token alignments.
 
 Unbounded distances use Myers' bit-parallel algorithm with Python big ints as
 bit vectors, so whole-file character distances stay tractable without C
-extensions. A bounded distance (`limit=k`) runs Ukkonen's diagonal-transition
-search instead, which costs O(k²) Python steps plus C-speed slice comparisons
-along the diagonals, independent of the file size.
+extensions. One diagonal-transition search (Ukkonen 1985; Myers 1986) serves
+both bounded distances (`limit=k`) and token alignment paths, in O(k²) Python
+steps plus C-speed slice comparisons along the diagonals, and in memory that
+grows with the band of diagonals it keeps, independent of the input size.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 
 
 def _common_prefix(a: Sequence, i: int, b: Sequence, j: int) -> int:
@@ -47,12 +48,12 @@ def _trim_common(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
 def _bit_vector_cheaper(n: int, m: int, k: int) -> bool:
     """Whether Myers' full bit-vector costs less than a diagonal search to k.
 
-    The search's work is bounded by the (k+1)² diagonals of levels 0..k; the
-    bit-vector runs n rows of a fixed sequence of big-int operations on
-    ⌈m/64⌉-word integers. Timed on CPython 3.11 (x86-64) over source text, in
-    units of one word of a row (about 0.08 µs): a row costs ⌈m/64⌉ + 20
-    (interpreter overhead), and a diagonal, averaged over (k+1)², costs 6.
-    On two 17.8k-character texts, the search runs up to k = 941.
+    The search's work is bounded by the (k+1)² diagonals of levels 0..k (rows
+    as wide as each level's band); the bit-vector runs n rows of big-int
+    operations on ⌈m/64⌉-word integers. Timed on CPython 3.11 (x86-64) over
+    source text, in units of one word of a row (about 0.08 µs): a row costs
+    ⌈m/64⌉ + 20 (interpreter overhead), and a diagonal, averaged over (k+1)²,
+    costs 6. On two 17.8k-character texts, the search runs up to k = 941.
     """
     return 6 * (k + 1) ** 2 > n * (-(-m // 64) + 20)
 
@@ -76,34 +77,69 @@ def levenshtein(
         if len(a) - len(b) > limit:
             return limit + 1
         if not _bit_vector_cheaper(len(a), len(b), limit):
-            return _diagonal_search(a, b, limit)
+            levels = enumerate(_frontiers(a, b, limit))
+            return next((e for e, lv in levels if _reaches(lv, len(b) - len(a), len(a))), limit + 1)
     return _bit_vector(a, b)
 
 
-def _diagonal_search(a: Sequence, b: Sequence, k: int) -> int:
-    """Ukkonen 1985 / Landau-Vishkin: the distance if it is at most k, else k+1.
+def _frontiers(a: Sequence, b: Sequence, k: int) -> Iterator[tuple[int, list[int]]]:
+    """Ukkonen 1985 / Landau-Vishkin: level e's frontier (lo, row), e = 0..k.
 
-    fr[d] is the furthest row i on diagonal d = j - i that e edits reach; a
-    level derives it from level e-1 on diagonals d-1, d, d+1 and then slides
-    along matches. Diagonals that cannot reach the end diagonal within the
-    remaining edits are skipped; their neighbours never need them.
+    row[d - lo + 2] is the furthest row i on diagonal d = j - i that e edits
+    reach, derived from level e-1 on diagonals d-1, d, d+1, then slid along
+    matches. Only the band of diagonals that can still reach the end diagonal
+    within k edits is kept, and its neighbours never need the others, so each
+    kept row is exact. Two sentinels pad each side of a band-wide row.
     """
     n, m = len(a), len(b)
     end = m - n
-    off = k + 1
-    fr = [-n - m - 2] * (2 * k + 3)  # index d + off
-    fr[off] = -1  # so that level 0 starts at row 0 of diagonal 0
+    unreached = -n - m - 2
+    plo, prev = 0, [unreached, unreached, -1, unreached, unreached]  # row 0 of diagonal 0
     for e in range(k + 1):
-        prev = fr[:]
-        for d in range(max(-e, end - (k - e)), min(e, end + (k - e)) + 1):
-            x = d + off
+        lo = max(-e, end - (k - e))
+        row = [unreached, unreached]
+        for x, d in enumerate(range(lo, min(e, end + (k - e)) + 1), lo - plo + 2):
             i = min(max(prev[x] + 1, prev[x + 1] + 1, prev[x - 1]), n, m - d)
             if i < n and i + d < m and a[i] == b[i + d]:
                 i += _common_prefix(a, i, b, i + d)
-            fr[x] = i
-        if fr[end + off] == n:
-            return e
-    return k + 1
+            row.append(i)
+        row += (unreached, unreached)
+        yield lo, row
+        plo, prev = lo, row
+
+
+def _reaches(level: tuple[int, list[int]], d: int, i: int) -> bool:
+    """Whether a frontier holds diagonal d at row i or further."""
+    lo, row = level
+    x = d - lo + 2
+    return 0 <= x < len(row) and row[x] >= i
+
+
+def _alignment(a: Sequence[str], b: Sequence[str]) -> list[tuple[str, str]]:
+    """Minimal-cost parts of token lists, (x, x), (x, ""), ("", y) or (x, y),
+    walked left to right: equal tokens match, else sub > del > ins while the
+    cost stays minimal. dist(a[i:], b[j:]) <= t is one lookup in the frontiers
+    of the reversed lists searched to the exact distance (level t, diagonal
+    (m - j) - (n - i), row n - i); the walk asks it only of cells next to a
+    minimal path, which lie in the searched band."""
+    n, m = len(a), len(b)
+    c = _bit_vector(a, b) if b else n  # dist(a[i:], b[j:]) as the walk goes
+    levels = list(_frontiers(a[::-1], b[::-1], c))
+    parts: list[tuple[str, str]] = []
+    i = j = 0
+    while i < n or j < m:
+        d, rest = (m - j) - (n - i), n - i - 1
+        if i < n and j < m and (a[i] == b[j] or _reaches(levels[c - 1], d, rest)):
+            c -= a[i] != b[j]
+            parts.append((a[i], b[j]))
+            i, j = i + 1, j + 1
+        elif i < n and _reaches(levels[c - 1], d + 1, rest):
+            parts.append((a[i], ""))
+            c, i = c - 1, i + 1
+        else:
+            parts.append(("", b[j]))
+            c, j = c - 1, j + 1
+    return parts
 
 
 def _bit_vector(a: Sequence, b: Sequence) -> int:

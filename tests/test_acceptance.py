@@ -250,7 +250,7 @@ def test_criterion_06_precision_property():
 
 
 def test_criterion_07_alignment_oracle():
-    from summer.align import _token_parts
+    from summer.distance import _alignment
 
     def oracle(a, b):
         prev = list(range(len(b) + 1))
@@ -273,7 +273,7 @@ def test_criterion_07_alignment_oracle():
         b = "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(0, 50)))
         a_toks = [t.text for t in tokenize(a).tokens]
         b_toks = [t.text for t in tokenize(b).tokens]
-        assert cost(_token_parts(a_toks, b_toks)) == oracle(a_toks, b_toks)
+        assert cost(_alignment(a_toks, b_toks)) == oracle(a_toks, b_toks)
     ok(7, "500 random pairs aligned at exactly the oracle's Levenshtein cost")
 
 

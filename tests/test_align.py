@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
@@ -6,11 +8,11 @@ from summer.align import (
     Bucket,
     BucketSet,
     _best_anchor,
-    _token_parts,
     dissect,
     line_diff,
     split_lines,
 )
+from summer.distance import _alignment
 from summer.tokens import _token_texts, tokenize
 from tests.conftest import (
     DELETION,
@@ -223,10 +225,88 @@ class TestAlignTokens:
     @settings(max_examples=150)
     def test_cost_is_optimal(self, x, y):
         xs, ys = _token_texts(x), _token_texts(y)
-        parts = _token_parts(xs, ys)
+        parts = _alignment(xs, ys)
         assert [lhs for lhs, _ in parts if lhs] == xs
         assert [rhs for _, rhs in parts if rhs] == ys
         assert sum(lhs != rhs for lhs, rhs in parts) == self.levenshtein_oracle(xs, ys)
+
+
+def reference_token_parts(del_tokens, add_tokens):
+    """The cost table the diagonal-search alignment replaced, kept as its
+    oracle: suffix costs in full, then a left-to-right walk preferring
+    match > sub > del > ins wherever the cost stays minimal."""
+    n, m = len(del_tokens), len(add_tokens)
+    # cost[i][j] = distance between del_tokens[i:] and add_tokens[j:]
+    cost = [[0] * (m + 1) for _ in range(n + 1)]
+    for j in range(m + 1):
+        cost[n][j] = m - j
+    for i in range(n - 1, -1, -1):
+        row = cost[i]
+        below = cost[i + 1]
+        row[m] = n - i
+        di = del_tokens[i]
+        for j in range(m - 1, -1, -1):
+            if di == add_tokens[j]:
+                row[j] = below[j + 1]
+            else:
+                row[j] = 1 + min(below[j + 1], below[j], row[j + 1])
+    parts = []
+    i = j = 0
+    while i < n or j < m:
+        c = cost[i][j]
+        if i < n and j < m and c == (del_tokens[i] != add_tokens[j]) + cost[i + 1][j + 1]:
+            parts.append((del_tokens[i], add_tokens[j]))
+            i += 1
+            j += 1
+        elif i < n and c == 1 + cost[i + 1][j]:
+            parts.append((del_tokens[i], ""))
+            i += 1
+        else:
+            parts.append(("", add_tokens[j]))
+            j += 1
+    return parts
+
+
+TOKENS = ["x", "y", "(", ")", " ", "\n", "\r\n", "17"]
+
+
+@st.composite
+def tie_heavy_token_lists(draw):
+    """Token-list pairs full of ties: small alphabets, and either a long run
+    both sides share or one side at least 20 times the other's length."""
+    tokens = st.sampled_from(draw(st.sampled_from([["a"], ["a", "b"], ["a", "b", "("], TOKENS])))
+    if draw(st.booleans()):
+        short = draw(st.lists(tokens, max_size=3))
+        long = draw(st.lists(tokens, min_size=60, max_size=90))
+        return (short, long) if draw(st.booleans()) else (long, short)
+    a, b, run = (draw(st.lists(tokens, max_size=size)) for size in (20, 20, 30))
+    cut_a, cut_b = draw(st.integers(0, len(a))), draw(st.integers(0, len(b)))
+    return a[:cut_a] + run + a[cut_a:], b[:cut_b] + run + b[cut_b:]
+
+
+class TestAlignmentOracle:
+    """`_alignment` against the table, part for part: the same tie-break,
+    not only the same cost."""
+
+    @given(tie_heavy_token_lists())
+    @settings(max_examples=600)
+    @example(([], []))
+    @example(([], ["a", "b"]))
+    @example((["a", "b"], []))
+    @example((["a"] * 5, ["b"] * 5))  # all substitutions
+    @example((["a", "b"] * 3, ["b", "a"] * 3))
+    @example((["a"], ["b"] * 25))  # one side 25 times the other
+    @example((["b"] * 25, ["a", "b"]))
+    def test_parts_equal_the_table(self, pair):
+        a, b = pair
+        assert _alignment(a, b) == reference_token_parts(a, b)
+
+    @given(st.lists(st.sampled_from(TOKENS), max_size=30))
+    @settings(max_examples=200)
+    def test_all_substitution_blocks(self, a):
+        # Every token replaced by one the other side never holds.
+        b = [t + "!" for t in a]
+        assert _alignment(a, b) == reference_token_parts(a, b) == list(zip(a, b))
 
 
 def reference_atoms(source, target):
@@ -242,7 +322,7 @@ def reference_atoms(source, target):
         if tag == "replace":
             parts += [
                 (atom_kind(Atom(x, y, 0, 0)), x, y)
-                for x, y in _token_parts(_token_texts(lhs), _token_texts(rhs))
+                for x, y in reference_token_parts(_token_texts(lhs), _token_texts(rhs))
             ]
         else:
             parts.append((line_kinds[tag], lhs, rhs))
@@ -339,6 +419,40 @@ class TestDissect:
         a = dissect(source, target, "t")
         b = dissect(source, target, "t")
         assert a.atoms == b.atoms
+
+
+def ladder_text(lines):
+    return "".join(f"item{i} = value{i};\n" for i in range(lines))
+
+
+def peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargeBlocks:
+    """A replace block as large as the file. Aligning it keeps one frontier
+    per edit level, each as wide as its band of diagonals, so memory does not
+    grow with the product of the two token counts."""
+
+    def test_whole_file_line_ending_conversion(self):
+        # Every line differs, so the file is one block: one substituted
+        # line-break token a line, among 1,800 tokens a side.
+        source = ladder_text(200)
+        target = source.replace("\n", "\r\n")
+        assert len(dissect(source, target, "t").cores) == 200
+        assert peak_traced_bytes(dissect, source, target, "t") < 10 * 2**20
+
+    def test_two_lines_replaced_by_many(self):
+        # 14 tokens against 13,500, at distance 13,490: 13,491 levels, each
+        # band at most five diagonals wide.
+        source, target = "x = y;\nz = w;\n", ladder_text(1500)
+        assert line_diff(source, target) == [("replace", 0, 2, 0, 1500)]
+        assert peak_traced_bytes(dissect, source, target, "t") < 10 * 2**20
 
 
 class TestBucketFields:

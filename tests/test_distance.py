@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from summer.distance import _bag, _bag_distance, _bit_vector_cheaper, levenshtein
+from summer.distance import _bag, _bag_distance, _bit_vector_cheaper, _trim_common, levenshtein
 
 # Multi-character pieces make long shared runs and repeats; "\r\n" and the
 # private-use characters (which hold undecodable bytes) must count as the
@@ -69,6 +69,64 @@ class TestBoundedLevenshtein:
             assert levenshtein(a, b) == d
             for k in (crossover - 1, crossover):
                 check_limit(a, b, d, k)
+
+
+def searched(a, b, k):
+    """Whether levenshtein(a, b, limit=k) runs the diagonal search."""
+    a, b = _trim_common(a, b)
+    n, m = max(len(a), len(b)), min(len(a), len(b))
+    return m > 0 and n - m <= k and not _bit_vector_cheaper(n, m, k)
+
+
+@st.composite
+def unbalanced_pairs(draw):
+    """A token list and a copy with tokens deleted (the length gap) and up
+    to three substituted by one the list lacks, either side the longer."""
+    a = draw(st.lists(st.sampled_from(TOKENS), min_size=40, max_size=80))
+    b = list(a)
+    for _ in range(draw(st.integers(1, 8))):
+        del b[draw(st.integers(0, len(b) - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        b[draw(st.integers(0, len(b) - 1))] = "\ue0ff"
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+class TestBandEdges:
+    """The search keeps only the band of diagonals that can still reach the
+    end diagonal, in rows as wide as that band. Its edges move with the
+    length gap and the limit, so these pairs put the gap at the limit or
+    one under it, and the distance at the limit or one over it."""
+
+    @given(unbalanced_pairs())
+    @example((["bar"] + ["foo"] * 40 + [")"], ["foo"] * 40))  # gap 2, distance 2
+    @example((["("] + ["foo"] * 40 + [")"], ["bar"] + ["foo"] * 36 + ["\ue0ff"]))  # gap 4, distance 6
+    @example((["(", ")"] * 20, ["\ue0ff"] + ["(", ")"] * 18 + ["("]))
+    @example((["bar"] + ["foo"] * 45, ["foo"] * 45 + ["bar"]))  # gap 0, distance 2
+    @settings(max_examples=300)
+    def test_gap_and_distance_at_the_limit(self, pair):
+        a, b = pair
+        d = levenshtein(a, b)
+        assert d == oracle(a, b)
+        gap = abs(len(a) - len(b))
+        for k in {gap, gap + 1, d - 1, d}:
+            if k < 0:
+                continue
+            if searched(a, b, k):
+                assert levenshtein(a, b, limit=k) == (d if d <= k else k + 1), (a, b, k)
+            else:
+                check_limit(a, b, d, k)
+
+    def test_examples_run_the_search(self):
+        # Neither side's ends are shared, so nothing is trimmed away.
+        cases = [
+            (["bar"] + ["foo"] * 40 + [")"], ["foo"] * 40, {2: 2, 3: 2}),
+            (["("] + ["foo"] * 40 + [")"], ["bar"] + ["foo"] * 36 + ["\ue0ff"], {4: 5, 5: 6, 6: 6}),
+            (["bar"] + ["foo"] * 45, ["foo"] * 45 + ["bar"], {0: 1, 1: 2, 2: 2}),
+        ]
+        for a, b, results in cases:
+            for k, want in results.items():
+                assert searched(a, b, k) and searched(b, a, k), (a, b, k)
+                assert levenshtein(a, b, limit=k) == levenshtein(b, a, limit=k) == want, (a, b, k)
 
 
 class TestBagDistance:
