@@ -23,7 +23,6 @@ from .engine import (
 )
 from .moves import MovePattern, MoveRule, get_precise_move
 from .rules import (
-    ExtractionConfig,
     RewriteRule,
     RuleMetrics,
     classification_metrics,

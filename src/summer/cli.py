@@ -12,7 +12,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .engine import ExtractionConfig, Snapshot, apply_steps, decompose, merge
+from .engine import Snapshot, apply_steps, decompose, merge
 from .stepio import parse_steps, serialize_steps
 
 SKIP_DIRS = {".git"}
@@ -147,14 +147,10 @@ def _write_output(
             fh.write(enc.encode("", content))
 
 
-def _config(args: argparse.Namespace) -> ExtractionConfig:
-    return ExtractionConfig(window=args.window)
-
-
 def cmd_decompose(args: argparse.Namespace) -> int:
     snaps, _enc, _is_dir = _load_uniform([args.base, args.changed])
     base, changed = snaps
-    steps = decompose(base, changed, _config(args))
+    steps = decompose(base, changed)
     text = serialize_steps(steps)
     if args.steps_out:
         with open(args.steps_out, "w", encoding="utf-8") as fh:
@@ -177,7 +173,7 @@ def cmd_rebase(args: argparse.Namespace) -> int:
             raise CliError("rebase takes BASE CHANGED TARGET, or --steps-in FILE TARGET")
         snaps, enc, is_dir = _load_uniform(args.paths)
         base, changed, target = snaps
-        steps = decompose(base, changed, _config(args))
+        steps = decompose(base, changed)
         target_path = args.paths[2]
     outcome = apply_steps(target, steps)
     dest = args.output if args.output else (target_path if is_dir else None)
@@ -187,7 +183,7 @@ def cmd_rebase(args: argparse.Namespace) -> int:
 def cmd_merge(args: argparse.Namespace) -> int:
     snaps, enc, is_dir = _load_uniform([args.base, args.left, args.right])
     base, left, right = snaps
-    outcome = merge(base, left, right, _config(args), binary_paths=enc.binary)
+    outcome = merge(base, left, right, binary_paths=enc.binary)
     return _finish(args, outcome, enc, is_dir, args.output if args.output else args.left)
 
 
@@ -206,12 +202,6 @@ def _finish(
     return 0
 
 
-def _add_window_flags(p: argparse.ArgumentParser, quiet: bool = True) -> None:
-    p.add_argument("--window", type=int, default=2, help="context window (units)")
-    if quiet:
-        p.add_argument("--quiet", action="store_true", help="suppress notes")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="summer",
@@ -224,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("base")
     p.add_argument("changed")
     p.add_argument("--steps-out", help="write the step JSON here instead of stdout")
-    _add_window_flags(p, quiet=False)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser(
@@ -234,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="BASE CHANGED TARGET, or TARGET with --steps-in")
     p.add_argument("--steps-in", help="step JSON produced by decompose")
     p.add_argument("--output", help="write result here instead of the default")
-    _add_window_flags(p)
+    p.add_argument("--quiet", action="store_true", help="suppress notes")
     p.set_defaults(func=cmd_rebase)
 
     p = sub.add_parser(
@@ -244,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--output", help="write result here instead of LEFT")
-    _add_window_flags(p)
+    p.add_argument("--quiet", action="store_true", help="suppress notes")
     p.set_defaults(func=cmd_merge)
     return parser
 

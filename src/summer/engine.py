@@ -17,14 +17,7 @@ from typing import NamedTuple
 from .align import NAME_PREFIX, Bucket, BucketSet, dissect, is_name_label
 from .distance import _bag, _bag_distance, levenshtein, similarity
 from .moves import MoveRule, apply_move, get_precise_move
-from .rules import (
-    ExtractionConfig,
-    RewriteRule,
-    _redissect,
-    apply_rewrite_to_text,
-    decompose_rewrites,
-    typed,
-)
+from .rules import WINDOW, RewriteRule, _redissect, apply_rewrite_to_text, decompose_rewrites, typed
 from .tokens import _token_texts
 
 Snapshot = dict[str, str]
@@ -271,13 +264,7 @@ def determine_direction(
 
 # --- decompose -------------------------------------------------------------------
 
-def decompose(
-    base: Snapshot,
-    changed: Snapshot,
-    cfg: ExtractionConfig | None = None,
-    *,
-    pairing: Pairing | None = None,
-) -> list[Step]:
+def decompose(base: Snapshot, changed: Snapshot, *, pairing: Pairing | None = None) -> list[Step]:
     """Steps sufficient to reproduce `changed` from `base`, move rules first.
 
     Pass one extracts move rules and applies them to a simulation of the
@@ -287,16 +274,15 @@ def decompose(
     structural override steps so the round trip always holds. `pairing` is
     `pair_entries(base, changed)` when the caller has it already.
     """
-    cfg = cfg or ExtractionConfig()
     buckets, structural = map_to_buckets(base, changed, pairing)
     moves: list[MoveRule] = []
-    for mv in get_precise_move(buckets, cfg):
+    for mv in get_precise_move(buckets, WINDOW):
         app = apply_move({b.label: b.source for b in buckets if not is_name_label(b.label)}, mv)
         if not app.captures or not app.consequent_sites:
             continue
         moves.append(mv)
         buckets = _redissect(buckets, (app.texts.get(b.label, b.source) for b in buckets))
-    steps: list[Step] = [*structural, *moves, *decompose_rewrites(buckets, cfg)]
+    steps: list[Step] = [*structural, *moves, *decompose_rewrites(buckets)]
     return _verify_and_patch(base, changed, steps)
 
 
@@ -404,7 +390,6 @@ def merge(
     base: Snapshot,
     left: Snapshot,
     right: Snapshot,
-    cfg: ExtractionConfig | None = None,
     binary_paths: set[str] | None = None,
 ) -> MergeOutcome:
     """Three-way merge: decompose the simpler side, replay it on the other.
@@ -415,7 +400,6 @@ def merge(
     """
     if left == right:
         return MergeOutcome(dict(left), None)
-    cfg = cfg or ExtractionConfig()
     settled, conflict = _settle(base, left, right, set(binary_paths or ()))
     if conflict:
         return MergeOutcome(None, conflict)
@@ -429,7 +413,7 @@ def merge(
         source, apply_target = left, right
     else:
         source, apply_target = right, left
-    steps = decompose(base, source, cfg, pairing=direction.pairing)
+    steps = decompose(base, source, pairing=direction.pairing)
     outcome = apply_steps(apply_target, steps)
     if outcome.ok:
         assert outcome.result is not None

@@ -35,7 +35,7 @@ from .rules import (
     apply_rewrite_to_text,
     typed,
 )
-from .tokens import CharCategory, _find_aligned, find_matches, tokenize_cached
+from .tokens import CharCategory, _find_aligned, tokenize_cached
 
 
 @typed()
@@ -153,9 +153,9 @@ def _longest_shared(
                 if not part or atom.lhs == atom.rhs:
                     continue
                 if len(text) > len(best):
-                    matches = find_matches(probe, text)
-                    if matches:
-                        best, offset, found = text, matches[0], []
+                    first = _find_aligned(probe, text, 0)
+                    if first >= 0:
+                        best, offset, found = text, first, []
                 if text == best:
                     found.append((bidx, u, v + 1))
     if not best or _is_trivial(best):
@@ -205,21 +205,21 @@ def _consequent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, offset
     return _literal_form(atoms, consequent)
 
 
-def _best(buckets: BucketSet, sites: list, form_at: Callable, n: int, cfg) -> Candidate | None:
+def _best(
+    buckets: BucketSet, sites: list, form_at: Callable, n: int, window: int
+) -> Candidate | None:
     """Best precise candidate that `form_at` builds around any of the sites
     (bucket index, lo, hi, offset of the moved text of length n)."""
     pool: dict = {}
     for b, lo, hi, offset in sites:
         form = form_at(buckets[b].atoms, lo, hi, offset, n)
-        _expand(buckets, b, lo, hi, cfg.window, pool, form)
+        _expand(buckets, b, lo, hi, window, pool, form)
     return min(
         (c for c in pool.values() if c.metrics.precise), key=Candidate.rank, default=None
     )
 
 
-def find_move(
-    buckets: BucketSet, bucket_index: int, core: int, pool: dict, cfg
-) -> None:
+def find_move(buckets: BucketSet, bucket_index: int, core: int, pool: dict, window: int) -> None:
     """Extraction or inlining around the edit at atom `core` of a bucket; adds
     at most one move to the pool.
 
@@ -242,10 +242,10 @@ def find_move(
     # The moved text is deleted at the antecedent's sites and inserted at the
     # consequent's.
     a_sites, c_sites = (there, here) if side == "lhs" else (here, there)
-    a_best = _best(buckets, a_sites, _antecedent_form, len(s), cfg)
+    a_best = _best(buckets, a_sites, _antecedent_form, len(s), window)
     if a_best is None:
         return
-    c_best = _best(buckets, c_sites, _consequent_form, len(s), cfg)
+    c_best = _best(buckets, c_sites, _consequent_form, len(s), window)
     if c_best is None:
         return
     move = MoveRule(a_best.rule, c_best.rule, a_best.metrics + c_best.metrics)
@@ -266,7 +266,7 @@ def find_move(
     pool[move] = Candidate(move, move.metrics, order, claims)
 
 
-def get_precise_move(buckets: BucketSet, cfg) -> list[MoveRule]:
+def get_precise_move(buckets: BucketSet, window: int) -> list[MoveRule]:
     """All retained move rules, best first, pairwise non-overlapping."""
     pool: dict = {}
     for bucket_index in _searchable(buckets):
@@ -274,15 +274,14 @@ def get_precise_move(buckets: BucketSet, cfg) -> list[MoveRule]:
         for core in bucket.cores:
             atom = bucket.atoms[core]
             if not (atom.lhs and atom.rhs):  # an insertion or a deletion
-                find_move(buckets, bucket_index, core, pool, cfg)
+                find_move(buckets, bucket_index, core, pool, window)
     return [c.rule for c in _select(pool.values())]
 
 
 # --- application ---------------------------------------------------------------
 
 class MoveApplication:
-    __slots__ = ("texts", "captures", "antecedent_sites", "consequent_sites", "soft_conflict",
-                 "after_antecedent")
+    __slots__ = ("texts", "captures", "antecedent_sites", "consequent_sites", "soft_conflict")
 
     def __init__(
         self,
@@ -291,11 +290,9 @@ class MoveApplication:
         antecedent_sites: list[tuple[str, int, int]],
         consequent_sites: list[tuple[str, int, int]],
         soft_conflict: bool,
-        after_antecedent: dict[str, str] | None = None,  # post phase one
     ) -> None:
         self.texts, self.captures, self.soft_conflict = texts, captures, soft_conflict
         self.antecedent_sites, self.consequent_sites = antecedent_sites, consequent_sites
-        self.after_antecedent = {} if after_antecedent is None else after_antecedent
 
 
 def apply_move(texts: dict[str, str], move: MoveRule) -> MoveApplication:
@@ -316,7 +313,7 @@ def apply_move(texts: dict[str, str], move: MoveRule) -> MoveApplication:
             spans.append((start, end))
         after_a[key] = _splice(text, spans, move.antecedent.rhs) if spans else text
     if not captures:
-        return MoveApplication(dict(texts), [], [], [], False, dict(texts))
+        return MoveApplication(dict(texts), [], [], [], False)
     replacement = move.consequent.rhs.fill(captures[0])
     c_sites: list[tuple[str, int, int]] = []
     out: dict[str, str] = {}
@@ -324,11 +321,4 @@ def apply_move(texts: dict[str, str], move: MoveRule) -> MoveApplication:
         new_text, sites = apply_rewrite_to_text(text, move.consequent.lhs, replacement)
         out[key] = new_text
         c_sites.extend((key, s0, s1) for s0, s1 in sites)
-    return MoveApplication(
-        out,
-        captures,
-        a_sites,
-        c_sites,
-        soft_conflict=len(set(captures)) > 1,
-        after_antecedent=after_a,
-    )
+    return MoveApplication(out, captures, a_sites, c_sites, soft_conflict=len(set(captures)) > 1)

@@ -92,16 +92,8 @@ class RewriteRule:
 
 
 FIXUP_ROUNDS = 6  # rule rounds before the exact-anchor fallback takes over
+WINDOW = 2  # the window the move pass and the first rewrite round use
 WINDOW_MAX = 8  # the widest window a round widens to
-
-
-class ExtractionConfig:
-    __slots__ = ("window",)
-
-    def __init__(self, window: int = 2) -> None:
-        if not (0 <= window <= WINDOW_MAX):
-            raise ValueError(f"need 0 <= window <= {WINDOW_MAX}")
-        self.window = window
 
 
 # --- scoring -------------------------------------------------------------------
@@ -137,9 +129,7 @@ def _literal(joined: str, sep: str, lhs: str) -> Iterator[tuple[int, int]]:
         start = _find_aligned(joined, lhs, start + n)
 
 
-def _score(
-    buckets: BucketSet, lhs: str | Matcher, rhs: str, *, bounded: bool = True
-) -> tuple[RuleMetrics, list[Region]]:
+def _score(buckets: BucketSet, lhs: str | Matcher, rhs: str) -> tuple[RuleMetrics, list[Region]]:
     """Corpus-wide tp/fp and tp sites of rewriting to `rhs` every match of a
     literal `lhs`, or every span a capture matcher finds, in one scan of the
     joined bucket sources: a site is a tp when its bucket's alignment agrees
@@ -159,8 +149,7 @@ def _score(
     """
     joined, sep, starts = buckets.joined
     if isinstance(lhs, str):
-        spans = _literal(joined, sep, lhs)
-        cap = 2 * buckets.edit_count if bounded else None
+        spans, cap = _literal(joined, sep, lhs), 2 * buckets.edit_count
     else:
         spans, cap = lhs(joined, sep), None
     tp = fp = 0
@@ -184,7 +173,8 @@ def classification_metrics(rule: RewriteRule, buckets: BucketSet) -> RuleMetrics
     on an empty lhs."""
     if not rule.lhs:
         raise ValueError("rule with empty lhs is unscorable; needs context expansion")
-    metrics, _ = _score(buckets, rule.lhs, rule.rhs, bounded=False)
+    # A matcher is scored in full, where the literal's scan would stop at the bar.
+    metrics, _ = _score(buckets, lambda joined, sep: _literal(joined, sep, rule.lhs), rule.rhs)
     return metrics
 
 
@@ -240,9 +230,7 @@ def _literal_form(atoms: tuple[Atom, ...], rule_at: Callable) -> Callable:
     return form
 
 
-def expand_edit(
-    buckets: BucketSet, bucket_index: int, core: int, pool: dict, cfg: ExtractionConfig
-) -> None:
+def expand_edit(buckets: BucketSet, bucket_index: int, core: int, pool: dict, window: int) -> None:
     """Expand the edit at atom `core` of a bucket into scored rewrite candidates."""
     atoms = buckets[bucket_index].atoms
     if atoms[core].lhs == atoms[core].rhs:
@@ -251,7 +239,7 @@ def expand_edit(
         atoms,
         lambda j, k, lo, lhs, rhs: RewriteRule(lhs, rhs, origin=(bucket_index, core, j, k)),
     )
-    _expand(buckets, bucket_index, core, core + 1, cfg.window, pool, form)
+    _expand(buckets, bucket_index, core, core + 1, window, pool, form)
 
 
 def _select(candidates: Iterable[Candidate]) -> list[Candidate]:
@@ -292,14 +280,12 @@ def sort_and_filter(pool: dict) -> list[tuple[RewriteRule, RuleMetrics]]:
     return [(c.rule, c.metrics) for c in _select(pool.values())]
 
 
-def get_precise_rewriting(
-    buckets: BucketSet, cfg: ExtractionConfig
-) -> list[tuple[RewriteRule, RuleMetrics]]:
+def get_precise_rewriting(buckets: BucketSet, window: int) -> list[tuple[RewriteRule, RuleMetrics]]:
     """Retained rewrite rules with their metrics, best first."""
     pool: dict = {}
     for bucket_index, bucket in enumerate(buckets):
         for core in bucket.cores:
-            expand_edit(buckets, bucket_index, core, pool, cfg)
+            expand_edit(buckets, bucket_index, core, pool, window)
     return sort_and_filter(pool)
 
 
@@ -363,14 +349,12 @@ def _cost(buckets: BucketSet) -> int:
     )
 
 
-def decompose_rewrites(buckets: BucketSet, cfg: ExtractionConfig) -> list[RewriteRule]:
-    rules, _ = decompose_rewrites_trace(buckets, cfg)
+def decompose_rewrites(buckets: BucketSet) -> list[RewriteRule]:
+    rules, _ = decompose_rewrites_trace(buckets)
     return rules
 
 
-def decompose_rewrites_trace(
-    buckets: BucketSet, cfg: ExtractionConfig
-) -> tuple[list[RewriteRule], list[RoundTrace]]:
+def decompose_rewrites_trace(buckets: BucketSet) -> tuple[list[RewriteRule], list[RoundTrace]]:
     """Rewrite-rule sequence whose replay turns every source into its target.
 
     Replay is byte-exact whenever no two buckets share a source string while
@@ -382,10 +366,10 @@ def decompose_rewrites_trace(
     trace: list[RoundTrace] = []
     if all(b.source == b.target for b in buckets):
         return steps, trace
-    window = cfg.window
+    window = WINDOW
     prev = _cost(buckets)
     for _ in range(FIXUP_ROUNDS):
-        ranked = get_precise_rewriting(buckets, ExtractionConfig(window))
+        ranked = get_precise_rewriting(buckets, window)
         trace.append(RoundTrace(buckets, window, ranked))
         steps.extend(rule for rule, _metrics in ranked)
         sources = _rewritten(buckets, (rule for rule, _metrics in ranked))

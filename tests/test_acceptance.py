@@ -28,7 +28,6 @@ from summer.engine import (
 )
 from summer.moves import MoveRule, apply_move
 from summer.rules import (
-    ExtractionConfig,
     RewriteRule,
     classification_metrics,
     decompose_rewrites_trace,
@@ -235,12 +234,11 @@ def test_criterion_05_and_08_round_trip_and_boundaries():
 
 def test_criterion_06_precision_property():
     rng = random.Random(0xBEEF)
-    cfg = ExtractionConfig()
     checked = 0
     for _ in range(1000):
         base_s, target_s = fuzz_pair(rng, max_tokens=120)
         buckets = BucketSet((dissect(base_s, target_s, "t"),))
-        _, trace = decompose_rewrites_trace(buckets, cfg)
+        _, trace = decompose_rewrites_trace(buckets)
         for round_trace in trace:
             for rule, _metrics in round_trace.ranked:
                 assert reference_precision(rule, round_trace.buckets) > 0.5, rule
@@ -326,7 +324,7 @@ def test_criterion_11_performance_sanity():
         changed[idx] = f"name{idx} = patched{idx};\n"
     target = "".join(changed)
     t0 = time.perf_counter()
-    steps = decompose({"": base}, {"": target}, ExtractionConfig(window=2))
+    steps = decompose({"": base}, {"": target})
     elapsed = time.perf_counter() - t0
     outcome = apply_steps({"": base}, steps)
     assert outcome.ok and outcome.result == {"": target}

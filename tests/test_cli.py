@@ -94,12 +94,6 @@ class TestDecomposeCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope"), str(tmp_path / "nope2")]) == 2
 
-    def test_window_bounds(self, trio, capsys):
-        base, left, _ = trio
-        assert main(["decompose", str(base), str(left), "--window", "8"]) == 0
-        assert main(["decompose", str(base), str(left), "--window", "9"]) == 2
-        assert "need 0 <= window <= 8" in capsys.readouterr().err
-
     def test_no_quiet_flag(self, trio, capsys):
         # It prints no notes, so there is nothing to silence.
         base, left, _ = trio

@@ -579,7 +579,8 @@ class TestRoundTripProperty:
         # Rewrite and antecedent sites must sit on pre-step token boundaries;
         # consequent sites on boundaries of the post-antecedent text.
         rng = random.Random(99)
-        from summer.moves import apply_move
+        from summer.moves import match_pattern
+        from summer.rules import _splice
 
         for _ in range(40):
             toks = [rng.choice(self.ALPHABET) for _ in range(rng.randrange(1, 80))]
@@ -593,10 +594,13 @@ class TestRoundTripProperty:
                 }
                 mid_bounds = pre_bounds
                 if isinstance(step, MoveRule):
-                    phase_a = apply_move(state, step)
+                    # The texts after phase one: every antecedent match rewritten.
+                    a = step.antecedent
                     mid_bounds = {
-                        path: token_offsets(text)
-                        for path, text in phase_a.after_antecedent.items()
+                        path: token_offsets(
+                            _splice(text, [m[:2] for m in match_pattern(text, a.lhs)], a.rhs)
+                        )
+                        for path, text in state.items()
                     }
                 out = apply_steps(state, [step])
                 assert out.ok

@@ -12,7 +12,7 @@ from summer.moves import (
     get_precise_move,
     match_pattern,
 )
-from summer.rules import ExtractionConfig
+from summer.rules import WINDOW
 from summer.tokens import find_matches
 from tests.conftest import (
     DELETION,
@@ -212,7 +212,7 @@ class TestFindExtract:
     def test_flagship_extraction(self, extract_buckets):
         pool = {}
         core = core_atom(extract_buckets, 0, INSERTION)
-        find_move(extract_buckets, 0, core, pool, ExtractionConfig())
+        find_move(extract_buckets, 0, core, pool, WINDOW)
         assert len(pool) == 1
         (move,) = pool
         a, c = move.antecedent, move.consequent
@@ -225,25 +225,25 @@ class TestFindExtract:
         assert (move.metrics.tp, move.metrics.fp) == (2, 0)
 
     def test_metrics_are_component_sums(self, extract_buckets):
-        moves = get_precise_move(extract_buckets, ExtractionConfig())
+        moves = get_precise_move(extract_buckets, WINDOW)
         assert moves and moves[0].metrics.tp == 2
 
     def test_insertion_without_source_elsewhere(self):
         corpus = BucketSet((dissect("a\nb\n", "a\nfresh new text\nb\n", "t"),))
         pool = {}
-        find_move(corpus, 0, core_atom(corpus, 0, INSERTION), pool, ExtractionConfig())
+        find_move(corpus, 0, core_atom(corpus, 0, INSERTION), pool, WINDOW)
         assert pool == {}
 
     def test_wrong_kind_rejected(self, extract_buckets):
         identity = core_atom(extract_buckets, 0, None)
         with pytest.raises(ValueError):
-            find_move(extract_buckets, 0, identity, {}, ExtractionConfig())
+            find_move(extract_buckets, 0, identity, {}, WINDOW)
         substituted = BucketSet((dissect("a x b\n", "a y b\n", "t"),))
         core = core_atom(substituted, 0, SUBSTITUTION)
         with pytest.raises(ValueError):
-            find_move(substituted, 0, core, {}, ExtractionConfig())
+            find_move(substituted, 0, core, {}, WINDOW)
 
-    def test_two_site_extraction(self):
+    def test_two_site_extraction(self, monkeypatch):
         # Both call sites share their bracketing context, so one antecedent
         # must cover them; the block definition lands once at the top.
         base = (
@@ -255,17 +255,18 @@ class TestFindExtract:
             "void f() {\n\thelper();\n\tfinish();\n}\n"
             "void g() {\n\thelper();\n\tfinish();\n}\n"
         )
-        cfg = ExtractionConfig(window=3)
         corpus = BucketSet((dissect(base, left, "t"),))
-        moves = get_precise_move(corpus, cfg)
+        moves = get_precise_move(corpus, 3)
         assert moves
         app = apply_move({"": base}, moves[0])
         assert len(app.antecedent_sites) == 2
         assert app.texts[""] == left
-        # Through the engine: move retained, byte-exact round trip.
+        # Through the engine: move retained, byte-exact round trip. The move
+        # pass runs at the start window only, and needs 3 here.
         from summer.engine import apply_steps, decompose
 
-        steps = decompose({"": base}, {"": left}, cfg)
+        monkeypatch.setattr("summer.engine.WINDOW", 3)
+        steps = decompose({"": base}, {"": left})
         assert moves[0] in steps
         out = apply_steps({"": base}, steps)
         assert out.ok and out.result == {"": left}
@@ -273,7 +274,7 @@ class TestFindExtract:
 
 class TestFindInline:
     def test_flagship_inline(self, inline_buckets):
-        moves = get_precise_move(inline_buckets, ExtractionConfig())
+        moves = get_precise_move(inline_buckets, WINDOW)
         assert len(moves) == 1
         move = moves[0]
         assert move.antecedent.lhs.literal_prefix == "def inc(): return "
@@ -285,44 +286,44 @@ class TestFindInline:
     def test_deletion_without_shared_substring(self):
         corpus = BucketSet((dissect("a\nsolitary line\n", "a\n", "t"),))
         pool = {}
-        find_move(corpus, 0, core_atom(corpus, 0, DELETION), pool, ExtractionConfig())
+        find_move(corpus, 0, core_atom(corpus, 0, DELETION), pool, WINDOW)
         assert pool == {}
 
     def test_wrong_kind_rejected(self, inline_buckets):
         with pytest.raises(ValueError):
-            find_move(inline_buckets, 0, core_atom(inline_buckets, 0, None), {}, ExtractionConfig())
+            find_move(inline_buckets, 0, core_atom(inline_buckets, 0, None), {}, WINDOW)
 
 
 class TestGetPreciseMove:
     def test_substitution_only_buckets(self):
         corpus = BucketSet((dissect("a x b\n", "a y b\n", "t"),))
-        assert get_precise_move(corpus, ExtractionConfig()) == []
+        assert get_precise_move(corpus, WINDOW) == []
 
     def test_novel_insertion_only(self):
         corpus = BucketSet((dissect("a\n", "a\nbrand new words\n", "t"),))
-        assert get_precise_move(corpus, ExtractionConfig()) == []
+        assert get_precise_move(corpus, WINDOW) == []
 
     def test_extract_and_inline_probes_share_region_once(self, extract_buckets):
         # The deletion inside the call-site block also probes for an inline
         # move; overlap claiming keeps exactly one move for the region.
-        moves = get_precise_move(extract_buckets, ExtractionConfig())
+        moves = get_precise_move(extract_buckets, WINDOW)
         assert len(moves) == 1
 
     def test_name_buckets_ignored(self):
         corpus = BucketSet((dissect("bc.go", "Program.go", "name:bc.go"),))
-        assert get_precise_move(corpus, ExtractionConfig()) == []
+        assert get_precise_move(corpus, WINDOW) == []
 
 
 class TestMoveApplication:
     def test_adaptation_to_local_wording(self, extract_buckets):
-        moves = get_precise_move(extract_buckets, ExtractionConfig())
+        moves = get_precise_move(extract_buckets, WINDOW)
         app = apply_move({"": EXTRACT_RIGHT}, moves[0])
         assert app.captures == [EXTRACT_CAPTURE_ON_RIGHT]
         assert app.texts[""] == EXTRACT_EXPECTED_MERGE
         assert not app.soft_conflict
 
     def test_capture_is_token_minimal(self, extract_buckets):
-        moves = get_precise_move(extract_buckets, ExtractionConfig())
+        moves = get_precise_move(extract_buckets, WINDOW)
         pattern = moves[0].antecedent.lhs
         bounds = token_offsets(EXTRACT_RIGHT)
         (start, end, c0, c1), = match_pattern(EXTRACT_RIGHT, pattern)

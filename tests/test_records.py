@@ -15,7 +15,7 @@ from summer.engine import (
     Side,
 )
 from summer.moves import Antecedent, Consequent, MovePattern, MoveRule
-from summer.rules import ExtractionConfig, RewriteRule, RuleMetrics
+from summer.rules import RewriteRule, RuleMetrics
 
 
 class TestTypedEquality:
@@ -68,16 +68,6 @@ class TestValidation:
     def test_rewrite_rule_rejects_identity(self):
         with pytest.raises(ValueError):
             RewriteRule("a", "a")
-
-    @pytest.mark.parametrize("window", [-1, 9])
-    def test_window_out_of_range(self, window):
-        with pytest.raises(ValueError):
-            ExtractionConfig(window=window)
-
-    def test_window_default_and_bounds(self):
-        assert ExtractionConfig().window == 2
-        assert ExtractionConfig(window=0).window == 0
-        assert ExtractionConfig(window=8).window == 8
 
     def test_bucket_set_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):

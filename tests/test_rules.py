@@ -5,10 +5,11 @@ from hypothesis import example, given, settings
 from summer.align import Bucket, BucketSet, dissect
 from summer.moves import MovePattern, match_pattern
 from summer.rules import (
+    WINDOW,
     Candidate,
-    ExtractionConfig,
     RewriteRule,
     RuleMetrics,
+    _literal,
     _score,
     _select,
     apply_rewrite_to_text,
@@ -151,7 +152,9 @@ class TestJoinedScoring:
         want = reference_score(
             buckets, lambda s: [(i, i + len(lhs)) for i in find_matches(s, lhs)], rhs
         )
-        assert _score(buckets, lhs, rhs, bounded=False) == want
+        # As a matcher, the literal is scored in full; as a literal, its
+        # scan may stop once the candidate cannot clear the bar.
+        assert _score(buckets, lambda joined, sep: _literal(joined, sep, lhs), rhs) == want
         metrics, sites = _score(buckets, lhs, rhs)
         if want[0].precise:
             assert (metrics, sites) == want
@@ -343,14 +346,14 @@ class TestExpandEdit:
     def test_host_rename_candidate_present(self, rename_corpus):
         pool = {}
         core = core_atom(rename_corpus, 0, SUBSTITUTION)
-        expand_edit(rename_corpus, 0, core, pool, ExtractionConfig())
+        expand_edit(rename_corpus, 0, core, pool, WINDOW)
         e = pool[RewriteRule("github", "gitlab")]
         assert (e.metrics.tp, e.metrics.fp) == (2, 0)
 
     def test_insertion_contexts_from_both_sides(self, rename_corpus):
         pool = {}
         core = core_atom(rename_corpus, 2, INSERTION)
-        expand_edit(rename_corpus, 2, core, pool, ExtractionConfig())
+        expand_edit(rename_corpus, 2, core, pool, WINDOW)
         nl = pool[RewriteRule("\n", '\nimport "fmt"\n')].metrics
         fn = pool[RewriteRule("func", 'import "fmt"\nfunc')].metrics
         assert (nl.tp, nl.fp) == (1, 6)
@@ -358,20 +361,20 @@ class TestExpandEdit:
 
     def test_identity_edit_rejected(self, rename_corpus):
         with pytest.raises(ValueError):
-            expand_edit(rename_corpus, 2, core_atom(rename_corpus, 2, None), {}, ExtractionConfig())
+            expand_edit(rename_corpus, 2, core_atom(rename_corpus, 2, None), {}, WINDOW)
 
     def test_candidate_count_bounded_by_window_grid(self):
         corpus = BucketSet((dissect("a b x c d", "a b y c d", "t"),))
         core = core_atom(corpus, 0, SUBSTITUTION)
         for w in (0, 1, 2, 3):
             pool = {}
-            expand_edit(corpus, 0, core, pool, ExtractionConfig(window=w))
+            expand_edit(corpus, 0, core, pool, w)
             assert len(pool) <= (w + 1) ** 2
 
 
 class TestGetPreciseRewriting:
     def test_rename_corpus_walkthrough(self, rename_corpus):
-        ranked = get_precise_rewriting(rename_corpus, ExtractionConfig())
+        ranked = get_precise_rewriting(rename_corpus, WINDOW)
         as_pairs = [(r.lhs, r.rhs) for r, _ in ranked]
         assert ("github", "gitlab") in as_pairs
         assert ("bc.", "Program.") in as_pairs
@@ -380,28 +383,28 @@ class TestGetPreciseRewriting:
 
     def test_all_identity_buckets_give_nothing(self):
         corpus = BucketSet((dissect("same", "same", "t"),))
-        assert get_precise_rewriting(corpus, ExtractionConfig()) == []
+        assert get_precise_rewriting(corpus, WINDOW) == []
 
     def test_lone_substitution(self):
         corpus = BucketSet((dissect("x", "y", "t"),))
-        ranked = get_precise_rewriting(corpus, ExtractionConfig())
+        ranked = get_precise_rewriting(corpus, WINDOW)
         assert [(r.lhs, r.rhs, m) for r, m in ranked] == [("x", "y", RuleMetrics(1, 0))]
 
 
 class TestDecomposeRewrites:
     def test_identical_sources(self):
         corpus = BucketSet((dissect("a", "a", "t"),))
-        assert decompose_rewrites(corpus, ExtractionConfig()) == []
+        assert decompose_rewrites(corpus) == []
 
     def test_rename_corpus_replay_is_exact(self, rename_corpus):
-        rules = decompose_rewrites(rename_corpus, ExtractionConfig())
+        rules = decompose_rewrites(rename_corpus)
         assert replay(rename_corpus, rules) == targets(rename_corpus)
 
     def test_fixup_rounds_repair_partial_first_round(self):
         # Round one cannot claim every changed k (their sites overlap), so a
         # second round must finish the job; the final replay is exact.
         corpus = BucketSet((dissect("k k k ", "j j k ", "t"),))
-        rules, trace = decompose_rewrites_trace(corpus, ExtractionConfig())
+        rules, trace = decompose_rewrites_trace(corpus)
         assert replay(corpus, rules) == targets(corpus)
         assert len(trace) >= 2
         assert len(rules) >= 2
@@ -412,21 +415,21 @@ class TestDecomposeRewrites:
         src = "x p q k p q p q k p q y"
         tgt = "x p q j p q p q k p q y"
         corpus = BucketSet((dissect(src, tgt, "t"),))
-        rules, trace = decompose_rewrites_trace(corpus, ExtractionConfig())
+        rules, trace = decompose_rewrites_trace(corpus)
         assert replay(corpus, rules) == targets(corpus)
         assert max(t.window for t in trace) >= 3
         assert not any(r.fallback for r in rules)
 
     def test_fallback_rules_used_when_window_capped(self, monkeypatch):
+        monkeypatch.setattr("summer.rules.WINDOW", 0)
         monkeypatch.setattr("summer.rules.WINDOW_MAX", 0)
         corpus = BucketSet((dissect("k k k ", "j j k ", "t"),))
-        cfg = ExtractionConfig(window=0)
-        rules = decompose_rewrites(corpus, cfg)
+        rules = decompose_rewrites(corpus)
         assert replay(corpus, rules) == targets(corpus)
         assert any(r.fallback for r in rules)
 
     def test_retained_rules_satisfy_precision_threshold(self, rename_corpus):
-        _, trace = decompose_rewrites_trace(rename_corpus, ExtractionConfig())
+        _, trace = decompose_rewrites_trace(rename_corpus)
         for round_trace in trace:
             for rule, metrics in round_trace.ranked:
                 recomputed = classification_metrics(rule, round_trace.buckets)
@@ -434,8 +437,8 @@ class TestDecomposeRewrites:
                 assert recomputed.precision > 0.5
 
     def test_determinism(self, rename_corpus):
-        a = decompose_rewrites(rename_corpus, ExtractionConfig())
-        b = decompose_rewrites(rename_corpus, ExtractionConfig())
+        a = decompose_rewrites(rename_corpus)
+        b = decompose_rewrites(rename_corpus)
         assert [(r.lhs, r.rhs) for r in a] == [(r.lhs, r.rhs) for r in b]
 
 
