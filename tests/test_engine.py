@@ -16,6 +16,7 @@ from summer.engine import (
     FileDelete,
     FileRename,
     Side,
+    Site,
     apply_steps,
     decompose,
     determine_direction,
@@ -370,6 +371,39 @@ class TestApplySteps:
         assert out.result is None and out.diagnostics == []
         assert out.conflict.diagnostic == "rewrite '1' -> '2' renames two entries to 'a2'"
         assert out.applied_steps == [AppliedStep(add, 1)]
+
+    def test_sites_in_entry_order_content_before_name(self):
+        out = apply_steps({"a1": "x1", "b": "1 1"}, [RewriteRule("1", "2")])
+        assert out.ok and out.result == {"a2": "x2", "b": "2 2"}
+        assert list(out.result) == ["a2", "b"]
+        assert out.applied_steps == [
+            AppliedStep(
+                RewriteRule("1", "2"),
+                4,
+                (
+                    Site("a1", 1, 2, "content"),
+                    Site("a1", 1, 2, "name"),
+                    Site("b", 0, 1, "content"),
+                    Site("b", 2, 3, "content"),
+                ),
+            )
+        ]
+
+    def test_rule_writing_a_control_character(self):
+        # \x00 is the first symbol character, the one texts are joined by
+        # whenever none of them holds it.
+        out = apply_steps({"a": "x", "b": "x"}, [RewriteRule("x", "\x00")])
+        assert out.ok and out.result == {"a": "\x00", "b": "\x00"}
+        assert out.applied_steps[0].count == 2
+
+    def test_decompose_writing_a_control_character(self):
+        base = {"a": "p q\n", "b": "p r\n"}
+        changed = {"a": "p\x00q\n", "b": "p\x00r\n"}
+        steps = decompose(base, changed)
+        assert RewriteRule(" ", "\x00") in steps
+        assert not any(isinstance(s, FileAdd) for s in steps)
+        out = apply_steps(base, steps)
+        assert out.ok and out.result == changed
 
     def test_delete_missing_path_conflicts(self):
         out = apply_steps({"a": "x"}, [FileDelete("nope")])
