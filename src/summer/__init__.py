@@ -31,6 +31,6 @@ from .rules import (
     get_precise_rewriting,
     sort_and_filter,
 )
-from .tokens import CharCategory, Token, TokenString, classify_char, find_matches, tokenize
+from .tokens import CharCategory, Joined, Token, TokenString, classify_char, tokenize
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ substitutions stay one token pair per atom so that rule synthesis can expand
 each modified token independently. The bucket is the one record of its
 dissection: rule synthesis reads its atoms (the context units), the indices
 of its edit atoms, and its projection of source offsets into the target
-from it. A BucketSet holds one bucket per artifact and joins their sources
-into one text, so that scoring scans the whole corpus at once.
+from it. A BucketSet holds one bucket per artifact and their sources as one
+`tokens.Joined`, so that scoring and rewriting scan the whole corpus at once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import add, itemgetter, ne
 from typing import NamedTuple
 
 from .distance import _alignment
-from .tokens import CharCategory, _token_texts, classify_char
+from .tokens import Joined, _token_texts
 
 
 class Atom(NamedTuple):
@@ -115,20 +115,9 @@ class BucketSet:
         self.buckets = buckets
 
     @cached_property
-    def joined(self) -> tuple[str, str, list[int]]:
-        """(joined, sep, starts): the bucket sources joined by `sep`, a symbol
-        character no source contains, and where each source starts.
-
-        Every offset next to a symbol is a token boundary, so the boundaries
-        inside each source stay as they were. A needle without `sep` cannot
-        span two sources; a needle with it matches no source.
-        """
-        sources = [b.source for b in self.buckets]
-        sep = "\x00"
-        while classify_char(sep) is not CharCategory.SYMBOL or any(sep in s for s in sources):
-            sep = chr(ord(sep) + 1)
-        starts = list(accumulate((len(s) + 1 for s in sources[:-1]), initial=0))
-        return sep.join(sources), sep, starts
+    def joined(self) -> Joined:
+        """The bucket sources as one text: one scan scores a rule against all."""
+        return Joined.of([b.source for b in self.buckets])
 
     @cached_property
     def edit_count(self) -> int:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum, auto
+from itertools import groupby
 from typing import NamedTuple
 
 from .align import NAME_PREFIX, Bucket, BucketSet, dissect, is_name_label
 from .distance import _bag, _bag_distance, levenshtein, similarity
 from .moves import MoveRule, apply_move, get_precise_move
-from .rules import WINDOW, RewriteRule, _redissect, apply_rewrite_to_text, decompose_rewrites, typed
-from .tokens import _token_texts
+from .rules import WINDOW, RewriteRule, _redissect, decompose_rewrites, typed
+from .tokens import Joined, _token_texts
 
 Snapshot = dict[str, str]
 
@@ -302,66 +303,84 @@ def _verify_and_patch(base: Snapshot, changed: Snapshot, steps: list[Step]) -> l
 # --- applying steps -------------------------------------------------------------
 
 def apply_steps(target: Snapshot, steps: list[Step]) -> MergeOutcome:
-    """Replay a step sequence on a snapshot.
-
-    Every rewrite performs one frozen scan per entry (content and name);
-    move rules run their antecedent phase before their consequent phase.
-    Structural steps touch exactly the paths they name.
-    """
+    """Replay a step sequence on a snapshot. A run of rewrite rules works on the
+    joined contents and names (`_rewrite`); a move runs its antecedent phase
+    first; a structural step touches exactly the paths it names."""
     entries: dict[str, str] = dict(target)
     applied: list[AppliedStep] = []
     diagnostics: list[str] = []
-    for step in steps:
-        conflict = None
-        sites: list[Site] = []
-        if isinstance(step, FileAdd):
-            entries[step.path] = step.content
-        elif isinstance(step, FileDelete):
-            if step.path in entries:
-                del entries[step.path]
-            else:
-                conflict = f"delete of missing path {step.path!r}"
-        elif isinstance(step, FileRename):
-            if step.old in entries and step.new not in entries:
-                entries[step.new] = entries.pop(step.old)
-            else:
-                conflict = f"rename {step.old!r} -> {step.new!r} not applicable"
-        elif isinstance(step, RewriteRule):
-            new_entries: dict[str, str] = {}
-            for path in entries:
-                content, cs = apply_rewrite_to_text(entries[path], step.lhs, step.rhs)
-                sites.extend(Site(path, s, e, "content") for s, e in cs)
-                new_path = path
-                if path:
-                    new_path, ns = apply_rewrite_to_text(path, step.lhs, step.rhs)
-                    sites.extend(Site(path, s, e, "name") for s, e in ns)
-                if new_path in new_entries:
+    for rewrites, run in groupby(steps, lambda step: isinstance(step, RewriteRule)):
+        if rewrites:
+            entries, conflict = _rewrite(entries, list(run), applied)
+        for step in () if rewrites else run:
+            conflict, sites = None, []
+            if isinstance(step, FileAdd):
+                entries[step.path] = step.content
+            elif isinstance(step, FileDelete):
+                if entries.pop(step.path, None) is None:
+                    conflict = f"delete of missing path {step.path!r}"
+            elif isinstance(step, FileRename):
+                if step.old in entries and step.new not in entries:
+                    entries[step.new] = entries.pop(step.old)
+                else:
+                    conflict = f"rename {step.old!r} -> {step.new!r} not applicable"
+            elif isinstance(step, MoveRule):
+                app = apply_move(entries, step)
+                if app.captures and not app.consequent_sites:
                     conflict = (
-                        f"rewrite {step.lhs!r} -> {step.rhs!r} renames two "
-                        f"entries to {new_path!r}"
+                        "move rule antecedent matched but consequent "
+                        f"{step.consequent.lhs!r} has no application site"
                     )
-                    break
-                new_entries[new_path] = content
-            entries = new_entries
-        elif isinstance(step, MoveRule):
-            app = apply_move(entries, step)
-            if app.captures and not app.consequent_sites:
-                conflict = (
-                    "move rule antecedent matched but consequent "
-                    f"{step.consequent.lhs!r} has no application site"
-                )
-            elif app.soft_conflict:
-                diagnostics.append("move rule captured differing texts; first capture used")
-            entries = app.texts
-            sites = [Site(p, s, e, "antecedent") for p, s, e in app.antecedent_sites]
-            sites += [Site(p, s, e, "consequent") for p, s, e in app.consequent_sites]
-        else:
-            raise TypeError(f"unknown step type: {step!r}")
+                elif app.soft_conflict:
+                    diagnostics.append("move rule captured differing texts; first capture used")
+                entries = app.texts
+                sites = [Site(*site, "antecedent") for site in app.antecedent_sites]
+                sites += [Site(*site, "consequent") for site in app.consequent_sites]
+            else:
+                raise TypeError(f"unknown step type: {step!r}")
+            if conflict is not None:
+                break
+            count = len(sites) if isinstance(step, MoveRule) else 1
+            applied.append(AppliedStep(step, count, tuple(sites)))
         if conflict is not None:
             return MergeOutcome(None, Conflict(conflict), applied)
-        count = len(sites) if isinstance(step, (RewriteRule, MoveRule)) else 1
-        applied.append(AppliedStep(step, count, tuple(sites)))
     return MergeOutcome(entries, None, applied, diagnostics)
+
+
+def _rewrite(
+    entries: Snapshot, rules: list[RewriteRule], applied: list[AppliedStep]
+) -> tuple[Snapshot, str | None]:
+    """The entries after the rules, each one scan and splice of the joined contents
+    (and names), and the first name collision. Sites go by entry, content first."""
+    paths = list(entries)
+    rhss = [rule.rhs for rule in rules]  # so that no rule writes the separators
+    contents, names = Joined.of(list(entries.values()), *rhss), Joined.of(paths, *rhss)
+    for rule in rules:
+        contents, sites = _sited(contents, rule, paths, "content")
+        if rule.lhs in names.text:
+            after, name_sites = _sited(names, rule, paths, "name")
+            renamed, seen = after.split(), set()
+            clash = next((p for p in renamed if p in seen or seen.add(p)), None)
+            if clash is not None:
+                conflict = f"rewrite {rule.lhs!r} -> {rule.rhs!r} renames two entries to {clash!r}"
+                return entries, conflict
+            order = {p: i for i, p in enumerate(paths)}
+            sites = sorted(sites + name_sites, key=lambda s: (order[s.path], s.role == "name"))
+            names, paths = after, renamed
+        applied.append(AppliedStep(rule, len(sites), tuple(sites)))
+    return dict(zip(paths, contents.split())), None
+
+
+def _sited(
+    joined: Joined, rule: RewriteRule, paths: list[str], role: str
+) -> tuple[Joined, list[Site]]:
+    """The rule applied to the joined texts, the i-th of them paths[i]'s, and its sites."""
+    after, spans = joined.rewrite(rule.lhs, rule.rhs)
+    sites = []
+    for start, end in spans:
+        i, local = joined.locate(start)
+        sites.append(Site(paths[i], local, local + end - start, role))
+    return after, sites
 
 
 # --- merge -----------------------------------------------------------------------

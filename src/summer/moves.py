@@ -31,11 +31,9 @@ from .rules import (
     _literal_form,
     _select,
     _span,
-    _splice,
-    apply_rewrite_to_text,
     typed,
 )
-from .tokens import CharCategory, _find_aligned, tokenize_cached
+from .tokens import CharCategory, Joined, _aligned, tokenize_cached
 
 
 @typed()
@@ -72,36 +70,33 @@ class MoveRule(NamedTuple):
     metrics: RuleMetrics = RuleMetrics(0, 0)  # left out of equality and hash
 
 
-def match_pattern(
-    text: str, pattern: MovePattern, sep: str | None = None
-) -> list[tuple[int, int, int, int]]:
-    """Leftmost non-overlapping capture matches as (start, end, cap0, cap1).
-
-    The prefix and suffix must land on token boundaries; the capture is the
-    lazily shortest nonempty boundary-to-boundary span before the first valid
-    suffix occurrence. With `sep`, the text is entries joined by it (as
-    `BucketSet.joined`), and a match lies inside one entry: a prefix with no
-    suffix before its entry ends resumes the scan at the next entry.
+def match_pattern(joined: Joined, pattern: MovePattern) -> list[tuple[int, int, int, int]]:
+    """Leftmost non-overlapping capture matches as (start, end, cap0, cap1)
+    in the joined text, each inside one text. The prefix and suffix must land
+    on token boundaries; the capture is the lazily shortest nonempty
+    boundary-to-boundary span before the first valid suffix occurrence. A
+    prefix with no suffix before its text ends resumes the scan at the next.
     """
     prefix, suffix = pattern.literal_prefix, pattern.literal_suffix
     if not prefix or not suffix:
         raise ValueError("matching requires nonempty anchors around the capture")
+    text, sep = joined.text, joined.sep
     out: list[tuple[int, int, int, int]] = []
-    if sep is not None and (sep in prefix or sep in suffix):
+    if sep in prefix or sep in suffix:
         return out
-    i = _find_aligned(text, prefix, 0)
+    i = next(_aligned(text, prefix), -1)
     while i >= 0:
         cap0 = i + len(prefix)
-        cap1 = _find_aligned(text, suffix, cap0 + 1)
+        cap1 = next(_aligned(text, suffix, cap0 + 1), -1)
         if cap1 < 0:
             return out  # a later prefix site has no suffix after it either
-        stop = text.find(sep, cap0, cap1) if sep is not None else -1
+        stop = text.find(sep, cap0, cap1)
         if stop >= 0:
-            i = _find_aligned(text, prefix, stop + 1)
+            i = next(_aligned(text, prefix, stop + 1), -1)
             continue
         end = cap1 + len(suffix)
         out.append((i, end, cap0, cap1))
-        i = _find_aligned(text, prefix, end)
+        i = next(_aligned(text, prefix, end), -1)
     return out
 
 
@@ -153,7 +148,7 @@ def _longest_shared(
                 if not part or atom.lhs == atom.rhs:
                     continue
                 if len(text) > len(best):
-                    first = _find_aligned(probe, text, 0)
+                    first = next(_aligned(probe, text), -1)
                     if first >= 0:
                         best, offset, found = text, first, []
                 if text == best:
@@ -186,7 +181,7 @@ def _antecedent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, offset
         return (
             Antecedent(pattern, rhs),
             (len(prefix) + len(suffix), prefix, suffix, rhs),
-            lambda joined, sep: [m[:2] for m in match_pattern(joined, pattern, sep)],
+            lambda joined: [m[:2] for m in match_pattern(joined, pattern)],
             rhs,
         )
 
@@ -280,45 +275,30 @@ def get_precise_move(buckets: BucketSet, window: int) -> list[MoveRule]:
 
 # --- application ---------------------------------------------------------------
 
-class MoveApplication:
-    __slots__ = ("texts", "captures", "antecedent_sites", "consequent_sites", "soft_conflict")
-
-    def __init__(
-        self,
-        texts: dict[str, str],
-        captures: list[str],
-        antecedent_sites: list[tuple[str, int, int]],
-        consequent_sites: list[tuple[str, int, int]],
-        soft_conflict: bool,
-    ) -> None:
-        self.texts, self.captures, self.soft_conflict = texts, captures, soft_conflict
-        self.antecedent_sites, self.consequent_sites = antecedent_sites, consequent_sites
+class MoveApplication(NamedTuple):
+    texts: dict[str, str]
+    captures: list[str]
+    antecedent_sites: list[tuple[str, int, int]]  # (key, start, end)
+    consequent_sites: list[tuple[str, int, int]]
+    soft_conflict: bool
 
 
 def apply_move(texts: dict[str, str], move: MoveRule) -> MoveApplication:
-    """Run one move over a keyed set of texts.
-
-    Phase one rewrites every antecedent match and records captures; phase two
-    expands the consequent with the first capture and rewrites its matches.
-    Zero-match policies (skip vs conflict) are the caller's business.
-    """
-    captures: list[str] = []
-    a_sites: list[tuple[str, int, int]] = []
-    after_a: dict[str, str] = {}
-    for key, text in texts.items():
-        spans = []
-        for start, end, c0, c1 in match_pattern(text, move.antecedent.lhs):
-            captures.append(text[c0:c1])
-            a_sites.append((key, start, end))
-            spans.append((start, end))
-        after_a[key] = _splice(text, spans, move.antecedent.rhs) if spans else text
-    if not captures:
+    """Run one move over a keyed set of texts, joined into one. Phase one
+    rewrites every antecedent match and records captures; phase two expands
+    the consequent with the first capture and rewrites its matches. Sites are
+    offsets into each text as its phase found it. Zero-match policies (skip
+    vs conflict) are the caller's business."""
+    keys = list(texts)
+    joined = Joined.of(list(texts.values()))
+    matches = match_pattern(joined, move.antecedent.lhs)
+    if not matches:
         return MoveApplication(dict(texts), [], [], [], False)
-    replacement = move.consequent.rhs.fill(captures[0])
-    c_sites: list[tuple[str, int, int]] = []
-    out: dict[str, str] = {}
-    for key, text in after_a.items():
-        new_text, sites = apply_rewrite_to_text(text, move.consequent.lhs, replacement)
-        out[key] = new_text
-        c_sites.extend((key, s0, s1) for s0, s1 in sites)
-    return MoveApplication(out, captures, a_sites, c_sites, soft_conflict=len(set(captures)) > 1)
+    captures = [joined.text[c0:c1] for _, _, c0, c1 in matches]
+    a_sites = [(keys[i], p, p + e - s) for s, e, _, _ in matches for i, p in [joined.locate(s)]]
+    joined = joined.splice([m[:2] for m in matches], move.antecedent.rhs)
+    out, spans = joined.rewrite(move.consequent.lhs, move.consequent.rhs.fill(captures[0]))
+    c_sites = [(keys[i], p, p + e - s) for s, e in spans for i, p in [joined.locate(s)]]
+    return MoveApplication(
+        dict(zip(keys, out.split())), captures, a_sites, c_sites, len(set(captures)) > 1
+    )

@@ -13,23 +13,24 @@ greedily retained so that no two rules claim the same stretch of source.
 Move rules (moves.py) are built on the same window grid, scored by the
 same scan and retained by the same selection pass.
 
-A fix-up loop replays retained rules on the bucket sources, re-dissects
-only the buckets those rules rewrote, and tries again, widening the context
-window whenever a round leaves no fewer token edits in that dissection;
-exact-anchor fallback rules (minimal context with one hit in the joined
-text) close out anything left. The BucketSet is the loop's only state: every
-bucket a round did not rewrite keeps its atoms and offset projection.
+A fix-up loop replays retained rules on the joined sources, one scan and one
+splice a rule, re-dissects only the buckets those rules rewrote, and tries
+again, widening the context window whenever a round leaves no fewer token
+edits in that dissection; exact-anchor fallback rules (minimal context with
+one hit in the joined text) close out anything left. The BucketSet is the
+loop's only state: every bucket a round did not rewrite keeps its atoms and
+offset projection.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from typing import Any, NamedTuple
 
 from .align import Atom, BucketSet, dissect
-from .tokens import _find_aligned, _token_texts, find_matches
+from .tokens import Joined, _token_texts
 
 
 def typed(width: int | None = None) -> Callable[[type], type]:
@@ -114,19 +115,7 @@ class Candidate(NamedTuple):
         return (-self.metrics.precision, -self.metrics.tp, *self.order)
 
 
-Matcher = Callable[[str, str], Iterable[tuple[int, int]]]  # (joined, sep) -> spans
-
-
-def _literal(joined: str, sep: str, lhs: str) -> Iterator[tuple[int, int]]:
-    """The token-aligned occurrences of lhs in the joined text, lazily, leftmost
-    and non-overlapping, as `find_matches` finds them in each source."""
-    if sep in lhs:
-        return
-    n = len(lhs)
-    start = _find_aligned(joined, lhs, 0)
-    while start >= 0:
-        yield start, start + n
-        start = _find_aligned(joined, lhs, start + n)
+Matcher = Callable[[Joined], Iterable[tuple[int, int]]]  # joined sources -> spans
 
 
 def _score(buckets: BucketSet, lhs: str | Matcher, rhs: str) -> tuple[RuleMetrics, list[Region]]:
@@ -147,11 +136,12 @@ def _score(buckets: BucketSet, lhs: str | Matcher, rhs: str) -> tuple[RuleMetric
     are exact. A capture can fill prefix + capture + suffix to equal rhs on
     identity text, a tp with no edit, so capture matchers are scored in full.
     """
-    joined, sep, starts = buckets.joined
+    joined = buckets.joined
+    starts = joined.starts
     if isinstance(lhs, str):
-        spans, cap = _literal(joined, sep, lhs), 2 * buckets.edit_count
+        spans, cap = ((s, s + len(lhs)) for s in joined.find(lhs)), 2 * buckets.edit_count
     else:
-        spans, cap = lhs(joined, sep), None
+        spans, cap = lhs(joined), None
     tp = fp = 0
     tp_sites: list[Region] = []
     for start, end in spans:
@@ -170,11 +160,10 @@ def _score(buckets: BucketSet, lhs: str | Matcher, rhs: str) -> tuple[RuleMetric
 
 def classification_metrics(rule: RewriteRule, buckets: BucketSet) -> RuleMetrics:
     """Corpus-wide tp/fp for one rule, every match counted. Raises ValueError
-    on an empty lhs."""
-    if not rule.lhs:
-        raise ValueError("rule with empty lhs is unscorable; needs context expansion")
+    on an empty lhs, which `Joined.find` cannot scan for."""
     # A matcher is scored in full, where the literal's scan would stop at the bar.
-    metrics, _ = _score(buckets, lambda joined, sep: _literal(joined, sep, rule.lhs), rule.rhs)
+    lhs = rule.lhs
+    metrics, _ = _score(buckets, lambda j: ((s, s + len(lhs)) for s in j.find(lhs)), rule.rhs)
     return metrics
 
 
@@ -289,26 +278,6 @@ def get_precise_rewriting(buckets: BucketSet, window: int) -> list[tuple[Rewrite
     return sort_and_filter(pool)
 
 
-# --- application -------------------------------------------------------------
-
-def _splice(text: str, spans: Iterable[tuple[int, int]], rhs: str) -> str:
-    """The text with each of the ordered, disjoint spans replaced by rhs."""
-    pieces: list[str] = []
-    pos = 0
-    for start, end in spans:
-        pieces.append(text[pos:start])
-        pieces.append(rhs)
-        pos = end
-    pieces.append(text[pos:])
-    return "".join(pieces)
-
-
-def apply_rewrite_to_text(text: str, lhs: str, rhs: str) -> tuple[str, list[tuple[int, int]]]:
-    """One frozen left-to-right token-boundary scan; output is not rescanned."""
-    spans = [(s, s + len(lhs)) for s in find_matches(text, lhs)]
-    return (_splice(text, spans, rhs) if spans else text), spans
-
-
 # --- the fix-up loop ---------------------------------------------------------
 
 class RoundTrace(NamedTuple):
@@ -329,11 +298,12 @@ def _redissect(buckets: BucketSet, sources: Iterable[str]) -> BucketSet:
 
 
 def _rewritten(buckets: BucketSet, rules: Iterable[RewriteRule]) -> list[str] | None:
-    """Every bucket source with the rules applied in order, or None once
-    every source equals its target."""
-    sources = [b.source for b in buckets]
+    """Every bucket source with the rules applied in order, each in one scan
+    of the joined sources, or None once every source equals its target."""
+    joined = buckets.joined
     for rule in rules:
-        sources = [apply_rewrite_to_text(s, rule.lhs, rule.rhs)[0] for s in sources]
+        joined, _ = joined.rewrite(rule.lhs, rule.rhs)
+    sources = joined.split()
     if all(s == b.target for s, b in zip(sources, buckets)):
         return None
     return sources
@@ -415,7 +385,7 @@ def _exact_anchor_fallback(buckets: BucketSet) -> list[RewriteRule]:
 def _unique_anchor_rule(bidx: int, core: int, buckets: BucketSet) -> RewriteRule | None:
     """The narrowest window around the core whose lhs has exactly one aligned
     hit in the joined sources, the window's own."""
-    joined, _sep, starts = buckets.joined
+    joined = buckets.joined
     atoms = buckets[bidx].atoms
     for m in range(len(atoms) + 1):
         lo = max(0, core - m)
@@ -424,11 +394,8 @@ def _unique_anchor_rule(bidx: int, core: int, buckets: BucketSet) -> RewriteRule
         rhs = "".join(a.rhs for a in atoms[lo:hi])
         if not lhs or lhs == rhs:
             continue
-        first = _find_aligned(joined, lhs, 0)
-        if (
-            first == starts[bidx] + atoms[lo].lhs_start
-            and _find_aligned(joined, lhs, first + len(lhs)) < 0
-        ):
+        found = joined.find(lhs)
+        if next(found, -1) == joined.starts[bidx] + atoms[lo].lhs_start and next(found, -1) < 0:
             return RewriteRule(lhs, rhs, fallback=True)
         if lo == 0 and hi == len(atoms):
             return None

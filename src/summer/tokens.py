@@ -7,17 +7,21 @@ same-category characters, except that each symbol character is its own token.
 regex scan of the text (`_runs`), and `tokenize` wraps them as `Token`s;
 `_token_texts` lists the texts alone.
 All pattern matching downstream is required to start and end on token
-boundaries of the text being searched. Whether an offset is a boundary is
-decided from the two characters around it, so matching needs no tokenization.
+boundaries of the text being searched. `_aligned` decides each end of an
+occurrence from the character beyond it, so matching needs no tokenization.
+`Joined` holds many texts as one, so that one scan and one splice apply a rule
+to all of them: scoring, the fix-up rounds, moves and replay all go through it.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from enum import Enum, auto
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, count, groupby
+from operator import add
 from typing import NamedTuple
 
 
@@ -118,42 +122,83 @@ def tokenize_cached(s: str) -> TokenString:
 _ASCII = {chr(c): classify_char(chr(c)) for c in range(128)}
 
 
-def _at_boundary(s: str, i: int) -> bool:
-    """True if offset i of s starts or ends a token of ``tokenize(s)``.
-
-    The ends of the string are boundaries; inside it, a token ends after
-    every symbol and wherever the character category changes.
-    """
-    if i <= 0 or i >= len(s):
-        return True
-    a, b = s[i - 1], s[i]
-    before = _ASCII.get(a) or classify_char(a)
-    return before is CharCategory.SYMBOL or before is not (_ASCII.get(b) or classify_char(b))
-
-
-def _find_aligned(text: str, needle: str, pos: int) -> int:
-    """Offset of the first occurrence of ``needle`` at or after ``pos`` that
-    starts and ends on token boundaries, or -1."""
-    while True:
-        i = text.find(needle, pos)
-        if i < 0 or (_at_boundary(text, i) and _at_boundary(text, i + len(needle))):
-            return i
-        pos = i + 1
-
-
-def find_matches(text: str, needle: str) -> list[int]:
-    """All boundary-aligned occurrences of ``needle``, leftmost and non-overlapping.
-
-    An occurrence qualifies only if both its start and its end offsets are
-    token boundaries of the text. After a qualifying match ending at offset
-    e, the scan resumes at e; a rejected occurrence is skipped by one
-    character.
-    """
-    if not needle:
-        raise ValueError("needle must be nonempty")
-    out: list[int] = []
-    i = _find_aligned(text, needle, 0)
+def _aligned(text: str, needle: str, pos: int = 0) -> Iterator[int]:
+    """The occurrences of a nonempty needle at or after pos that start and end
+    on token boundaries, lazily, leftmost and non-overlapping. A token runs
+    across an end of an occurrence when the character beyond it has the
+    category of the needle's character at that end, unless that is SYMBOL."""
+    n, get, symbol = len(needle), _ASCII.get, CharCategory.SYMBOL
+    head = get(needle[0]) or classify_char(needle[0])
+    tail = get(needle[-1]) or classify_char(needle[-1])
+    i = text.find(needle, pos)
     while i >= 0:
-        out.append(i)
-        i = _find_aligned(text, needle, i + len(needle))
-    return out
+        j = i + n
+        if (i and (get(text[i - 1]) or classify_char(text[i - 1])) is head is not symbol) or (
+            j < len(text) and (get(text[j]) or classify_char(text[j])) is tail is not symbol
+        ):
+            i = text.find(needle, i + 1)
+        else:
+            yield i
+            i = text.find(needle, j)
+
+
+class Joined(NamedTuple):
+    """Texts joined by `sep`, a symbol character none of them holds, and the
+    offset where each starts. An offset next to a symbol is a token boundary,
+    so a needle without `sep` matches here where it matches in each text, and
+    one with it matches nothing: one scan and one splice rewrite every text."""
+
+    text: str
+    sep: str
+    starts: list[int]
+
+    @classmethod
+    def of(cls, texts: Sequence[str], *also: str) -> Joined:
+        """The texts joined by the first symbol character from \\x00 up that
+        neither they nor any of `also` hold."""
+        held = "".join([*texts, *also])
+        symbol = CharCategory.SYMBOL
+        sep = next(c for c in map(chr, count()) if c not in held and classify_char(c) is symbol)
+        starts = [*accumulate([len(t) + 1 for t in texts], initial=0)][:-1]
+        return cls(sep.join(texts), sep, starts)
+
+    def find(self, needle: str) -> Iterator[int]:
+        """The starts of the aligned occurrences of a nonempty needle (`_aligned`)."""
+        if not needle:
+            raise ValueError("needle must be nonempty")
+        return iter(()) if self.sep in needle else _aligned(self.text, needle)
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        """(index of the text holding offset, offset within that text)."""
+        i = bisect_right(self.starts, offset) - 1
+        return i, offset - self.starts[i]
+
+    def splice(self, spans: Sequence[tuple[int, int]], rhs: str) -> Joined:
+        """Each of the ordered, disjoint spans, none crossing a separator, replaced
+        by rhs; rejoined under another separator if rhs holds `sep`."""
+        if not spans:
+            return self
+        text, sep, starts = self
+        pieces: list[str] = []
+        pos = 0
+        for start, end in spans:
+            pieces += text[pos:start], rhs
+            pos = end
+        pieces.append(text[pos:])
+        if starts[-1] > spans[0][0]:  # each later start moves by what the spans before it grew
+            growth = [0] * (len(starts) + 1)
+            for start, end in spans:
+                growth[bisect_right(starts, start)] += len(rhs) - end + start
+            starts = [*map(add, starts, accumulate(growth))]
+        out = Joined("".join(pieces), sep, starts)
+        return Joined.of(out.split()) if sep in rhs else out
+
+    def rewrite(self, lhs: str, rhs: str) -> tuple[Joined, list[tuple[int, int]]]:
+        """Every aligned lhs rewritten to rhs in one frozen scan, and the spans."""
+        spans = [(start, start + len(lhs)) for start in self.find(lhs)]
+        return self.splice(spans, rhs), spans
+
+    def split(self) -> list[str]:
+        """The texts."""
+        text, starts = self.text, self.starts
+        return [text[a : b - 1] for a, b in zip(starts, [*starts[1:], len(text) + 1])]

@@ -614,7 +614,7 @@ class TestRoundTripProperty:
         # consequent sites on boundaries of the post-antecedent text.
         rng = random.Random(99)
         from summer.moves import match_pattern
-        from summer.rules import _splice
+        from summer.tokens import Joined
 
         for _ in range(40):
             toks = [rng.choice(self.ALPHABET) for _ in range(rng.randrange(1, 80))]
@@ -630,12 +630,11 @@ class TestRoundTripProperty:
                 if isinstance(step, MoveRule):
                     # The texts after phase one: every antecedent match rewritten.
                     a = step.antecedent
-                    mid_bounds = {
-                        path: token_offsets(
-                            _splice(text, [m[:2] for m in match_pattern(text, a.lhs)], a.rhs)
-                        )
-                        for path, text in state.items()
-                    }
+                    mid_bounds = {}
+                    for path, text in state.items():
+                        joined = Joined.of([text])
+                        spans = [m[:2] for m in match_pattern(joined, a.lhs)]
+                        mid_bounds[path] = token_offsets(joined.splice(spans, a.rhs).text)
                 out = apply_steps(state, [step])
                 assert out.ok
                 for applied in out.applied_steps:

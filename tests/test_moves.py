@@ -13,7 +13,7 @@ from summer.moves import (
     match_pattern,
 )
 from summer.rules import WINDOW
-from summer.tokens import find_matches
+from summer.tokens import Joined
 from tests.conftest import (
     DELETION,
     EXTRACT_BASE,
@@ -47,23 +47,23 @@ class TestMatchPattern:
     def test_lazy_minimal_capture(self):
         text = "( aa bb ) tail ( cc ) x"
         pattern = MovePattern("(", ")")
-        matches = match_pattern(text, pattern)
+        matches = match_pattern(Joined.of([text]), pattern)
         assert [text[c0:c1] for _, _, c0, c1 in matches] == [" aa bb ", " cc "]
 
     def test_capture_must_be_nonempty(self):
-        assert match_pattern("()", MovePattern("(", ")")) == []
+        assert match_pattern(Joined.of(["()"]), MovePattern("(", ")")) == []
 
     def test_anchors_respect_token_boundaries(self):
         # "public" inside "Republican" is not a prefix site.
         matches = match_pattern(
-            "Republican public x end", MovePattern("public", "end")
+            Joined.of(["Republican public x end"]), MovePattern("public", "end")
         )
         assert len(matches) == 1
         assert matches[0][0] == len("Republican ")
 
     def test_anchorless_patterns_rejected(self):
         with pytest.raises(ValueError):
-            match_pattern("x", MovePattern("", "x"))
+            match_pattern(Joined.of(["x"]), MovePattern("", "x"))
 
 
 class TestFindLongestShared:
@@ -122,7 +122,7 @@ def _reference_longest_shared(probe, buckets, side):
                     break
                 if not qualifies(atoms[v]):
                     continue
-                if len(text) > len(best) and find_matches(probe, text):
+                if len(text) > len(best) and next(Joined.of([probe]).find(text), -1) >= 0:
                     best, found = text, []
                 if text == best:
                     found.append((bidx, u, v + 1))
@@ -132,7 +132,7 @@ def _reference_longest_shared(probe, buckets, side):
     for o in found:
         if not occurrences or occurrences[-1][0] != o[0] or occurrences[-1][2] <= o[1]:
             occurrences.append(o)
-    return best, find_matches(probe, best)[0], occurrences
+    return best, next(Joined.of([probe]).find(best)), occurrences
 
 
 _WORDS = ["a", "b", "x1", "foo", "(", ")", ";", " ", "  ", "="]
@@ -326,7 +326,7 @@ class TestMoveApplication:
         moves = get_precise_move(extract_buckets, WINDOW)
         pattern = moves[0].antecedent.lhs
         bounds = token_offsets(EXTRACT_RIGHT)
-        (start, end, c0, c1), = match_pattern(EXTRACT_RIGHT, pattern)
+        (start, end, c0, c1), = match_pattern(Joined.of([EXTRACT_RIGHT]), pattern)
         assert c0 in bounds and c1 in bounds
         # No shorter boundary-to-boundary capture completes the pattern.
         suffix = pattern.literal_suffix

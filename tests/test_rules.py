@@ -9,10 +9,8 @@ from summer.rules import (
     Candidate,
     RewriteRule,
     RuleMetrics,
-    _literal,
     _score,
     _select,
-    apply_rewrite_to_text,
     classification_metrics,
     decompose_rewrites,
     decompose_rewrites_trace,
@@ -20,7 +18,7 @@ from summer.rules import (
     get_precise_rewriting,
     sort_and_filter,
 )
-from summer.tokens import CharCategory, classify_char, find_matches
+from summer.tokens import CharCategory, Joined, classify_char
 from tests.conftest import INSERTION, SUBSTITUTION, core_atom
 
 
@@ -28,7 +26,7 @@ def replay(buckets: BucketSet, rules) -> dict[str, str]:
     current = {b.label: b.source for b in buckets}
     for rule in rules:
         for label in current:
-            current[label], _ = apply_rewrite_to_text(current[label], rule.lhs, rule.rhs)
+            current[label] = Joined.of([current[label]]).rewrite(rule.lhs, rule.rhs)[0].text
     return current
 
 
@@ -103,7 +101,7 @@ def needles(draw, buckets: BucketSet, side: str) -> str:
     needle = text[i : draw(st.integers(i, len(text)))] or draw(st.sampled_from(PIECES))
     if draw(st.integers(0, 9)) == 0:
         k = draw(st.integers(0, len(needle)))
-        needle = needle[:k] + buckets.joined[1] + needle[k:]
+        needle = needle[:k] + buckets.joined.sep + needle[k:]
     return needle
 
 
@@ -130,7 +128,7 @@ class TestJoinedScoring:
         joined, sep, starts = buckets.joined
         assert classify_char(sep) is CharCategory.SYMBOL
         assert not any(sep in b.source for b in buckets)
-        assert joined.split(sep) == [b.source for b in buckets]
+        assert joined.split(sep) == buckets.joined.split() == [b.source for b in buckets]
         assert [joined[s : s + len(b.source)] for s, b in zip(starts, buckets)] == [
             b.source for b in buckets
         ]
@@ -149,12 +147,13 @@ class TestJoinedScoring:
         rhs = data.draw(st.one_of(needles(buckets, "target"), pieces_text))
         if lhs == rhs:
             return  # no candidate rewrites a text to itself
-        want = reference_score(
-            buckets, lambda s: [(i, i + len(lhs)) for i in find_matches(s, lhs)], rhs
-        )
+        def matcher(joined):
+            return [(i, i + len(lhs)) for i in joined.find(lhs)]
+
+        want = reference_score(buckets, lambda s: matcher(Joined.of([s])), rhs)
         # As a matcher, the literal is scored in full; as a literal, its
         # scan may stop once the candidate cannot clear the bar.
-        assert _score(buckets, lambda joined, sep: _literal(joined, sep, lhs), rhs) == want
+        assert _score(buckets, matcher, rhs) == want
         metrics, sites = _score(buckets, lhs, rhs)
         if want[0].precise:
             assert (metrics, sites) == want
@@ -175,20 +174,22 @@ class TestJoinedScoring:
         self.check_capture(buckets, MovePattern("(", ")"), "()")
 
     def check_capture(self, buckets, pattern, rhs):
-        joined, sep, starts = buckets.joined
+        starts = buckets.joined.starts
         per_bucket = [
-            (bidx, m) for bidx, b in enumerate(buckets) for m in match_pattern(b.source, pattern)
+            (bidx, m)
+            for bidx, b in enumerate(buckets)
+            for m in match_pattern(Joined.of([b.source]), pattern)
         ]
         found = []
-        for m in match_pattern(joined, pattern, sep):
+        for m in match_pattern(buckets.joined, pattern):
             bidx = max(i for i, s in enumerate(starts) if s <= m[0])
             found.append((bidx, tuple(x - starts[bidx] for x in m)))
         assert found == per_bucket
 
-        def matcher(text, sep):
-            return [m[:2] for m in match_pattern(text, pattern, sep)]
+        def matcher(joined):
+            return [m[:2] for m in match_pattern(joined, pattern)]
 
-        want = reference_score(buckets, lambda s: matcher(s, None), rhs)
+        want = reference_score(buckets, lambda s: matcher(Joined.of([s])), rhs)
         assert _score(buckets, matcher, rhs) == want
 
 
@@ -445,15 +446,15 @@ class TestDecomposeRewrites:
 class TestApplyRewrite:
     def test_no_rescan_of_produced_text(self):
         # ": -> \:" must not fire on the backslash-colon it just wrote.
-        out, sites = apply_rewrite_to_text("a:b:c", ":", "\\:")
-        assert out == "a\\:b\\:c"
+        out, sites = Joined.of(["a:b:c"]).rewrite(":", "\\:")
+        assert out.text == "a\\:b\\:c"
         assert len(sites) == 2
 
     def test_boundary_discipline(self):
-        out, sites = apply_rewrite_to_text("public class Republican", "public", "private")
-        assert out == "private class Republican"
+        out, sites = Joined.of(["public class Republican"]).rewrite("public", "private")
+        assert out.text == "private class Republican"
         assert sites == [(0, 6)]
 
     def test_zero_applications_allowed(self):
-        out, sites = apply_rewrite_to_text("abc", "zzz", "qqq")
-        assert out == "abc" and sites == []
+        out, sites = Joined.of(["abc"]).rewrite("zzz", "qqq")
+        assert out.text == "abc" and sites == []

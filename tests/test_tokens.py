@@ -4,11 +4,11 @@ from hypothesis import example, given
 
 from summer.tokens import (
     CharCategory,
-    _at_boundary,
+    _aligned,
     _runs,
+    Joined,
     _token_texts,
     classify_char,
-    find_matches,
     tokenize,
 )
 from tests.conftest import token_offsets
@@ -144,6 +144,10 @@ PRIVATE_USE_BYTES = "".join(chr(0xE000 + b) for b in range(256))
 
 
 class TestBoundaryPredicate:
+    """The scan's boundary test at every offset i: the suffix from i is an
+    aligned occurrence exactly when i is a token offset, and so is the prefix
+    up to i."""
+
     @given(tricky_text)
     @example("_")
     @example("a_b1_")
@@ -157,8 +161,10 @@ class TestBoundaryPredicate:
     @example("ab" + PRIVATE_USE_BYTES + "12")
     def test_agrees_with_token_offsets(self, s):
         bounds = token_offsets(s)
-        for i in range(len(s) + 1):
-            assert _at_boundary(s, i) == (i in bounds), (s, i)
+        for i in range(len(s)):
+            assert (next(_aligned(s, s[i:], i), -1) == i) == (i in bounds), (s, i)
+        for i in range(1, len(s) + 1):
+            assert (next(_aligned(s, s[:i]), -1) == 0) == (i in bounds), (s, i)
 
 
 def brute_force_matches(source: str, needle: str) -> list[int]:
@@ -177,6 +183,10 @@ def brute_force_matches(source: str, needle: str) -> list[int]:
         else:
             i += 1
     return out
+
+
+def find_matches(text: str, needle: str) -> list[int]:
+    return list(Joined.of([text]).find(needle))
 
 
 class TestFindMatches:
@@ -203,3 +213,55 @@ class TestFindMatches:
         for start in find_matches(source, needle):
             assert start in bounds
             assert start + len(needle) in bounds
+
+
+# \x00 and \x01 are the first separators Joined.of tries.
+JOINED_ALPHABET = st.sampled_from(["a", "b", "é", "1", " ", "\n", ".", "\x00", "\x01"])
+
+
+class TestJoined:
+    """A joined text behaves as its texts, each scanned and rewritten alone."""
+
+    @given(
+        st.lists(st.text(JOINED_ALPHABET, max_size=12), max_size=4),
+        st.text(JOINED_ALPHABET, min_size=1, max_size=3),
+        st.text(JOINED_ALPHABET, max_size=3),
+    )
+    @example(["x", "x"], "x", "\x00")
+    @example(["a", "", "a.a"], "a", "b")
+    def test_behaves_as_its_texts(self, texts, lhs, rhs):
+        joined = Joined.of(texts)
+        assert joined.sep not in "".join(texts)
+        assert joined.split() == texts
+        located: list[list[int]] = [[] for _ in texts]
+        for start in joined.find(lhs):
+            i, local = joined.locate(start)
+            located[i].append(local)
+        assert located == [brute_force_matches(t, lhs) for t in texts]
+        rewritten, spans = joined.rewrite(lhs, rhs)
+        assert len(spans) == sum(map(len, located))
+        want = []
+        for t in texts:
+            pieces, pos = [], 0
+            for start in brute_force_matches(t, lhs):
+                pieces += t[pos:start], rhs
+                pos = start + len(lhs)
+            want.append("".join(pieces) + t[pos:])
+        assert rewritten.split() == want
+        assert rewritten.sep not in "".join(want)
+
+    @given(st.lists(st.text(JOINED_ALPHABET, max_size=12), min_size=1, max_size=4))
+    def test_needle_holding_the_separator_matches_nothing(self, texts):
+        joined = Joined.of(texts)
+        assert list(joined.find(joined.sep)) == []
+        assert list(joined.find("a" + joined.sep + "a")) == []
+
+    def test_empty_needle_rejected(self):
+        with pytest.raises(ValueError):
+            Joined.of(["x", "y"]).find("")
+
+    def test_separator_skips_held_and_non_symbol_characters(self):
+        assert Joined.of(["\x00"], "\x01").sep == "\x02"
+        # \x09 to \x0d are whitespace.
+        held = "".join(map(chr, range(9)))
+        assert Joined.of([held]).sep == "\x0e"
