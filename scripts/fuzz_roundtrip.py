@@ -8,8 +8,10 @@ k = d and at k = d - 1, where the distance is over the limit by one: both
 must return d. The bag distance of B's and X's token lists, which rename
 pairing uses as a bound, must not exceed their Levenshtein distance. The
 atoms of dissect(B, X) must tile both sides from offset 0, every identity
-atom must be one token, every substitution one token for another, and no
-two neighbouring atoms may both be insertions or both deletions.
+run must be nonempty, every substitution one token for another, and no two
+neighbouring atoms may both be identity runs, insertions or deletions. The
+context units walked from every atom boundary, either way, must end where
+the edits end and where `tokenize` ends each token of an identity run.
 
 Usage: python3 scripts/fuzz_roundtrip.py [CASES] [SEED]
 Prints a failure reproduction (base and target repr) and exits 1 on the
@@ -62,23 +64,37 @@ def mutate(rng: random.Random, tokens: list[str]) -> list[str]:
 
 
 def atom_faults(source: str, target: str) -> list[str]:
-    """The atom invariants that dissect(source, target) breaks."""
+    """The atom and context-unit invariants that dissect(source, target) breaks."""
+    bucket = dissect(source, target, "")
     faults = []
     lo = ro = 0
     prev = None
-    for a in dissect(source, target, "").atoms:
+    edges = [(0, 0)]  # unit edges read off tokenize: atom ends, and token ends inside runs
+    at = []  # the index in edges of each atom boundary
+    for a in bucket.atoms:
         if (a.lhs_start, a.rhs_start) != (lo, ro):
             faults.append(f"atom {a!r} does not tile")
-        lo += len(a.lhs)
-        ro += len(a.rhs)
         kind = "=" if a.lhs == a.rhs else "+" if not a.lhs else "-" if not a.rhs else "~"
-        if kind in "=~" and any(len(tokenize(side).tokens) != 1 for side in {a.lhs, a.rhs}):
+        if kind == "=" and not a.lhs:
+            faults.append(f"atom {a!r} is an empty identity run")
+        if kind == "~" and any(len(tokenize(side).tokens) != 1 for side in (a.lhs, a.rhs)):
             faults.append(f"atom {a!r} is not one token a side")
-        if kind == prev and kind in "+-":
+        if kind == prev and kind in "=+-":
             faults.append(f"atom {a!r} continues a run of its kind")
         prev = kind
+        at.append(len(edges) - 1)
+        if kind == "=":
+            edges += [(lo + t.end, ro + t.end) for t in tokenize(a.lhs).tokens]
+        else:
+            edges.append((lo + len(a.lhs), ro + len(a.rhs)))
+        lo += len(a.lhs)
+        ro += len(a.rhs)
+    at.append(len(edges) - 1)
     if (lo, ro) != (len(source), len(target)):
         faults.append("atoms do not cover both sides")
+    for i, k in enumerate(at):
+        if [*bucket.reach(i, 1)] != edges[k:] or [*bucket.reach(i, -1)] != edges[k::-1]:
+            faults.append(f"context units walked from atom boundary {i} are not tokenize's")
     return faults
 
 

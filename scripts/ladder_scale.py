@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Time merge and decompose on the perfbench ladder at growing sizes.
+"""Time merge, decompose and dissect on the perfbench ladder at growing sizes.
 
 Builds `ladder_case(CASE)` from perfbench/workloads.py with `LADDER_LINES`
 multiplied by 1, 2, 4 and 8 (about 8.1k to 64.8k tokens a file), and prints
 one markdown table row per size: tokens, the merge of base, left and right,
-the decompose of base to left, and the replay of that decomposition on right
-(`apply_steps`, the steps computed once beforehand), each the best wall time
-of REPEATS runs and its ratio to the row before (the cost of one doubling).
+the decompose of base to left, the replay of that decomposition on right
+(`apply_steps`, the steps computed once beforehand), and `dissect(base,
+left, "")`, each the best wall time of REPEATS runs and its ratio to the row
+before (the cost of one doubling).
 The tokenizer cache is cleared before each run, so every run is cold.
 
 Usage: python3 scripts/ladder_scale.py [REPEATS] [CASE]
@@ -23,6 +24,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
+from summer.align import dissect  # noqa: E402
 from summer.engine import apply_steps, decompose, merge  # noqa: E402
 from summer.tokens import tokenize, tokenize_cached  # noqa: E402
 
@@ -44,8 +46,11 @@ def main(argv: list[str]) -> int:
     case = int(argv[1]) if len(argv) > 1 else 3
     lines = workloads.LADDER_LINES
     words = workloads.spelling(workloads.CHECK_SEED, 0, 2)
-    print("| tokens | merge | ratio | decompose (left) | ratio | replay | ratio |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
+    print(
+        "| tokens | merge | ratio | decompose (left) | ratio | replay | ratio "
+        "| dissect (left) | ratio |"
+    )
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     prev = None
     try:
         for factor in FACTORS:
@@ -56,13 +61,14 @@ def main(argv: list[str]) -> int:
             d = best_of(repeats, decompose, {"": base}, {"": left})
             steps = decompose({"": base}, {"": left})
             r = best_of(repeats, apply_steps, {"": right}, steps)
-            ratios = [f"{t / p:.1f}x" for t, p in zip((m, d, r), prev)] if prev else [""] * 3
+            x = best_of(repeats, dissect, base, left, "")
+            ratios = [f"{t / p:.1f}x" for t, p in zip((m, d, r, x), prev)] if prev else [""] * 4
             print(
                 f"| {tokens / 1000:.1f}k | {m:.2f} s | {ratios[0]} | {d:.2f} s | {ratios[1]} "
-                f"| {r * 1000:.2f} ms | {ratios[2]} |",
+                f"| {r * 1000:.2f} ms | {ratios[2]} | {x * 1000:.1f} ms | {ratios[3]} |",
                 flush=True,
             )
-            prev = m, d, r
+            prev = m, d, r, x
     finally:
         workloads.LADDER_LINES = lines
     return 0

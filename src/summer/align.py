@@ -6,33 +6,34 @@ then token-level Levenshtein alignment inside each change block (paths of
 is a Bucket, an ordered tuple of atoms whose left sides concatenate to the
 source and right sides to the target.
 
-An atom is one identity token (its two sides equal), or one edit (its sides
-differ). Insertion and deletion runs coalesce into one edit each;
-substitutions stay one token pair per atom so that rule synthesis can expand
-each modified token independently. The bucket is the one record of its
-dissection: rule synthesis reads its atoms (the context units), the indices
-of its edit atoms, and its projection of source offsets into the target
-from it. A BucketSet holds one bucket per artifact and their sources as one
-`tokens.Joined`, so that scoring and rewriting scan the whole corpus at once.
+An atom is one identity run (its two sides equal), or one edit (its sides
+differ): substitutions stay one token pair per atom so that rule synthesis can
+expand each modified token independently. Rule synthesis reads its atoms, the
+indices of its edit atoms, its projection of source offsets into the target,
+and its context units: a whole edit, or one token cut off an identity run only
+where a window reaches it (`Bucket.reach`). A BucketSet holds one bucket per
+artifact and their sources as one `tokens.Joined`, so that scoring and
+rewriting scan the whole corpus at once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import cached_property, partial
-from itertools import accumulate, compress, count, groupby
-from operator import add, itemgetter, ne
+from collections.abc import Iterator
+from functools import cached_property
+from itertools import groupby
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .distance import _alignment
-from .tokens import Joined, _token_texts
+from .tokens import Joined, _runs, _token_texts
 
 
 class Atom(NamedTuple):
-    """Context unit: one identity token (lhs == rhs), or one edit
-    (lhs != rhs): a substituted token pair, or a whole inserted or deleted
-    run. The starts place it in its bucket's source and target."""
+    """One identity run (lhs == rhs, nonempty, never next to another), or one
+    edit (lhs != rhs): a substituted token pair, or a whole inserted or
+    deleted run. The starts place it in its bucket's source and target."""
 
     lhs: str
     rhs: str
@@ -59,9 +60,7 @@ class Bucket:
     @cached_property
     def cores(self) -> tuple[int, ...]:
         """Indices of the edit atoms, in order."""
-        lhss = map(itemgetter(0), self.atoms)
-        rhss = map(itemgetter(1), self.atoms)
-        return tuple(compress(count(), map(ne, lhss, rhss)))
+        return tuple(i for i, (lhs, rhs, _, _) in enumerate(self.atoms) if lhs != rhs)
 
     @cached_property
     def _starts(self) -> tuple[list[int], list[int]]:
@@ -73,9 +72,9 @@ class Bucket:
     def target_offsets(self, p: int) -> list[int] | None:
         """Candidate target offsets for source offset p; None if undefined.
 
-        Inside an identity token the projection is linear. At an atom
-        boundary it is every atom start there: an insertion anchored at the
-        boundary may or may not be covered by a span ending there.
+        Inside identity text the projection is linear. At an atom boundary
+        it is every atom start there: an insertion anchored at the boundary
+        may or may not be covered by a span ending there.
         """
         b_lhs, b_rhs = self._starts
         lo = bisect_left(b_lhs, p)
@@ -85,6 +84,24 @@ class Bucket:
         if idx < 0 or idx >= len(self.atoms) or self.atoms[idx].lhs != self.atoms[idx].rhs:
             return None
         return [b_rhs[idx] + (p - b_lhs[idx])]
+
+    def reach(self, i: int, step: int) -> Iterator[tuple[int, int]]:
+        """(source, target) offsets of the start of atom i, then of a window
+        edge after each further context unit outward, to the bucket's end:
+        from atom i - 1 down for step -1, from atom i up for step 1. A unit is
+        a whole edit, or one token of an identity run tokenized alone (a
+        backward walk tokenizes the run reversed: the same tokens, reversed)."""
+        b_lhs, b_rhs = self._starts
+        yield b_lhs[i], b_rhs[i]
+        atoms = self.atoms
+        for n in range(i - 1, -1, -1) if step < 0 else range(i, len(atoms)):
+            lhs, rhs, lo, ro = atoms[n]
+            if lhs != rhs:
+                yield (lo, ro) if step < 0 else (b_lhs[n + 1], b_rhs[n + 1])
+                continue
+            for text, _, p in _runs(lhs if step > 0 else lhs[::-1]):
+                p = p + len(text) if step > 0 else len(lhs) - p - len(text)
+                yield lo + p, ro + p
 
     def agrees(self, start: int, end: int, rhs: str) -> bool:
         """True if rewriting source[start:end] to rhs matches the alignment."""
@@ -260,30 +277,18 @@ def _run_kind(part: Part) -> str:
     return "=" if lhs == rhs else "+" if not lhs else "-" if not rhs else "~"
 
 
-# An Atom from a 4-tuple with no Python frame per call, as `Atom(...)` and
-# `Atom._make` each run one; identity runs build tens of thousands of atoms.
-_new_atom = partial(tuple.__new__, Atom)
-
-
 def _atoms(parts: list[Part]) -> tuple[Atom, ...]:
     """Coalesce identity, insertion and deletion runs of parts (each
-    substitution stays its own atom), placed from offset 0. Each identity
-    run is tokenized whole, as a token may span two line ops: "\\n  " ends
-    an equal line and begins a replaced line's indent."""
+    substitution stays its own atom), placed from offset 0."""
     atoms: list[Atom] = []
     lo = ro = 0
     for kind, run in groupby(parts, _run_kind):
         run = list(run)
         if kind != "~":
-            run = [("".join(lhs for lhs, _ in run), "".join(rhs for _, rhs in run))]
+            lhs = "".join(map(itemgetter(0), run))
+            run = [(lhs, lhs if kind == "=" else "".join(map(itemgetter(1), run)))]
         for lhs, rhs in run:
-            if kind == "=":
-                texts = _token_texts(lhs)
-                lhs_starts = accumulate(map(len, texts), initial=lo)
-                rhs_starts = accumulate(map(len, texts), initial=ro)
-                atoms.extend(map(_new_atom, zip(texts, texts, lhs_starts, rhs_starts)))
-            else:
-                atoms.append(Atom(lhs, rhs, lo, ro))
+            atoms.append(Atom(lhs, rhs, lo, ro))
             lo += len(lhs)
             ro += len(rhs)
     return tuple(atoms)

@@ -9,9 +9,10 @@ site-local wording it captured) at the new location. Inlining mirrors this:
 the same construction with the two site lists swapped.
 
 The moved text is found by probing each inserted or deleted block for the
-longest text that other edits share with it. An edit is an atom whose two
-sides differ (align.Bucket.cores lists a bucket's edit atoms); a shared range
-starts and ends at one, so a probe walks only from a bucket's edit atoms.
+longest text that other edits share with it. An atom is an identity run or
+an edit (align.Bucket.cores lists a bucket's edits); a shared range starts and
+ends at an edit, so a probe walks only from them, reading runs whole.
+Windows grow by context units around their range, as rewrite rules do.
 
 Antecedent candidates are scored by simulating capture matching against the
 corpus, because the lazy capture can under-reach when the suffix anchor is
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .align import Atom, BucketSet, is_name_label
+from .align import Bucket, BucketSet, is_name_label
 from .rules import (
     Candidate,
     RuleMetrics,
@@ -128,7 +129,7 @@ def _longest_shared(
     Candidate ranges start and end at edit atoms with a nonempty `side`
     (deletions and substitutions for side lhs, insertions and substitutions
     for side rhs), so a probe walks only from a bucket's edit atoms; identity
-    atoms may appear inside. The probe occurrence must sit on probe token
+    runs may appear inside. The probe occurrence must sit on probe token
     boundaries. An occurrence of the final best scanned before the range that
     made it best would have made it best itself, so one scan collects them
     all; overlaps within a bucket are then dropped, leftmost first.
@@ -164,19 +165,18 @@ def _longest_shared(
 
 # --- candidate construction ---------------------------------------------------
 
-def _antecedent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, offset: int, n: int):
-    """Form of the capture patterns around the atom range [core_lo, core_hi),
-    whose lhs holds the moved text (length n) `offset` characters in; the
-    capture slot replaces it."""
-    core = "".join(a.lhs for a in atoms[core_lo:core_hi])
-    head, tail = core[:offset], core[offset + n :]
+def _antecedent_form(bucket: Bucket, core: int, offset: int, n: int):
+    """Form of the capture patterns around an atom range starting at atom
+    `core`, whose lhs holds the moved text (length n) `offset` characters in;
+    the capture slot replaces it."""
+    source, target = bucket.source, bucket.target
+    slot = bucket.atoms[core].lhs_start + offset
 
-    def form(j: int, k: int, lo: int, hi: int):
-        prefix = "".join(a.lhs for a in atoms[lo:core_lo]) + head
-        suffix = tail + "".join(a.lhs for a in atoms[core_hi:hi])
+    def form(j: int, k: int, s: int, e: int, t: int, u: int):
+        prefix, suffix = source[s:slot], source[slot + n : e]
         if not prefix or not suffix:
             return None
-        rhs = "".join(a.rhs for a in atoms[lo:hi])
+        rhs = target[t:u]
         pattern = MovePattern(prefix, suffix)
         return (
             Antecedent(pattern, rhs),
@@ -188,16 +188,16 @@ def _antecedent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, offset
     return form
 
 
-def _consequent_form(atoms: tuple[Atom, ...], core_lo: int, core_hi: int, offset: int, n: int):
-    """Form of the consequents around the atom range [core_lo, core_hi),
+def _consequent_form(bucket: Bucket, core: int, offset: int, n: int):
+    """Form of the consequents around an atom range starting at atom `core`,
     whose rhs holds the moved text (length n) `offset` characters in; the
     capture slot replaces it."""
+    slot = bucket.atoms[core].rhs_start + offset
 
-    def consequent(j: int, k: int, lo: int, lhs: str, rhs: str) -> Consequent:
-        slot = atoms[core_lo].rhs_start - atoms[lo].rhs_start + offset
-        return Consequent(lhs, MovePattern(rhs[:slot], rhs[slot + n :]))
+    def consequent(j: int, k: int, t: int, lhs: str, rhs: str) -> Consequent:
+        return Consequent(lhs, MovePattern(rhs[: slot - t], rhs[slot - t + n :]))
 
-    return _literal_form(atoms, consequent)
+    return _literal_form(bucket, consequent)
 
 
 def _best(
@@ -207,7 +207,7 @@ def _best(
     (bucket index, lo, hi, offset of the moved text of length n)."""
     pool: dict = {}
     for b, lo, hi, offset in sites:
-        form = form_at(buckets[b].atoms, lo, hi, offset, n)
+        form = form_at(buckets[b], lo, offset, n)
         _expand(buckets, b, lo, hi, window, pool, form)
     return min(
         (c for c in pool.values() if c.metrics.precise), key=Candidate.rank, default=None
@@ -225,7 +225,7 @@ def find_move(buckets: BucketSet, bucket_index: int, core: int, pool: dict, wind
     it was deleted; the consequent writes it back where it was inserted.
     """
     atom = buckets[bucket_index].atoms[core]
-    if atom.lhs and atom.rhs:  # an identity token or a substitution
+    if atom.lhs and atom.rhs:  # an identity run or a substitution
         raise ValueError("find_move requires an insertion or deletion edit")
     side, own = ("rhs", atom.lhs) if atom.lhs else ("lhs", atom.rhs)
     found = _longest_shared(own, buckets, side)

@@ -1,8 +1,7 @@
 """Synthesis of precise string-rewriting rules from the atoms of buckets.
 
-Candidate rules are formed by expanding each edit atom with context units:
-the neighboring atoms, each either a whole edit or one identity token,
-nearest first.
+Candidate rules are formed by expanding each edit atom with context units
+(`align.Bucket.reach`), nearest first: a whole edit, or one identity token.
 Each candidate is scored corpus-wide, in one scan of the bucket sources
 joined into one text (`BucketSet.joined`): a match site counts as a true
 positive when replacing it reproduces exactly what the alignment demands
@@ -27,9 +26,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Callable, Iterable
+from itertools import islice, zip_longest
 from typing import Any, NamedTuple
 
-from .align import Atom, BucketSet, dissect
+from .align import Atom, Bucket, BucketSet, dissect
 from .tokens import Joined, _token_texts
 
 
@@ -69,8 +69,8 @@ class RewriteRule:
     """A reusable pattern lhs -> rhs applied by token-boundary replacement.
 
     Equality and hash read lhs and rhs: `origin`, the (bucket index, core
-    atom index, j, k) of the window the rule grew from, and `fallback` only
-    say where it came from.
+    atom index counting identity runs whole, j, k units) of the window the
+    rule grew from, and `fallback` only say where it came from.
     """
 
     __slots__ = ("lhs", "rhs", "origin", "fallback")
@@ -174,59 +174,54 @@ def _span(atoms: tuple[Atom, ...], lo: int, hi: int) -> tuple[int, int]:
 
 
 def _expand(
-    buckets: BucketSet,
-    bucket_index: int,
-    core_lo: int,
-    core_hi: int,
-    window: int,
-    pool: dict,
-    form: Callable,
+    buckets: BucketSet, bidx: int, lo: int, hi: int, window: int, pool: dict, form: Callable
 ) -> None:
-    """Score the rules that `form(j, k, lo, hi)` builds on the (j, k) window
-    grid: atoms [lo, hi) reach j atoms before [core_lo, core_hi) and k after.
+    """Score the rules that `form(j, k, s, e, t, u)` builds on the (j, k)
+    window grid, clipped at the bucket's ends: source[s:e] and target[t:u]
+    reach j context units before the core atoms [lo, hi) and k after.
 
     `form` returns (rule, order, lhs, rhs), or None when the window makes
     no rule; lhs is a literal or a capture matcher, as `_score` takes it. A
     rule already in `pool` keeps its first entry. A candidate claims its
     window, the core and every tp site.
     """
-    atoms = buckets[bucket_index].atoms
-    core = (bucket_index, _span(atoms, core_lo, core_hi))
-    for j in range(window + 1):
-        lo = max(0, core_lo - j)
-        for k in range(window + 1):
-            hi = min(len(atoms), core_hi + k)
-            formed = form(j, k, lo, hi)
+    bucket = buckets[bidx]
+    befores = [*islice(bucket.reach(lo, -1), window + 1)]
+    afters = [*islice(bucket.reach(hi, 1), window + 1)]
+    core = (bidx, (befores[0][0], afters[0][0]))
+    for j, (s, t) in enumerate(befores):
+        for k, (e, u) in enumerate(afters):
+            formed = form(j, k, s, e, t, u)
             if formed is None or formed[0] in pool:
                 continue
             rule, order, lhs, rhs = formed
             metrics, sites = _score(buckets, lhs, rhs)
-            claims = [(bucket_index, _span(atoms, lo, hi)), core, *sites]
+            claims = [(bidx, (s, e)), core, *sites]
             pool[rule] = Candidate(rule, metrics, order, claims)
 
 
-def _literal_form(atoms: tuple[Atom, ...], rule_at: Callable) -> Callable:
+def _literal_form(bucket: Bucket, rule_at: Callable) -> Callable:
     """Form of the rules rewriting a window's source text to its target text;
-    `rule_at(j, k, lo, lhs, rhs)` builds the rule."""
+    `rule_at(j, k, t, lhs, rhs)` builds the rule, t the window's target start."""
+    source, target = bucket.source, bucket.target
 
-    def form(j: int, k: int, lo: int, hi: int):
-        lhs = "".join(a.lhs for a in atoms[lo:hi])
-        rhs = "".join(a.rhs for a in atoms[lo:hi])
+    def form(j: int, k: int, s: int, e: int, t: int, u: int):
+        lhs, rhs = source[s:e], target[t:u]
         if not lhs or lhs == rhs:
             return None
-        return rule_at(j, k, lo, lhs, rhs), (len(lhs), lhs, rhs), lhs, rhs
+        return rule_at(j, k, t, lhs, rhs), (len(lhs), lhs, rhs), lhs, rhs
 
     return form
 
 
 def expand_edit(buckets: BucketSet, bucket_index: int, core: int, pool: dict, window: int) -> None:
     """Expand the edit at atom `core` of a bucket into scored rewrite candidates."""
-    atoms = buckets[bucket_index].atoms
-    if atoms[core].lhs == atoms[core].rhs:
+    bucket = buckets[bucket_index]
+    if bucket.atoms[core].lhs == bucket.atoms[core].rhs:
         raise ValueError("expand_edit requires an edit atom")
     form = _literal_form(
-        atoms,
-        lambda j, k, lo, lhs, rhs: RewriteRule(lhs, rhs, origin=(bucket_index, core, j, k)),
+        bucket,
+        lambda j, k, t, lhs, rhs: RewriteRule(lhs, rhs, origin=(bucket_index, core, j, k)),
     )
     _expand(buckets, bucket_index, core, core + 1, window, pool, form)
 
@@ -383,20 +378,19 @@ def _exact_anchor_fallback(buckets: BucketSet) -> list[RewriteRule]:
 
 
 def _unique_anchor_rule(bidx: int, core: int, buckets: BucketSet) -> RewriteRule | None:
-    """The narrowest window around the core whose lhs has exactly one aligned
-    hit in the joined sources, the window's own."""
+    """The narrowest window around the core, as many context units before it
+    as after, whose lhs has exactly one aligned hit in the joined sources,
+    the window's own."""
     joined = buckets.joined
-    atoms = buckets[bidx].atoms
-    for m in range(len(atoms) + 1):
-        lo = max(0, core - m)
-        hi = min(len(atoms), core + 1 + m)
-        lhs = "".join(a.lhs for a in atoms[lo:hi])
-        rhs = "".join(a.rhs for a in atoms[lo:hi])
+    bucket = buckets[bidx]
+    source, target = bucket.source, bucket.target
+    s = t = e = u = 0
+    for before, after in zip_longest(bucket.reach(core, -1), bucket.reach(core + 1, 1)):
+        (s, t), (e, u) = before or (s, t), after or (e, u)
+        lhs, rhs = source[s:e], target[t:u]
         if not lhs or lhs == rhs:
             continue
         found = joined.find(lhs)
-        if next(found, -1) == joined.starts[bidx] + atoms[lo].lhs_start and next(found, -1) < 0:
+        if next(found, -1) == joined.starts[bidx] + s and next(found, -1) < 0:
             return RewriteRule(lhs, rhs, fallback=True)
-        if lo == 0 and hi == len(atoms):
-            return None
     return None

@@ -60,7 +60,7 @@ SUBSTITUTION, INSERTION, DELETION = "substitution", "insertion", "deletion"
 
 
 def atom_kind(atom):
-    """An atom's kind read from its sides; None for an identity token."""
+    """An atom's kind read from its sides; None for an identity run."""
     if atom.lhs == atom.rhs:
         return None
     if not atom.lhs:
@@ -69,7 +69,7 @@ def atom_kind(atom):
 
 
 def core_atom(buckets, bucket_index: int, kind) -> int:
-    """Atom index of the first edit of `kind` (None: an identity token) in a
+    """Atom index of the first edit of `kind` (None: an identity run) in a
     bucket, as candidate synthesis takes it."""
     for core, atom in enumerate(buckets[bucket_index].atoms):
         if atom_kind(atom) == kind:

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import islice
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from summer.align import (
     split_lines,
 )
 from summer.distance import _alignment
+from summer.rules import WINDOW_MAX, RewriteRule, _unique_anchor_rule
 from summer.tokens import _token_texts, tokenize
 from tests.conftest import (
     DELETION,
@@ -175,7 +177,7 @@ def pairs(atoms):
 
 
 def kinds(bucket):
-    """Atom kinds in order, each run of identity tokens read as one None."""
+    """Atom kinds in order, each identity run read as one None."""
     out = []
     for atom in bucket.atoms:
         kind = atom_kind(atom)
@@ -188,14 +190,14 @@ class TestAlignTokens:
     def test_file_rename(self):
         assert dissect("bc.go", "Program.go", "t").atoms == (
             Atom("bc", "Program", 0, 0),
-            Atom(".", ".", 2, 7),
-            Atom("go", "go", 3, 8),
+            Atom(".go", ".go", 2, 7),
         )
 
     def test_equal_sequences_collapse_to_one_identity(self):
-        # One identity run, read as its tokens; no edit.
+        # One identity run, one atom; its tokens are context units; no edit.
         bucket = dissect("a b", "a b", "t")
-        assert pairs(bucket.atoms) == [("a", "a"), (" ", " "), ("b", "b")]
+        assert pairs(bucket.atoms) == [("a b", "a b")]
+        assert [*bucket.reach(0, 1)] == [(0, 0), (1, 1), (2, 2), (3, 3)]
         assert bucket.cores == ()
 
     def test_substitutions_stay_per_token(self):
@@ -204,8 +206,8 @@ class TestAlignTokens:
 
     def test_insertion_run_coalesces(self):
         got = dissect("a z", "a b c z", "t").atoms
-        assert [atom_kind(a) for a in got] == [None, None, INSERTION, None]
-        assert pairs(got)[2] == ("", "b c ")
+        assert [atom_kind(a) for a in got] == [None, INSERTION, None]
+        assert pairs(got)[1] == ("", "b c ")
 
     def levenshtein_oracle(self, a, b):
         prev = list(range(len(b) + 1))
@@ -309,11 +311,10 @@ class TestAlignmentOracle:
         assert _alignment(a, b) == reference_token_parts(a, b) == list(zip(a, b))
 
 
-def reference_atoms(source, target):
+def reference_runs(source, target):
     """The two-step construction the atoms replaced: parts tagged with their
     kind (from the line op, or from the two sides of a token part) coalesce
-    into instances, each substitution alone; then each identity instance
-    splits into its tokens."""
+    into instances, each substitution alone."""
     a, b = split_lines(source), split_lines(target)
     line_kinds = {"equal": None, "delete": DELETION, "insert": INSERTION}
     parts = []
@@ -334,13 +335,25 @@ def reference_atoms(source, target):
         instances[-1][2] += rhs
     atoms = []
     lo = ro = 0
-    for kind, lhs, rhs in instances:
-        if kind is None:
-            atoms += [Atom(t.text, t.text, lo + t.offset, ro + t.offset) for t in tokenize(lhs).tokens]
-        else:
-            atoms.append(Atom(lhs, rhs, lo, ro))
+    for _, lhs, rhs in instances:
+        atoms.append(Atom(lhs, rhs, lo, ro))
         lo += len(lhs)
         ro += len(rhs)
+    return tuple(atoms)
+
+
+def reference_atoms(source, target):
+    """The per-token layout: `reference_runs` with each identity run split
+    into its tokens, one atom each."""
+    atoms = []
+    for a in reference_runs(source, target):
+        if atom_kind(a) is None:
+            atoms += [
+                Atom(t.text, t.text, a.lhs_start + t.offset, a.rhs_start + t.offset)
+                for t in tokenize(a.lhs).tokens
+            ]
+        else:
+            atoms.append(a)
     return tuple(atoms)
 
 
@@ -358,12 +371,14 @@ class TestDissect:
     @example("", "x\n")
     @example("x\n", "")
     def test_atoms_match_instance_reference(self, source, target):
-        assert dissect(source, target, "t").atoms == reference_atoms(source, target)
+        assert dissect(source, target, "t").atoms == reference_runs(source, target)
 
     def test_identity_run_tokenized_across_line_ops(self):
-        # "\n  " ends the equal line "a\n" and begins the replaced "  x\n".
-        atoms = dissect("a\n  x\n", "a\n  y\n", "t").atoms
-        assert pairs(atoms) == [("a", "a"), ("\n  ", "\n  "), ("x", "y"), ("\n", "\n")]
+        # "\n  " ends the equal line "a\n" and begins the replaced "  x\n":
+        # one identity run, whose last context unit is that one token.
+        bucket = dissect("a\n  x\n", "a\n  y\n", "t")
+        assert pairs(bucket.atoms) == [("a\n  ", "a\n  "), ("x", "y"), ("\n", "\n")]
+        assert [*bucket.reach(1, -1)] == [(4, 4), (1, 1), (0, 0)]
 
     def test_rename_content_bucket_structure(self):
         bucket = dissect(RENAME_CONTENT_SRC, RENAME_CONTENT_TGT, "content")
@@ -385,7 +400,7 @@ class TestDissect:
 
     def test_identical_pair(self):
         bucket = dissect("same\n", "same\n", "t")
-        assert pairs(bucket.atoms) == [("same", "same"), ("\n", "\n")]
+        assert pairs(bucket.atoms) == [("same\n", "same\n")]
         assert bucket.cores == ()
 
     def test_empty_to_content(self):
@@ -409,9 +424,16 @@ class TestDissect:
         bucket = dissect(source, target, "t")
         assert bucket.source == source
         assert bucket.target == target
-        for a in bucket.atoms:
-            if atom_kind(a) is None:
-                assert len(tokenize(a.lhs).tokens) == 1
+        identity = [atom_kind(a) is None for a in bucket.atoms]
+        assert not any(map(bool.__and__, identity, identity[1:]))
+        for n, a in enumerate(bucket.atoms):
+            if identity[n]:
+                # Walked either way, a run's units are its tokens.
+                toks = tokenize(a.lhs).tokens
+                ends = [(a.lhs_start + t.end, a.rhs_start + t.end) for t in toks]
+                starts = [(a.lhs_start + t.offset, a.rhs_start + t.offset) for t in toks]
+                assert ends and [*islice(bucket.reach(n, 1), 1, len(ends) + 1)] == ends
+                assert [*islice(bucket.reach(n + 1, -1), 1, len(toks) + 1)] == starts[::-1]
 
     @given(st.text(max_size=80), st.text(max_size=80))
     @settings(max_examples=60)
@@ -460,7 +482,8 @@ class TestBucketFields:
     @settings(max_examples=300)
     def test_match_per_atom_reference(self, source, target):
         bucket = dissect(source, target, "t")
-        atoms = bucket.atoms
+        atoms = reference_runs(source, target)
+        assert bucket.atoms == atoms
         assert bucket.source == "".join(a.lhs for a in atoms)
         assert bucket.target == "".join(a.rhs for a in atoms)
         assert bucket.cores == tuple(i for i, a in enumerate(atoms) if a.lhs != a.rhs)
@@ -473,7 +496,7 @@ class TestBucketFields:
 def atom_offsets(bucket: Bucket, p: int) -> list[int] | None:
     """Reference projection over the atoms, scanned linearly: every atom
     start at p (the end of the source included), else the linear image of p
-    inside an identity token, else None."""
+    inside an identity run, else None."""
     spans = [
         (a.lhs_start, a.lhs_start + len(a.lhs), a.rhs_start, atom_kind(a) is None)
         for a in bucket.atoms
@@ -497,6 +520,89 @@ class TestTargetOffsets:
         p = bucket.source.index("b")
         assert bucket.target_offsets(p) == [2, 4]
         assert bucket.agrees(p, p + 1, "X b") and bucket.agrees(p, p + 1, "b")
+
+
+def token_window(atoms, core, j, k):
+    """Source span, lhs and rhs of the window j atoms before the per-token
+    atom `core` and k after, clipped at the ends."""
+    lo, hi = max(0, core - j), min(len(atoms), core + 1 + k)
+    span = (atoms[lo].lhs_start, atoms[hi - 1].lhs_start + len(atoms[hi - 1].lhs))
+    return span, "".join(a.lhs for a in atoms[lo:hi]), "".join(a.rhs for a in atoms[lo:hi])
+
+
+def unit_window(bucket, core, j, k):
+    """The same window read off `Bucket.reach` from the coalesced atom `core`."""
+    s, t = [*islice(bucket.reach(core, -1), j + 1)][-1]
+    e, u = [*islice(bucket.reach(core + 1, 1), k + 1)][-1]
+    return (s, e), bucket.source[s:e], bucket.target[t:u]
+
+
+def token_anchor_rule(bidx, core, buckets, atoms):
+    """`_unique_anchor_rule` as it read the per-token atoms: m atoms either
+    side of the core, m = 0, 1, ..."""
+    joined = buckets.joined
+    for m in range(len(atoms) + 1):
+        lo, hi = max(0, core - m), min(len(atoms), core + 1 + m)
+        lhs = "".join(a.lhs for a in atoms[lo:hi])
+        rhs = "".join(a.rhs for a in atoms[lo:hi])
+        if not lhs or lhs == rhs:
+            continue
+        found = joined.find(lhs)
+        if next(found, -1) == joined.starts[bidx] + atoms[lo].lhs_start and next(found, -1) < 0:
+            return RewriteRule(lhs, rhs, fallback=True)
+        if lo == 0 and hi == len(atoms):
+            return None
+    return None
+
+
+# The pieces above with numerics that are symbols (², ½, Ⅷ), a decimal digit
+# that is not ASCII (٣), the underscore, the whitespace \x85 and a combining
+# mark, alone and beside the letters and digits they split or join.
+_UNIT_PIECES = _PIECES + ["²", "½", "Ⅷ", "٣", "_", "\x85", "\u0301"]
+_UNIT_PIECES += ["x²", "a\u0301", "٣1", "_a"]
+_unit_texts = st.lists(st.sampled_from(_UNIT_PIECES), max_size=30).map("".join)
+
+
+def edit_pairs(source, target):
+    """The bucket, the per-token atoms, and (coalesced, per-token) index
+    pairs of each edit atom."""
+    bucket = dissect(source, target, "t")
+    atoms = reference_atoms(source, target)
+    cores = [i for i, a in enumerate(atoms) if atom_kind(a) is not None]
+    assert [atoms[i] for i in cores] == [bucket.atoms[c] for c in bucket.cores]
+    return bucket, atoms, list(zip(bucket.cores, cores))
+
+
+class TestContextUnits:
+    """Windows cut from coalesced identity runs equal windows over the
+    per-token atoms: the same units, so the same rules."""
+
+    @given(_unit_texts, _unit_texts)
+    @settings(max_examples=300)
+    @example("a\n  x\n", "a\n  y\n")
+    @example("x²½Ⅷ y", "x²½Ⅷ z")
+    @example("a\u0301b\x85٣1 q", "a\u0301b\x85٣1 r")
+    def test_windows_match_per_token_atoms(self, source, target):
+        bucket, atoms, pairs_ = edit_pairs(source, target)
+        for core, token_core in pairs_:
+            for j in range(WINDOW_MAX + 1):
+                for k in range(WINDOW_MAX + 1):
+                    assert unit_window(bucket, core, j, k) == token_window(atoms, token_core, j, k)
+
+    @given(st.lists(st.tuples(_unit_texts, _unit_texts), min_size=1, max_size=3))
+    @settings(max_examples=200)
+    @example([("a x a x", "a y a x")])
+    @example([("f(x) f(x)", "f(y) f(x)"), ("f(x)", "f(x)")])
+    def test_unique_anchor_matches_per_token_atoms(self, pairs_of_texts):
+        buckets = BucketSet(
+            tuple(dissect(s, t, f"t{i}") for i, (s, t) in enumerate(pairs_of_texts))
+        )
+        for bidx, (source, target) in enumerate(pairs_of_texts):
+            _, atoms, pairs_ = edit_pairs(source, target)
+            for core, token_core in pairs_:
+                assert _unique_anchor_rule(bidx, core, buckets) == token_anchor_rule(
+                    bidx, token_core, buckets, atoms
+                )
 
 
 class TestBucketSet:

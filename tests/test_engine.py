@@ -51,9 +51,10 @@ class TestMapToBuckets:
         name_bucket = buckets.buckets[0]
         assert [(atom_kind(a), a.lhs, a.rhs) for a in name_bucket.atoms] == [
             (SUBSTITUTION, "bc", "Program"),
-            (None, ".", "."),
-            (None, "go", "go"),
+            (None, ".go", ".go"),
         ]
+        # The identity run gives its tokens as context units, one at a time.
+        assert [*name_bucket.reach(1, 1)] == [(2, 7), (3, 8), (5, 10)]
 
     def test_unchanged_snapshot(self):
         snap = {"a": "x", "b": "y"}

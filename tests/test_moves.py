@@ -101,7 +101,7 @@ class TestFindLongestShared:
 
 
 def _reference_longest_shared(probe, buckets, side):
-    """The probe as a walk from every atom of every bucket, identity tokens
+    """The probe as a walk from every atom of every bucket, identity runs
     included; an edit is an atom whose sides differ."""
 
     def qualifies(atom):

@@ -38,6 +38,13 @@ def test_fuzz_roundtrip(tmp_path):
     assert lines[-1].endswith("(seed 0x1)")
 
 
+def test_bigblock(tmp_path):
+    lines = run_script(tmp_path, "bigblock.py")
+    rows = [line for line in lines if line.startswith("| `")]
+    assert len(rows) == 5
+    assert [row.split("`")[1].split()[0] for row in rows] == ["crlf"] * 4 + ["grow"]
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git on the PATH")
 def test_differential(tmp_path):
     lines = run_script(tmp_path, "differential.py", "--cases", "10", "--seed", "1")
