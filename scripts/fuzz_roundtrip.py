@@ -5,13 +5,16 @@ Each case also checks the merge laws merge(B, B, X), merge(B, X, B) and
 merge(B, X, X) == X for its base B and target X, and that the bounded
 distance levenshtein(B, X, limit=k) agrees with d = levenshtein(B, X) at
 k = d and at k = d - 1, where the distance is over the limit by one: both
-must return d. The bag distance of B's and X's token lists, which rename
-pairing uses as a bound, must not exceed their Levenshtein distance. The
-atoms of dissect(B, X) must tile both sides from offset 0, every identity
-run must be nonempty, every substitution one token for another, and no two
-neighbouring atoms may both be identity runs, insertions or deletions. The
-context units walked from every atom boundary, either way, must end where
-the edits end and where `tokenize` ends each token of an identity run.
+must return d. At k = the length gap of B and X, where the search's band is
+one diagonal wide, it must return d if d is the gap, else the gap + 1 or d
+(the latter where it was computed in full). The bag distance of B's and X's
+token lists, which rename pairing uses as a bound, must not exceed their
+Levenshtein distance. The atoms of dissect(B, X) must tile both sides from
+offset 0, every identity run must be nonempty, every substitution one token
+for another, and no two neighbouring atoms may both be identity runs,
+insertions or deletions. The context units walked from every atom
+boundary, either way, must end where the edits end and where `tokenize`
+ends each token of an identity run.
 
 Usage: python3 scripts/fuzz_roundtrip.py [CASES] [SEED]
 Prints a failure reproduction (base and target repr) and exits 1 on the
@@ -118,8 +121,9 @@ def main() -> int:
             checks[name] = merge(base, *sides)
         failed = [name for name, out in checks.items() if not out.ok or out.result != target]
         d = levenshtein(base[""], target[""])
-        for k in (d - 1, d):
-            if levenshtein(base[""], target[""], limit=k) != d:
+        gap = abs(len(base[""]) - len(target[""]))
+        for k in (d - 1, d, gap):
+            if levenshtein(base[""], target[""], limit=k) not in {min(d, k + 1), d}:
                 failed.append(f"levenshtein limit={k}")
         if _bag_distance(_bag(toks), _bag(target_toks)) > levenshtein(toks, target_toks):
             failed.append("bag distance over levenshtein")

@@ -221,8 +221,11 @@ def determine_direction(
     base (left on a tie).
 
     Distances are exact but computed only as far as the comparison needs:
-    one limit, doubled from 1, bounds both sides until one fits under it,
-    so the work grows with the smaller distance, not with the file sizes.
+    one limit bounds both sides until one fits under it. A term's distance
+    is at least its length gap, and 1 if its texts differ: the limit starts
+    at the smaller side's sum of these bounds, and its excess over that
+    doubles (0, 1, 3, 7, ...), so the work grows with the closer side's
+    excess, not with the file sizes.
     """
     lp = pair_entries(base, left)
     rp = pair_entries(base, right)
@@ -249,13 +252,14 @@ def determine_direction(
     lterms, rterms = _distance_terms(base, lp, left), _distance_terms(base, rp, right)
     lmemo: dict[int, tuple[int, int]] = {}
     rmemo: dict[int, tuple[int, int]] = {}
-    limit = 1
+    seed = min(sum(max(abs(len(a) - len(b)), a != b) for a, b in t) for t in (lterms, rterms))
+    excess = 0
     while True:
-        ld = _total_within(lterms, limit, lmemo)
-        rd = _total_within(rterms, limit, rmemo)
+        ld = _total_within(lterms, seed + excess, lmemo)
+        rd = _total_within(rterms, seed + excess, rmemo)
         if ld is not None or rd is not None:
             break
-        limit *= 2
+        excess = 2 * excess + 1
     if rd is None or (ld is not None and ld < rd):
         return MergeDirection(Side.LEFT, DirectionReason.DISTANCE, lp)
     if ld is None or rd < ld:

@@ -70,6 +70,20 @@ class TestBoundedLevenshtein:
             for k in (crossover - 1, crossover):
                 check_limit(a, b, d, k)
 
+    def test_insertion_searched_in_a_narrow_band(self):
+        # Every line of a 17.8k-character text gains a suffix: the distance
+        # is the gap g, and at limit g the band is one diagonal wide, so the
+        # search runs. At that limit a same-length rewrite, whose band is
+        # up to g + 1 wide, goes to the bit-vector.
+        text = "".join(f"val{i} = size{i};\n" for i in range(1000))
+        longer = "".join(f"val{i} = size{i};//\n" for i in range(1000))
+        rewritten = text.replace(";", ",")
+        g = len(longer) - len(text)
+        assert len(text) == 17_780 and g == 2000
+        assert searched(text, longer, g) and searched(longer, text, g)
+        assert levenshtein(text, longer, limit=g) == levenshtein(longer, text, limit=g) == g
+        assert not searched(text, rewritten, g)
+
 
 def searched(a, b, k):
     """Whether levenshtein(a, b, limit=k) runs the diagonal search."""
@@ -102,6 +116,7 @@ class TestBandEdges:
     @example((["("] + ["foo"] * 40 + [")"], ["bar"] + ["foo"] * 36 + ["\ue0ff"]))  # gap 4, distance 6
     @example((["(", ")"] * 20, ["\ue0ff"] + ["(", ")"] * 18 + ["("]))
     @example((["bar"] + ["foo"] * 45, ["foo"] * 45 + ["bar"]))  # gap 0, distance 2
+    @example((["("] + ["foo", ")"] * 124, ["bar"] + ["foo", "(", ")", "foo", ")"] * 62 + ["bar"]))  # gap 63, distance 64
     @settings(max_examples=300)
     def test_gap_and_distance_at_the_limit(self, pair):
         a, b = pair
@@ -122,6 +137,8 @@ class TestBandEdges:
             (["bar"] + ["foo"] * 40 + [")"], ["foo"] * 40, {2: 2, 3: 2}),
             (["("] + ["foo"] * 40 + [")"], ["bar"] + ["foo"] * 36 + ["\ue0ff"], {4: 5, 5: 6, 6: 6}),
             (["bar"] + ["foo"] * 45, ["foo"] * 45 + ["bar"], {0: 1, 1: 2, 2: 2}),
+            (["("] + ["foo", ")"] * 124, ["bar"] + ["foo", "(", ")", "foo", ")"] * 62 + ["bar"],
+             {63: 64, 64: 64}),
         ]
         for a, b, results in cases:
             for k, want in results.items():

@@ -257,6 +257,74 @@ class TestDetermineDirection:
             seen.add(expected)
         assert len(seen) == 3  # left and right by distance, and ties
 
+    def test_agrees_at_the_seed_edges(self):
+        # The limit starts at the smaller side's sum of per-entry bounds: the
+        # length gap, and 1 where the texts differ. Sides that only insert or
+        # only delete have their gaps as distance, so the first limit is
+        # already exact; both sides often share one edit count per entry,
+        # which makes equal bound sums and equal totals.
+        rng = random.Random(0x5EED)
+        names = ["src/a.txt", "src/b.py", "lib/util.go"]
+
+        def edit(text, mode, count):
+            chars = list(text)
+            for _ in range(count):
+                if mode == "insert" or not chars:
+                    chars.insert(rng.randrange(len(chars) + 1), rng.choice("ab;\n"))
+                elif mode == "delete":
+                    del chars[rng.randrange(len(chars))]
+                else:
+                    chars[rng.randrange(len(chars))] = "\ue041"
+            return "".join(chars)
+
+        seen = Counter()
+        for _ in range(300):
+            base = {
+                nm: "".join(rng.choice("ab =;\n") for _ in range(rng.randrange(1, 60)))
+                for nm in rng.sample(names, rng.randrange(1, 4))
+            }
+            counts = {nm: rng.randrange(6) for nm in base}
+            sides = []
+            for _ in range(2):
+                mode = rng.choice(["insert", "delete", "substitute"])
+                shared = rng.random() < 0.7
+                sides.append({
+                    nm: edit(text, mode, counts[nm] if shared else rng.randrange(6))
+                    for nm, text in base.items()
+                })
+            got = determine_direction(base, *sides)
+            expected = self.full_distance_direction(base, *sides)
+            assert (got.decomposed_side, got.reason) == expected, (base, sides)
+            seen[expected] += 1
+        assert len(seen) == 3 and min(seen.values()) >= 20, seen
+
+    def test_insertions_settle_at_the_first_limit(self, monkeypatch):
+        # Right only inserts g characters, so its distance is its gap; left
+        # substitutes characters and inserts more, so its gap is larger. The
+        # first limit is right's gap: right fits in a one-diagonal band and
+        # left is over its gap, each in one bounded call.
+        base = "".join(f"value{i} = weight{i};\n" for i in range(300))
+        lines = base.splitlines(keepends=True)
+        right = "".join(ln[:-2] + " + 1;\n" if i % 10 == 0 else ln for i, ln in enumerate(lines))
+        left = "".join(
+            ln.replace("=", ":") + "// checked\n" if i % 7 == 0 else ln
+            for i, ln in enumerate(lines)
+        )
+        g = len(right) - len(base)
+        assert g == 120 < len(left) - len(base)
+        calls = []
+
+        def counted(a, b, *, limit=None):
+            found = levenshtein(a, b, limit=limit)
+            calls.append((b, limit, found))
+            return found
+
+        monkeypatch.setattr(summer.engine, "levenshtein", counted)
+        got = determine_direction({"f": base}, {"f": left}, {"f": right})
+        assert (got.decomposed_side, got.reason) == (Side.RIGHT, DirectionReason.DISTANCE)
+        assert [(limit, found) for b, limit, found in calls if b == right] == [(g, g)]
+        assert len([b for b, _, _ in calls if b == left]) <= 1
+
 
 class TestDecompose:
     def test_single_symbol_rule(self):

@@ -45,6 +45,15 @@ def test_bigblock(tmp_path):
     assert [row.split("`")[1].split()[0] for row in rows] == ["crlf"] * 4 + ["grow"]
 
 
+def test_ladder_scale(tmp_path):
+    lines = run_script(tmp_path, "ladder_scale.py", "1")
+    assert lines[0].startswith("| tokens | merge | ratio |")
+    assert lines[0].endswith("| direction | ratio |")
+    rows = [line for line in lines[2:] if line.startswith("| ")]
+    assert len(rows) == 4
+    assert all(row.count("|") == lines[0].count("|") for row in rows)
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git on the PATH")
 def test_differential(tmp_path):
     lines = run_script(tmp_path, "differential.py", "--cases", "10", "--seed", "1")
