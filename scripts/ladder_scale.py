@@ -27,7 +27,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 from summer.align import dissect  # noqa: E402
 from summer.engine import apply_steps, decompose, determine_direction, merge  # noqa: E402
-from summer.tokens import tokenize, tokenize_cached  # noqa: E402
+from summer.tokens import tokenize  # noqa: E402
 
 FACTORS = (1, 2, 4, 8)
 
@@ -35,7 +35,6 @@ FACTORS = (1, 2, 4, 8)
 def best_of(repeats: int, fn, *args) -> float:
     best = float("inf")
     for _ in range(repeats):
-        tokenize_cached.cache_clear()
         start = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - start)

@@ -35,13 +35,7 @@ class FileDelete(NamedTuple):
     path: str
 
 
-@typed()
-class FileRename(NamedTuple):
-    old: str
-    new: str
-
-
-Step = RewriteRule | MoveRule | FileAdd | FileDelete | FileRename
+Step = RewriteRule | MoveRule | FileAdd | FileDelete
 
 
 class Side(Enum):
@@ -323,11 +317,6 @@ def apply_steps(target: Snapshot, steps: list[Step]) -> MergeOutcome:
             elif isinstance(step, FileDelete):
                 if entries.pop(step.path, None) is None:
                     conflict = f"delete of missing path {step.path!r}"
-            elif isinstance(step, FileRename):
-                if step.old in entries and step.new not in entries:
-                    entries[step.new] = entries.pop(step.old)
-                else:
-                    conflict = f"rename {step.old!r} -> {step.new!r} not applicable"
             elif isinstance(step, MoveRule):
                 app = apply_move(entries, step)
                 if app.captures and not app.consequent_sites:
@@ -357,8 +346,7 @@ def _rewrite(
     """The entries after the rules, each one scan and splice of the joined contents
     (and names), and the first name collision. Sites go by entry, content first."""
     paths = list(entries)
-    rhss = [rule.rhs for rule in rules]  # so that no rule writes the separators
-    contents, names = Joined.of(list(entries.values()), *rhss), Joined.of(paths, *rhss)
+    contents, names = Joined.of(list(entries.values())), Joined.of(paths)
     for rule in rules:
         contents, sites = _sited(contents, rule, paths, "content")
         if rule.lhs in names.text:
@@ -395,7 +383,9 @@ def _settle(
     """Entries merged whole, outside the decomposition: binary entries, and
     entries all three sides hold that both sides changed alike. An entry
     one side left as in base takes the other side's; an entry both sides
-    left alike takes theirs (None when both deleted it); else a conflict."""
+    left alike takes theirs (None when both deleted it); else a conflict.
+    A path both sides add with different contents is a conflict too: the
+    decomposed side's `FileAdd` would overwrite the other's."""
     alike = {p for p in base if p in left and p in right and left[p] == right[p] != base[p]}
     settled: dict[str, str | None] = {}
     for p in sorted(binary_paths | alike):
@@ -406,6 +396,9 @@ def _settle(
             settled[p] = lv
         else:
             return {}, Conflict(f"binary entry {p!r} changed on both sides")
+    for p in sorted(left.keys() & right.keys() - base.keys()):
+        if left[p] != right[p]:
+            return {}, Conflict(f"entry {p!r} added on both sides with different contents")
     return settled, None
 
 

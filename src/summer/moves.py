@@ -34,7 +34,7 @@ from .rules import (
     _span,
     typed,
 )
-from .tokens import CharCategory, Joined, _aligned, tokenize_cached
+from .tokens import Joined, _aligned, _token_texts
 
 
 @typed()
@@ -104,12 +104,10 @@ def match_pattern(joined: Joined, pattern: MovePattern) -> list[tuple[int, int, 
 # --- shared-substring search -------------------------------------------------
 
 def _is_trivial(s: str) -> bool:
-    toks = tokenize_cached(s).tokens
-    if len(toks) < 3:
-        return True
-    return not any(
-        t.category in (CharCategory.LETTER, CharCategory.DIGIT) for t in toks
-    )
+    """Fewer than three tokens, or no letter or digit token (a token is one
+    exactly when its first character is)."""
+    texts = _token_texts(s)
+    return len(texts) < 3 or not any(t[0].isalpha() or t[0].isdecimal() for t in texts)
 
 
 def _searchable(buckets: BucketSet) -> list[int]:

@@ -36,7 +36,7 @@ from .tokens import Joined, _token_texts
 def typed(width: int | None = None) -> Callable[[type], type]:
     """Class decorator for a NamedTuple rule or step record: it equals only its
     own type, comparing and hashing its first `width` fields (all by default).
-    As bare tuples, FileRename("a", "b") == FileAdd("a", "b") == ("a", "b")."""
+    As bare tuples, MovePattern("a", "b") == FileAdd("a", "b") == ("a", "b")."""
 
     def decorate(cls: type) -> type:
         cls.__eq__ = eq = lambda a, b: type(a) is type(b) and a[:width] == b[:width]
@@ -94,7 +94,6 @@ class RewriteRule:
 
 FIXUP_ROUNDS = 6  # rule rounds before the exact-anchor fallback takes over
 WINDOW = 2  # the window the move pass and the first rewrite round use
-WINDOW_MAX = 8  # the widest window a round widens to
 
 
 # --- scoring -------------------------------------------------------------------
@@ -343,10 +342,7 @@ def decompose_rewrites_trace(buckets: BucketSet) -> tuple[list[RewriteRule], lis
         buckets = _redissect(buckets, sources)
         cost = _cost(buckets)
         if cost >= prev:
-            if window < WINDOW_MAX:
-                window += 1
-            else:
-                break
+            window += 1
         prev = min(prev, cost)
     steps.extend(_exact_anchor_fallback(buckets))
     return steps, trace

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .engine import FileAdd, FileDelete, FileRename, Step
+from .engine import FileAdd, FileDelete, Step
 from .moves import Antecedent, Consequent, MovePattern, MoveRule
 from .rules import RewriteRule
 
@@ -38,8 +38,6 @@ def step_to_obj(step: Step) -> dict:
         return {"kind": "file_add", "path": step.path, "content": step.content}
     if isinstance(step, FileDelete):
         return {"kind": "file_delete", "path": step.path}
-    if isinstance(step, FileRename):
-        return {"kind": "file_rename", "old": step.old, "new": step.new}
     raise TypeError(f"unknown step: {step!r}")
 
 
@@ -74,8 +72,6 @@ def obj_to_step(obj: object) -> Step:
         return FileAdd(_str(obj, "path"), _str(obj, "content"))
     if kind == "file_delete":
         return FileDelete(_str(obj, "path"))
-    if kind == "file_rename":
-        return FileRename(_str(obj, "old"), _str(obj, "new"))
     raise ValueError(f"unknown step kind: {kind!r}")
 
 

@@ -109,10 +109,8 @@ def tokenize(s: str) -> TokenString:
     return TokenString(s, tuple(Token(*run) for run in _runs(s)))
 
 
-# Tokenization is referentially transparent, so this caches by source string
-# the token lists of the shared substrings the move pass weighs. Within one
-# merge such a text is seldom asked for twice: the benchmark workloads see no
-# hits.
+# Nothing in the engine calls this cache; perfbench clears it before each op
+# and reports its hit ratio, so it stays until the benchmark stops asking.
 @lru_cache(maxsize=512)
 def tokenize_cached(s: str) -> TokenString:
     return tokenize(s)
@@ -153,10 +151,10 @@ class Joined(NamedTuple):
     starts: list[int]
 
     @classmethod
-    def of(cls, texts: Sequence[str], *also: str) -> Joined:
+    def of(cls, texts: Sequence[str]) -> Joined:
         """The texts joined by the first symbol character from \\x00 up that
-        neither they nor any of `also` hold."""
-        held = "".join([*texts, *also])
+        none of them holds."""
+        held = "".join(texts)
         symbol = CharCategory.SYMBOL
         sep = next(c for c in map(chr, count()) if c not in held and classify_char(c) is symbol)
         starts = [*accumulate([len(t) + 1 for t in texts], initial=0)][:-1]

@@ -14,7 +14,7 @@ from summer.align import (
     split_lines,
 )
 from summer.distance import _alignment
-from summer.rules import WINDOW_MAX, RewriteRule, _unique_anchor_rule
+from summer.rules import FIXUP_ROUNDS, WINDOW, RewriteRule, _unique_anchor_rule
 from summer.tokens import _token_texts, tokenize
 from tests.conftest import (
     DELETION,
@@ -585,8 +585,9 @@ class TestContextUnits:
     def test_windows_match_per_token_atoms(self, source, target):
         bucket, atoms, pairs_ = edit_pairs(source, target)
         for core, token_core in pairs_:
-            for j in range(WINDOW_MAX + 1):
-                for k in range(WINDOW_MAX + 1):
+            # Every window a decompose can reach: it widens at most once a round.
+            for j in range(WINDOW + FIXUP_ROUNDS + 1):
+                for k in range(WINDOW + FIXUP_ROUNDS + 1):
                     assert unit_window(bucket, core, j, k) == token_window(atoms, token_core, j, k)
 
     @given(st.lists(st.tuples(_unit_texts, _unit_texts), min_size=1, max_size=3))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from summer.cli import main
-from summer.engine import FileAdd, FileDelete, FileRename
+from summer.engine import FileAdd, FileDelete
 from summer.moves import Antecedent, Consequent, MovePattern, MoveRule
 from summer.rules import RewriteRule
 from summer.stepio import parse_steps, serialize_steps
@@ -45,7 +45,6 @@ class TestStepSerialization:
             ),
             FileAdd("dir/new.txt", "content\nwith\tcontrols\x07"),
             FileDelete("gone.txt"),
-            FileRename("old.txt", "new.txt"),
         ]
         assert parse_steps(serialize_steps(steps)) == steps
 
@@ -157,6 +156,20 @@ class TestRebaseCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert read(right) == "i+=1"
 
+    def test_file_rename_kind_exits_2(self, tmp_path, capsys):
+        # decompose never emits a rename step: a renamed entry travels as a
+        # rewrite of its name.
+        target = tmp_path / "target"
+        target.mkdir()
+        write(target / "old.txt", "a\n")
+        doc = {"version": 1, "steps": [{"kind": "file_rename", "old": "old.txt", "new": "new.txt"}]}
+        steps_file = tmp_path / "steps.json"
+        write(steps_file, json.dumps(doc))
+        assert main(["rebase", "--steps-in", str(steps_file), str(target)]) == 2
+        assert "unknown step kind: 'file_rename'" in capsys.readouterr().err
+        assert read(target / "old.txt") == "a\n"
+        assert not (target / "new.txt").exists()
+
     @pytest.mark.parametrize(
         "step",
         [FileAdd("../escaped.txt", "x\n"), RewriteRule("a", "../a")],
@@ -246,6 +259,21 @@ class TestMergeCommand:
                 write(d / fn, text)
         rc = main(["merge", str(tmp_path / "base"), str(tmp_path / "left"), str(tmp_path / "right")])
         assert rc == 1
+
+    def test_add_add_directories_exit_1(self, tmp_path, capsys):
+        for name, files in (
+            ("base", {"a": "x = 1\n"}),
+            ("left", {"a": "x = 1\n", "n": "L\n"}),
+            ("right", {"a": "x = 2\n", "n": "R\n"}),
+        ):
+            d = tmp_path / name
+            d.mkdir()
+            for fn, text in files.items():
+                write(d / fn, text)
+        rc = main(["merge", str(tmp_path / "base"), str(tmp_path / "left"), str(tmp_path / "right")])
+        assert rc == 1
+        assert "'n' added on both sides" in capsys.readouterr().err
+        assert read(tmp_path / "left" / "n") == "L\n"
 
     def test_directory_merge_in_place(self, tmp_path):
         for name, files in (
@@ -427,3 +455,14 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_package_import_loads_no_submodule(self):
+        # `python -m summer` imports the package first; the CLI decides what
+        # else to load.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, summer; print([m for m in sys.modules if m.startswith('summer.')])"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -14,7 +14,6 @@ from summer.engine import (
     DirectionReason,
     FileAdd,
     FileDelete,
-    FileRename,
     Side,
     Site,
     apply_steps,
@@ -345,7 +344,7 @@ class TestDecompose:
         changed = {"": EXTRACT_LEFT + "int zz = 2;\n"}
         steps = decompose(base, changed)
         kinds = [
-            0 if isinstance(s, (FileAdd, FileDelete, FileRename)) else
+            0 if isinstance(s, (FileAdd, FileDelete)) else
             1 if isinstance(s, MoveRule) else 2
             for s in steps
         ]
@@ -479,13 +478,6 @@ class TestApplySteps:
         assert not out.ok
         assert out.conflict.diagnostic == "delete of missing path 'nope'"
 
-    def test_rename_step(self):
-        out = apply_steps({"a": "x"}, [FileRename("a", "b")])
-        assert out.ok and out.result == {"b": "x"}
-        out = apply_steps({"a": "x", "b": "y"}, [FileRename("a", "b")])
-        assert not out.ok
-        assert out.conflict.diagnostic == "rename 'a' -> 'b' not applicable"
-
     def test_move_consequent_failure_conflicts(self):
         steps = decompose({"": EXTRACT_BASE}, {"": EXTRACT_LEFT})
         # The right side lost the blank line the consequent anchors on.
@@ -547,6 +539,16 @@ class TestMerge:
         base = {"bin": "\x80"}
         out = merge(base, {"bin": "\x81"}, {"bin": "\x82"}, binary_paths={"bin"})
         assert not out.ok
+
+    def test_path_added_on_both_sides_with_different_contents_conflicts(self):
+        # The decomposed side's FileAdd would overwrite the other side's file.
+        out = merge({"a": "x = 1\n"}, {"a": "x = 1\n", "n": "L\n"}, {"a": "x = 2\n", "n": "R\n"})
+        assert not out.ok
+        assert out.conflict.diagnostic == "entry 'n' added on both sides with different contents"
+
+    def test_path_added_alike_on_both_sides_merges(self):
+        out = merge({"a": "x = 1\n"}, {"a": "x = 1\n", "n": "L\n"}, {"a": "x = 2\n", "n": "L\n"})
+        assert out.ok and out.result == {"a": "x = 2\n", "n": "L\n"}
 
     def test_entry_changed_alike_is_taken_as_it_is(self):
         # Both sides escape the same line; left also edits another entry.

@@ -9,7 +9,6 @@ from summer.engine import (
     DirectionReason,
     FileAdd,
     FileDelete,
-    FileRename,
     MergeDirection,
     Pairing,
     Side,
@@ -20,7 +19,7 @@ from summer.rules import RewriteRule, RuleMetrics
 
 class TestTypedEquality:
     def test_two_string_records_differ_by_type(self):
-        records = [FileAdd("a", "b"), FileRename("a", "b"), RewriteRule("a", "b")]
+        records = [FileAdd("a", "b"), MovePattern("a", "b"), RewriteRule("a", "b")]
         for i, x in enumerate(records):
             assert x == type(x)("a", "b")
             assert not x != type(x)("a", "b")

@@ -422,8 +422,7 @@ class TestDecomposeRewrites:
         assert not any(r.fallback for r in rules)
 
     def test_fallback_rules_used_when_window_capped(self, monkeypatch):
-        monkeypatch.setattr("summer.rules.WINDOW", 0)
-        monkeypatch.setattr("summer.rules.WINDOW_MAX", 0)
+        monkeypatch.setattr("summer.rules.FIXUP_ROUNDS", 0)
         corpus = BucketSet((dissect("k k k ", "j j k ", "t"),))
         rules = decompose_rewrites(corpus)
         assert replay(corpus, rules) == targets(corpus)

@@ -261,7 +261,7 @@ class TestJoined:
             Joined.of(["x", "y"]).find("")
 
     def test_separator_skips_held_and_non_symbol_characters(self):
-        assert Joined.of(["\x00"], "\x01").sep == "\x02"
+        assert Joined.of(["\x00", "a\x01"]).sep == "\x02"
         # \x09 to \x0d are whitespace.
         held = "".join(map(chr, range(9)))
         assert Joined.of([held]).sep == "\x0e"
