@@ -31,7 +31,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from summer.align import dissect  # noqa: E402
-from summer.distance import _bag, _bag_distance, levenshtein  # noqa: E402
+from summer.distance import _bag_distance, _bags, levenshtein  # noqa: E402
 from summer.engine import apply_steps, decompose, merge  # noqa: E402
 from summer.tokens import tokenize  # noqa: E402
 
@@ -125,7 +125,7 @@ def main() -> int:
         for k in (d - 1, d, gap):
             if levenshtein(base[""], target[""], limit=k) not in {min(d, k + 1), d}:
                 failed.append(f"levenshtein limit={k}")
-        if _bag_distance(_bag(toks), _bag(target_toks)) > levenshtein(toks, target_toks):
+        if _bag_distance(*_bags([toks, target_toks])) > levenshtein(toks, target_toks):
             failed.append("bag distance over levenshtein")
         failed += atom_faults(base[""], target[""])
         if failed:

@@ -105,6 +105,10 @@ class Bucket:
 
     def agrees(self, start: int, end: int, rhs: str) -> bool:
         """True if rewriting source[start:end] to rhs matches the alignment."""
+        b_lhs = self._starts[0]
+        idx = bisect_right(b_lhs, start) - 1
+        if b_lhs[idx] < start and end < b_lhs[idx + 1] and self.atoms[idx].lhs == self.atoms[idx].rhs:
+            return self.source[start:end] == rhs  # inside one identity run, which stays
         t1s = self.target_offsets(start)
         t2s = self.target_offsets(end) if t1s else None
         if not t2s:
@@ -173,11 +177,7 @@ def line_diff(source: str, target: str) -> list[tuple[str, int, int, int, int]]:
     histogram style (see `_best_anchor`): a common line of lowest occurrence
     count, the one that comes first in the target.
     """
-    a = split_lines(source)
-    b = split_lines(target)
-    out: list[tuple[str, int, int, int, int]] = []
-    _histogram(a, 0, len(a), b, 0, len(b), out)
-    return out
+    return _histogram(split_lines(source), split_lines(target))
 
 
 def _equal(out, a0, a1, b0, b1) -> None:
@@ -187,11 +187,24 @@ def _equal(out, a0, a1, b0, b1) -> None:
     out.append(("equal", a0, a1, b0, b1))
 
 
-def _histogram(a, alo, ahi, b, blo, bhi, out) -> None:
+# Occurrence pairs of a region's rarest lines after which the anchor search
+# takes no more lines (see `_region_anchor`).
+ANCHOR_PAIRS = 256
+
+
+def _index(a: list[str], b: list[str]) -> tuple[Counter, Counter, dict[str, int]]:
+    """Each side's line counts, and each line's first index in a."""
+    return Counter(a), Counter(b), dict(zip(reversed(a), range(len(a) - 1, -1, -1)))
+
+
+def _histogram(a: list[str], b: list[str]) -> list[tuple[str, int, int, int, int]]:
+    """`line_diff` of two line lists."""
     # Iterative in-order traversal; deep alternating diffs would otherwise
     # blow the recursion limit. An anchor or a common prefix or suffix sits
     # between any two change ops, so only equal ops ever need merging.
-    stack: list[tuple] = [("region", alo, ahi, blo, bhi)]
+    out: list[tuple[str, int, int, int, int]] = []
+    index = _index(a, b)
+    stack: list[tuple] = [("region", 0, len(a), 0, len(b))]
     while stack:
         kind, alo, ahi, blo, bhi = stack.pop()
         if kind == "equal":
@@ -211,7 +224,7 @@ def _histogram(a, alo, ahi, b, blo, bhi, out) -> None:
             stack.append(("equal", ahi - suf, ahi, bhi - suf, bhi))
             ahi -= suf
             bhi -= suf
-        anchor = _best_anchor(a, alo, ahi, b, blo, bhi)
+        anchor = _best_anchor(a, alo, ahi, b, blo, bhi, index)
         if anchor is None:
             if alo < ahi and blo < bhi:
                 out.append(("replace", alo, ahi, blo, bhi))
@@ -220,28 +233,60 @@ def _histogram(a, alo, ahi, b, blo, bhi, out) -> None:
             elif blo < bhi:
                 out.append(("insert", alo, alo, blo, bhi))
         else:
-            i, j, n = anchor
+            i, j = anchor
+            n = 1
+            while i + n < ahi and j + n < bhi and a[i + n] == b[j + n]:
+                n += 1
             stack.append(("region", i + n, ahi, j + n, bhi))
             stack.append(("equal", i, i + n, j, j + n))
             stack.append(("region", alo, i, blo, j))
+    return out
 
 
-def _best_anchor(a, alo, ahi, b, blo, bhi):
-    """Pick (i, j, run_len) anchoring a[alo:ahi] against b[blo:bhi], or None
-    if the two share no line.
+def _best_anchor(a, alo, ahi, b, blo, bhi, index) -> tuple[int, int] | None:
+    """Pick (i, j) anchoring a[alo:ahi] against b[blo:bhi], or None if the
+    two share no line: the answer of `_region_anchor`, read off `_index(a, b)`
+    where it can be.
+
+    Walk b's region from blo past the lines that a's region does not hold. If
+    the walk ends at bhi, the regions share no line. If the first line it
+    meets is held once by each whole side, at a-index i with i - alo <
+    ANCHOR_PAIRS, its rarity (2) is the lowest possible, no common line
+    comes before it in b, and fewer than ANCHOR_PAIRS rarest lines (one pair
+    each) come before it in a's region, so the region count would pick it
+    too. Otherwise the region is counted. The lines walked past become the
+    left sub-region, which holds no common line, so the walks of one diff
+    cost O(len(b)) in all.
+    """
+    count_a, count_b, first_a = index
+    for j in range(blo, bhi):
+        n = count_a[b[j]]
+        if n == 1 and not alo <= first_a[b[j]] < ahi:
+            continue  # held by a only outside its region
+        if n:
+            i = first_a[b[j]]
+            if n == 1 and count_b[b[j]] == 1 and i - alo < ANCHOR_PAIRS:
+                return i, j
+            return _region_anchor(a, alo, ahi, b, blo, bhi)
+    return None
+
+
+def _region_anchor(a, alo, ahi, b, blo, bhi) -> tuple[int, int] | None:
+    """Pick (i, j) anchoring a[alo:ahi] against b[blo:bhi], or None if the
+    two share no line.
 
     A line's rarity is its occurrence count on both sides together. The
     anchor line is, among the rarest common lines, the one whose first
     occurrence in b comes earliest; i and j are its first occurrences. The
-    run is how far the match extends forward from (i, j); its length never
-    affects the choice.
+    caller extends the match forward from (i, j) into a run; its length
+    never affects the choice.
 
     Rarest lines compete in order of first occurrence in a, and only until
-    their occurrence pairs (count_a * count_b per line) add up to 256. The
-    cap bounds the search on a region of a few lines repeated many times,
-    where the pairs grow quadratically; it decides which lines compete
-    there, so the anchors, and the step documents built on them, depend on
-    its value.
+    their occurrence pairs (count_a * count_b per line) add up to
+    ANCHOR_PAIRS. The cap bounds the search on a region of a few lines
+    repeated many times, where the pairs grow quadratically; it decides
+    which lines compete there, so the anchors, and the step documents built
+    on them, depend on its value.
     """
     count_a = Counter(a[alo:ahi])
     count_b = Counter(b[blo:bhi])
@@ -250,7 +295,7 @@ def _best_anchor(a, alo, ahi, b, blo, bhi):
         return None
     rarest = min(map(add, map(count_a.__getitem__, common), map(count_b.__getitem__, common)))
     lines: set[str] = set()
-    budget = 256
+    budget = ANCHOR_PAIRS
     for ln in common:
         n, m = count_a[ln], count_b[ln]
         if n + m == rarest:
@@ -259,11 +304,7 @@ def _best_anchor(a, alo, ahi, b, blo, bhi):
             if budget <= 0:
                 break
     j = next(j for j in range(blo, bhi) if b[j] in lines)
-    i = a.index(b[j], alo, ahi)
-    n = 1
-    while i + n < ahi and j + n < bhi and a[i + n] == b[j + n]:
-        n += 1
-    return i, j, n
+    return a.index(b[j], alo, ahi), j
 
 
 # --- token-level alignment -------------------------------------------------
@@ -299,7 +340,7 @@ def dissect(source: str, target: str, label: str) -> Bucket:
     parts: list[Part] = []
     a = split_lines(source)
     b = split_lines(target)
-    for tag, a0, a1, b0, b1 in line_diff(source, target):
+    for tag, a0, a1, b0, b1 in _histogram(a, b):
         del_text = "".join(a[a0:a1])
         add_text = "".join(b[b0:b1])
         if tag == "replace":

@@ -10,7 +10,9 @@ memory that grows with the band of diagonals kept, not with the input size.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator, Sequence
+from itertools import accumulate
 
 
 def _common_prefix(a: Sequence, i: int, b: Sequence, j: int) -> int:
@@ -170,23 +172,24 @@ def _bit_vector(a: Sequence, b: Sequence) -> int:
     return score
 
 
-def _bag(items: Iterable[Hashable]) -> frozenset:
-    """A multiset as the set of (item, k) pairs, k counting the item's earlier
-    occurrences, so that |a ∩ b| of two multisets is len(a & b)."""
-    seen: dict[Hashable, int] = {}
-    pairs = []
-    for item in items:
-        k = seen.get(item, 0)
-        seen[item] = k + 1
-        pairs.append((item, k))
-    return frozenset(pairs)
+def _bags(seqs: Iterable[Iterable[Hashable]]) -> list[int]:
+    """Multisets as bit sets: each item owns a block of bits as wide as its
+    largest count in any of the sequences, and a sequence holding it c times
+    sets the block's low c bits. So |a ∩ b| of two multisets is
+    (a & b).bit_count(), and |a| is a.bit_count()."""
+    counts = [Counter(seq) for seq in seqs]
+    width: Counter = Counter()
+    for count in counts:
+        width |= count
+    low = dict(zip(width, accumulate(width.values(), initial=0)))
+    return [sum(((1 << c) - 1) << low[item] for item, c in count.items()) for count in counts]
 
 
-def _bag_distance(a: frozenset, b: frozenset) -> int:
-    """max(|a|, |b|) - |a ∩ b| for sequences given as `_bag`s: a lower bound
+def _bag_distance(a: int, b: int) -> int:
+    """max(|a|, |b|) - |a ∩ b| for sequences given as `_bags`: a lower bound
     on their Levenshtein distance (Bartolini, Ciaccia and Patella 2002), since
     an alignment with d edits matches at least max(|a|, |b|) - d shared items."""
-    return max(len(a), len(b)) - len(a & b)
+    return max(a.bit_count(), b.bit_count()) - (a & b).bit_count()
 
 
 def similarity(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:

@@ -16,7 +16,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .align import NAME_PREFIX, Bucket, BucketSet, dissect, is_name_label
-from .distance import _bag, _bag_distance, levenshtein, similarity
+from .distance import _bag_distance, _bags, levenshtein, similarity
 from .moves import MoveRule, apply_move, get_precise_move
 from .rules import WINDOW, RewriteRule, _redissect, decompose_rewrites, typed
 from .tokens import Joined, _token_texts
@@ -102,7 +102,7 @@ def pair_entries(base: Snapshot, other: Snapshot) -> Pairing:
     base path, other path) order. The bag distance is at most the Levenshtein
     distance, so a pair's bound 1 - bag/longest is at least its similarity: a
     heap of bounds, each replaced by the exact key once it reaches the top,
-    pops the pairs in that order."""
+    pops the pairs in that order, until one side has no entry left."""
     pairs = [(p, p) for p in sorted(base) if p in other]
     removed = [p for p in sorted(base) if p not in other]
     added = [p for p in sorted(other) if p not in base]
@@ -123,18 +123,18 @@ def pair_entries(base: Snapshot, other: Snapshot) -> Pairing:
     if removed and added:
         removed_tokens = {p: _token_texts(base[p]) for p in removed}
         added_tokens = {q: _token_texts(other[q]) for q in added}
-        added_bags = {q: _bag(toks) for q, toks in added_tokens.items()}
+        bags = _bags([*removed_tokens.values(), *added_tokens.values()])
+        removed_bags, added_bags = bags[: len(removed_tokens)], bags[len(removed_tokens) :]
         heap = []  # (-similarity or its upper bound, p, q, exact)
-        for p, ptoks in removed_tokens.items():
-            pbag = _bag(ptoks)
-            for q, qtoks in added_tokens.items():
+        for (p, ptoks), pbag in zip(removed_tokens.items(), removed_bags):
+            for (q, qtoks), qbag in zip(added_tokens.items(), added_bags):
                 # Never 0: equal contents, "" included, were paired above.
                 longest = max(len(ptoks), len(qtoks))
-                bound = 1.0 - _bag_distance(pbag, added_bags[q]) / longest
+                bound = 1.0 - _bag_distance(pbag, qbag) / longest
                 if bound > 0.5:
                     heap.append((-bound, p, q, False))
         heapq.heapify(heap)
-        while heap:
+        while heap and removed_tokens and added_tokens:
             _key, p, q, exact = heapq.heappop(heap)
             if p not in removed_tokens or q not in added_tokens:
                 continue

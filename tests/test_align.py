@@ -1,14 +1,18 @@
+import os
+import sys
 import tracemalloc
 from itertools import islice
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
+import summer.align as align
 from summer.align import (
     Atom,
     Bucket,
     BucketSet,
     _best_anchor,
+    _index,
     dissect,
     line_diff,
     split_lines,
@@ -85,7 +89,7 @@ class TestLineDiff:
 def pairwise_anchor(a, alo, ahi, b, blo, bhi):
     """Reference anchor search: enumerate the occurrence pairs of the rarest
     common lines, taken in order of first occurrence in a, 256 pairs at
-    most, and keep the least (rarity, j, i); then extend the run."""
+    most, and keep the least (rarity, j, i): the anchor is (i, j)."""
     count_a: dict[str, int] = {}
     pos_a: dict[str, list[int]] = {}
     for i in range(alo, ahi):
@@ -120,10 +124,7 @@ def pairwise_anchor(a, alo, ahi, b, blo, bhi):
         if budget <= 0:
             break
     _, j, i = best
-    n = 1
-    while i + n < ahi and j + n < bhi and a[i + n] == b[j + n]:
-        n += 1
-    return i, j, n
+    return i, j
 
 
 @st.composite
@@ -138,6 +139,18 @@ def repetitive_line_lists(draw):
             for _ in range(2)
         ]
     return [draw(st.lists(st.sampled_from(lines), max_size=80)) for _ in range(2)]
+
+
+@st.composite
+def mostly_unique_line_lists(draw):
+    """Two line lists of mostly distinct lines, a few of them repeated, so
+    that most anchors are read off the per-diff index."""
+    def side():
+        lines = [f"u{k}\n" for k in draw(st.lists(st.integers(0, 40), unique=True, max_size=40))]
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["d\n", "u0\n"])))
+        return lines
+    return side(), side()
 
 
 class TestRepetitiveLines:
@@ -156,20 +169,87 @@ class TestRepetitiveLines:
         for prev, op in zip(ops, ops[1:]):
             assert (prev[0] == "equal") != (op[0] == "equal")
 
-    @given(repetitive_line_lists(), st.data())
-    @settings(max_examples=300)
+    @given(st.one_of(repetitive_line_lists(), mostly_unique_line_lists()), st.data())
+    @settings(max_examples=600)
     def test_anchor_matches_pair_enumeration(self, lists, data):
         # The whole lists, and a sub-region: its first occurrences and
-        # counts are the region's, not the list's.
+        # counts are the region's, not the list's. Mostly distinct lines
+        # take the index's answer, repeated ones the region count's.
         la, lb = lists
         region = []
         for lines in (la, lb):
             lo = data.draw(st.integers(0, len(lines)))
             region += [lo, data.draw(st.integers(lo, len(lines)))]
         for alo, ahi, blo, bhi in [(0, len(la), 0, len(lb)), region]:
-            assert _best_anchor(la, alo, ahi, lb, blo, bhi) == pairwise_anchor(
+            assert _best_anchor(la, alo, ahi, lb, blo, bhi, _index(la, lb)) == pairwise_anchor(
                 la, alo, ahi, lb, blo, bhi
             )
+
+
+def region_counts(monkeypatch):
+    """Count the calls that fall through to the region count."""
+    calls = []
+    counted = align._region_anchor
+
+    def spy(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(align, "_region_anchor", spy)
+    return calls
+
+
+class TestIndexedAnchor:
+    """`_best_anchor` reads the anchor off the per-diff index where the first
+    common line it meets in b is held once by each side, and counts the
+    region otherwise; either way it answers as the region count does."""
+
+    def anchor(self, monkeypatch, a, b, region=None):
+        a, b = [f"{x}\n" for x in a], [f"{x}\n" for x in b]
+        alo, ahi, blo, bhi = region or (0, len(a), 0, len(b))
+        calls = region_counts(monkeypatch)
+        got = _best_anchor(a, alo, ahi, b, blo, bhi, _index(a, b))
+        assert got == pairwise_anchor(a, alo, ahi, b, blo, bhi)
+        return got, len(calls)
+
+    def test_duplicated_line_met_first(self, monkeypatch):
+        # "d" is held twice by a, so the region is counted: "x" is rarer.
+        assert self.anchor(monkeypatch, "pdxd", "dx") == ((2, 1), 1)
+
+    def test_unique_line_read_off_the_index(self, monkeypatch):
+        assert self.anchor(monkeypatch, "pdxd", "qxd") == ((2, 1), 0)
+
+    def test_first_unique_line_256_into_the_region(self, monkeypatch):
+        # The 256 rarest lines before it in a use up the pair budget, so the
+        # region count picks a0, met second in b.
+        a = [f"a{k}" for k in range(300)]
+        assert self.anchor(monkeypatch, a, ["a299", *a[:256]]) == ((0, 1), 1)
+        assert self.anchor(monkeypatch, a, ["a255", *a[:255]]) == ((255, 0), 0)
+        assert self.anchor(monkeypatch, a, ["a256", *a[1:256]], (1, 300, 0, 256)) == ((256, 0), 0)
+
+    def test_unique_line_held_by_a_outside_its_region(self, monkeypatch):
+        assert self.anchor(monkeypatch, "xyz", "xz", (1, 3, 0, 2)) == ((2, 1), 0)
+
+    def test_no_common_line(self, monkeypatch):
+        assert self.anchor(monkeypatch, "xy", "zw") == (None, 0)
+        assert self.anchor(monkeypatch, "xyz", "xw", (1, 3, 0, 2)) == (None, 0)
+        # A line a repeats outside its region sends the walk to the count.
+        assert self.anchor(monkeypatch, "ddx", "dw", (2, 3, 0, 2)) == (None, 1)
+
+    def test_ladder_never_counts_a_region(self, monkeypatch):
+        # perfbench's ladder at 8x its size: 653 anchors, every one read off
+        # the index.
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+        import workloads
+
+        monkeypatch.setattr(workloads, "LADDER_LINES", 8 * workloads.LADDER_LINES)
+        base, left, _right, _ref = workloads.ladder_case(3, workloads.spelling(workloads.CHECK_SEED, 0, 2))
+        calls = region_counts(monkeypatch)
+        anchors = []
+        walked = align._best_anchor
+        monkeypatch.setattr(align, "_best_anchor", lambda *args: anchors.append(1) or walked(*args))
+        line_diff(base, left)
+        assert len(anchors) == 653 and calls == []
 
 
 def pairs(atoms):
@@ -520,6 +600,26 @@ class TestTargetOffsets:
         p = bucket.source.index("b")
         assert bucket.target_offsets(p) == [2, 4]
         assert bucket.agrees(p, p + 1, "X b") and bucket.agrees(p, p + 1, "b")
+
+    def test_span_inside_one_identity_run(self):
+        # A literal rewritten inside text the alignment keeps is an fp; a
+        # span whose text is already rhs (a capture can fill it so) agrees.
+        bucket = dissect("keep this line\nold\n", "keep this line\nnew\n", "t")
+        p = bucket.source.index("this")
+        assert not bucket.agrees(p, p + 4, "that")
+        assert bucket.agrees(p, p + 4, "this")
+
+    @given(st.text("ab (x)1\n", max_size=30), st.text("ab (x)1\n", max_size=30))
+    @settings(max_examples=200)
+    def test_agrees_matches_offsets(self, source, target):
+        bucket = dissect(source, target, "t")
+        for start in range(len(source) + 1):
+            for end in range(start, len(source) + 1):
+                for rhs in {source[start:end], target[start:end], "x"}:
+                    t1s = atom_offsets(bucket, start) or []
+                    t2s = atom_offsets(bucket, end) or []
+                    want = any(t1 <= t2 and target[t1:t2] == rhs for t1 in t1s for t2 in t2s)
+                    assert bucket.agrees(start, end, rhs) == want
 
 
 def token_window(atoms, core, j, k):

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from summer.distance import _bag, _bag_distance, _bit_vector_cheaper, _trim_common, levenshtein
+from summer.distance import _bag_distance, _bags, _bit_vector_cheaper, _trim_common, levenshtein
 
 # Multi-character pieces make long shared runs and repeats; "\r\n" and the
 # private-use characters (which hold undecodable bytes) must count as the
@@ -150,16 +152,27 @@ class TestBagDistance:
     @given(texts, texts)
     @settings(max_examples=300)
     def test_strings(self, a, b):
-        assert _bag_distance(_bag(a), _bag(b)) <= levenshtein(a, b)
+        assert _bag_distance(*_bags([a, b])) <= levenshtein(a, b)
 
     @given(token_lists, token_lists)
     @settings(max_examples=300)
     def test_token_lists(self, a, b):
-        assert _bag_distance(_bag(a), _bag(b)) <= levenshtein(a, b)
+        assert _bag_distance(*_bags([a, b])) <= levenshtein(a, b)
+
+    @given(st.lists(token_lists, min_size=1, max_size=5))
+    @settings(max_examples=200)
+    def test_bags_count_every_shared_item(self, seqs):
+        # Sizes and pairwise intersections are the multisets', whichever
+        # sequences share the bit layout.
+        bags = _bags(seqs)
+        for x, bx in zip(seqs, bags):
+            assert bx.bit_count() == len(x)
+            for y, by in zip(seqs, bags):
+                assert (bx & by).bit_count() == sum((Counter(x) & Counter(y)).values())
 
     def test_permuted_and_disjoint_bags(self):
         # A permutation of one bag shares every item; disjoint bags share none.
         a, b = "x=1;\r\n\ue041", "\ue0411;\n\r=x"
-        assert _bag_distance(_bag(a), _bag(b)) == 0 < levenshtein(a, b)
+        assert _bag_distance(*_bags([a, b])) == 0 < levenshtein(a, b)
         a, b = ["foo", "(", ")", "\r\n"], ["bar", "\ue041", "1"]
-        assert _bag_distance(_bag(a), _bag(b)) == 4 == levenshtein(a, b)
+        assert _bag_distance(*_bags([a, b])) == 4 == levenshtein(a, b)

@@ -2,8 +2,10 @@
 
 Every case hashes what the engine produces for a fixed input: the step
 document of each corpus scenario's left and right decomposition, the merge
-outcome of each scenario, and seeded random-token cases built with the
-generator in tests/test_engine.py. A change that alters any of them on
+outcome of each scenario, seeded random-token cases built with the
+generator in tests/test_engine.py, and perfbench's generated workloads: the
+line diff of a ladder case at two sizes, and the pairing and merge of tree
+cases. A change that alters any of them on
 purpose regenerates the pins with
 
     PYTHONPATH=src python tests/test_step_digests.py --write
@@ -21,10 +23,13 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import tests.test_engine as engine_tests  # noqa: E402
+import workloads  # noqa: E402
+from summer.align import line_diff  # noqa: E402
 from summer.bench import load_manifest  # noqa: E402
-from summer.engine import decompose, merge  # noqa: E402
+from summer.engine import decompose, merge, pair_entries  # noqa: E402
 from summer.stepio import serialize_steps  # noqa: E402
 from summer.tokens import tokenize  # noqa: E402
 
@@ -33,6 +38,8 @@ CORPUS = os.path.join(HERE, "..", "corpus", "manifest.json")
 RANDOM_CASES = 200
 ENTRY_SET_CASES = 40
 RANDOM_MERGES = 60
+LADDER_FACTORS = (1, 8)  # multiples of workloads.LADDER_LINES
+TREE_CASES = 3
 
 
 def _sha(text: str) -> str:
@@ -95,6 +102,22 @@ def _cases():
         left = {"": "".join(gen.mutate(rng, toks))}
         right = {"": "".join(gen.mutate(rng, toks))}
         yield f"merge/{seed}", _merge_repr(base, left, right)
+
+    lines = workloads.LADDER_LINES
+    words = workloads.spelling(workloads.CHECK_SEED, 0, 2)
+    try:
+        for factor in LADDER_FACTORS:
+            workloads.LADDER_LINES = lines * factor
+            base, left, _right, _ref = workloads.ladder_case(3, words)
+            yield f"ladder/3x{factor}/line_diff", repr(line_diff(base, left))
+    finally:
+        workloads.LADDER_LINES = lines
+
+    words = workloads.spelling(workloads.CHECK_SEED, 0, 6)
+    for case in range(TREE_CASES):
+        base, left, right, _ref = workloads.tree_case(case, words)
+        yield f"tree/{case}/pair_entries", repr(tuple(pair_entries(base, left)))
+        yield f"tree/{case}/merge", _merge_repr(base, left, right)
 
 
 def compute_digests() -> dict[str, str]:
