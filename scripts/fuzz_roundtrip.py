@@ -16,6 +16,12 @@ insertions or deletions. The context units walked from every atom
 boundary, either way, must end where the edits end and where `tokenize`
 ends each token of an identity run.
 
+Each case also has a byte variant: its target with a few bytes that are not
+UTF-8 spliced in, drawn from a second generator seeded by (seed, case) so the
+main stream of cases does not change. Read as the CLI reads files (PEP 383
+surrogateescape), it must survive decompose, the step document and replay,
+and the one-sided merge merge(B, B, X), byte for byte.
+
 Usage: python3 scripts/fuzz_roundtrip.py [CASES] [SEED]
 Prints a failure reproduction (base and target repr) and exits 1 on the
 first divergence; exits 0 after all cases pass.
@@ -33,6 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from summer.align import dissect  # noqa: E402
 from summer.distance import _bag_distance, _bags, levenshtein  # noqa: E402
 from summer.engine import apply_steps, decompose, merge  # noqa: E402
+from summer.stepio import parse_steps, serialize_steps  # noqa: E402
 from summer.tokens import tokenize  # noqa: E402
 
 ALPHABET = [
@@ -64,6 +71,29 @@ def mutate(rng: random.Random, tokens: list[str]) -> list[str]:
             k = rng.randrange(len(t) + 1)
             t[k:k] = block
     return t
+
+
+def with_bytes(rng: random.Random, text: str) -> bytes:
+    """text as UTF-8 with one to three runs of one or two bytes >= 0x80 spliced in."""
+    raw = bytearray(text.encode("utf-8"))
+    for _ in range(rng.randrange(1, 4)):
+        k = rng.randrange(len(raw) + 1)
+        raw[k:k] = bytes(rng.randrange(0x80, 0x100) for _ in range(rng.randrange(1, 3)))
+    return bytes(raw)
+
+
+def byte_faults(base: str, raw: bytes) -> list[str]:
+    """The byte-variant checks that raw, read as the CLI reads it, fails."""
+    target = {"": raw.decode("utf-8", "surrogateescape")}
+    steps = parse_steps(serialize_steps(decompose({"": base}, target)))
+    faults = []
+    for name, out in (
+        ("byte round trip", apply_steps({"": base}, steps)),
+        ("byte merge(B, B, X)", merge({"": base}, {"": base}, target)),
+    ):
+        if not out.ok or out.result[""].encode("utf-8", "surrogateescape") != raw:
+            faults.append(name)
+    return faults
 
 
 def atom_faults(source: str, target: str) -> list[str]:
@@ -128,10 +158,13 @@ def main() -> int:
         if _bag_distance(*_bags([toks, target_toks])) > levenshtein(toks, target_toks):
             failed.append("bag distance over levenshtein")
         failed += atom_faults(base[""], target[""])
+        raw = with_bytes(random.Random(f"{seed}:{case}"), target[""])
+        failed += byte_faults(base[""], raw)
         if failed:
             print(f"FAIL at case {case}: {', '.join(failed)}")
             print("base   =", repr(base[""]))
             print("target =", repr(target[""]))
+            print("bytes  =", repr(raw))
             return 1
         if case and case % 500 == 0:
             print(f"...{case} cases ok")

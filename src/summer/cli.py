@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
-from typing import NamedTuple
 
 from .engine import Snapshot, apply_steps, decompose, merge
 from .stepio import parse_steps, serialize_steps
@@ -21,53 +19,18 @@ SKIP_DIRS = {".git"}
 class CliError(Exception):
     pass
 
-# Bytes of non-UTF-8 files map into the private-use area, one char per byte.
-# PUA characters classify as symbols, so such content degrades to a stream
-# of single-byte symbol tokens and matching becomes per-byte, reversibly.
-_BYTE_BASE = 0xE000
-_BYTE_CHAR = re.compile(f"[{chr(_BYTE_BASE)}-{chr(_BYTE_BASE + 0xFF)}]")
 
-
-def _decode_binary(raw: bytes) -> str:
-    return "".join(chr(_BYTE_BASE + b) for b in raw)
-
-
-def _encode_binary(content: str) -> bytes:
-    out = bytearray()
-    for ch in content:
-        code = ord(ch)
-        if _BYTE_BASE <= code <= _BYTE_BASE + 0xFF:
-            out.append(code - _BYTE_BASE)
-        else:
-            out.extend(ch.encode("utf-8"))
-    return bytes(out)
-
-
-class _Encodings(NamedTuple):
-    """How result entries go back to bytes. A path some input held as
-    undecodable bytes is written as bytes. Content made only of byte
-    characters is too (a step added, renamed or replaced a binary entry),
-    unless some input held that path as UTF-8 text with such characters.
-    Everything else is UTF-8."""
-
-    binary: set[str]  # paths some input held as undecodable bytes
-    text: set[str]  # paths some input held as UTF-8 holding byte characters
-
-    def encode(self, path: str, content: str) -> bytes:
-        if path in self.binary or (
-            path not in self.text and not _BYTE_CHAR.sub("", content)
-        ):
-            return _encode_binary(content)
-        return content.encode("utf-8")
-
-
-def _load_file(path: str) -> tuple[str, bool]:
+# Bytes that are not UTF-8 ride as the lone surrogates U+DC80..U+DCFF, as
+# os.walk hands over undecodable file names (PEP 383). Such characters are
+# symbols, so decompose and rebase match them per byte, and every write
+# turns them back into the bytes they stand for.
+def _load_file(path: str) -> str:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-8"), False
-    except UnicodeDecodeError:
-        return _decode_binary(raw), True
+        return fh.read().decode("utf-8", "surrogateescape")
+
+
+def _encode(text: str) -> bytes:
+    return text.encode("utf-8", "surrogateescape")
 
 
 def _walk_tree(root: str):
@@ -80,83 +43,62 @@ def _walk_tree(root: str):
             yield os.path.relpath(full, root).replace(os.sep, "/"), full
 
 
-def _load_tree(root: str) -> tuple[Snapshot, set[str]]:
-    snap: Snapshot = {}
-    binary: set[str] = set()
-    for rel, full in _walk_tree(root):
-        text, is_binary = _load_file(full)
-        snap[rel] = text
-        if is_binary:
-            binary.add(rel)
-    return snap, binary
-
-
-def _load_input(path: str) -> tuple[Snapshot, set[str], bool]:
-    """Returns (snapshot, binary paths, is_directory)."""
+def _load_input(path: str) -> tuple[Snapshot, bool]:
+    """Returns (snapshot, is_directory)."""
     if os.path.isdir(path):
-        snap, binary = _load_tree(path)
-        return snap, binary, True
+        return {rel: _load_file(full) for rel, full in _walk_tree(path)}, True
     if os.path.isfile(path):
-        text, is_binary = _load_file(path)
-        return {"": text}, ({""} if is_binary else set()), False
+        return {"": _load_file(path)}, False
     raise CliError(f"no such file or directory: {path}")
 
 
-def _load_uniform(paths: list[str]) -> tuple[list[Snapshot], _Encodings, bool]:
+def _load_uniform(paths: list[str]) -> tuple[list[Snapshot], bool]:
     loaded = [_load_input(p) for p in paths]
-    kinds = {is_dir for _, _, is_dir in loaded}
+    kinds = {is_dir for _, is_dir in loaded}
     if len(kinds) != 1:
         raise CliError("inputs must be uniformly files or uniformly directories")
-    enc = _Encodings(set(), set())
-    for snap, binary, _ in loaded:
-        enc.binary.update(binary)
-        enc.text.update(
-            path for path, content in snap.items()
-            if path not in binary and _BYTE_CHAR.search(content)
-        )
-    return [snap for snap, _, _ in loaded], enc, kinds.pop()
+    return [snap for snap, _ in loaded], kinds.pop()
 
 
-def _write_tree(root: str, snap: Snapshot, enc: _Encodings) -> None:
-    for rel in snap:
+def _write(dest: str | bytes | None, data: bytes) -> None:
+    """Write data to dest, or to stdout when dest is None."""
+    if dest is None:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    else:
+        with open(dest, "wb") as fh:
+            fh.write(data)
+
+
+def _write_tree(root: str, snap: Snapshot) -> None:
+    """Make the tree at root hold exactly snap. Every path and content is
+    checked and encoded before any file is removed or written."""
+    out = []
+    for rel, content in snap.items():
         if os.path.isabs(rel) or any(part in ("", ".", "..") for part in rel.split("/")):
             raise CliError(f"unsafe path {rel!r}: absolute, or with an empty, '.' or '..' part")
+        out.append((os.fsencode(os.path.join(root, rel.replace("/", os.sep))), _encode(content)))
     for rel, full in _walk_tree(root):
         if rel not in snap:
             os.remove(full)
-    for rel, content in snap.items():
-        full = os.path.join(root, rel.replace("/", os.sep))
-        os.makedirs(os.path.dirname(full) or ".", exist_ok=True)
-        with open(full, "wb") as fh:
-            fh.write(enc.encode(rel, content))
+    for full, data in out:
+        os.makedirs(os.path.dirname(full) or b".", exist_ok=True)
+        _write(full, data)
 
 
-def _write_output(
-    snap: Snapshot, enc: _Encodings, is_dir: bool, dest: str | None
-) -> None:
-    if is_dir:
-        if dest is None:
-            raise CliError("directory mode requires a destination tree")
-        _write_tree(dest, snap, enc)
-        return
-    content = snap.get("", "")
-    if dest is None:
-        sys.stdout.write(content)
+def _write_output(snap: Snapshot, is_dir: bool, dest: str | None) -> None:
+    if not is_dir:
+        _write(dest, _encode(snap.get("", "")))
+    elif dest is None:
+        raise CliError("directory mode requires a destination tree")
     else:
-        with open(dest, "wb") as fh:
-            fh.write(enc.encode("", content))
+        _write_tree(dest, snap)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    snaps, _enc, _is_dir = _load_uniform([args.base, args.changed])
-    base, changed = snaps
-    steps = decompose(base, changed)
-    text = serialize_steps(steps)
-    if args.steps_out:
-        with open(args.steps_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    (base, changed), _is_dir = _load_uniform([args.base, args.changed])
+    _write(args.steps_out, serialize_steps(decompose(base, changed)).encode("utf-8"))
     return 0
 
 
@@ -166,30 +108,26 @@ def cmd_rebase(args: argparse.Namespace) -> int:
             raise CliError("rebase with --steps-in takes exactly one target path")
         with open(args.steps_in, encoding="utf-8") as fh:
             steps = parse_steps(fh.read())
-        (target,), enc, is_dir = _load_uniform(args.paths)
+        (target,), is_dir = _load_uniform(args.paths)
         target_path = args.paths[0]
     else:
         if len(args.paths) != 3:
             raise CliError("rebase takes BASE CHANGED TARGET, or --steps-in FILE TARGET")
-        snaps, enc, is_dir = _load_uniform(args.paths)
-        base, changed, target = snaps
+        (base, changed, target), is_dir = _load_uniform(args.paths)
         steps = decompose(base, changed)
         target_path = args.paths[2]
     outcome = apply_steps(target, steps)
     dest = args.output if args.output else (target_path if is_dir else None)
-    return _finish(args, outcome, enc, is_dir, dest)
+    return _finish(args, outcome, is_dir, dest)
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    snaps, enc, is_dir = _load_uniform([args.base, args.left, args.right])
-    base, left, right = snaps
-    outcome = merge(base, left, right, binary_paths=enc.binary)
-    return _finish(args, outcome, enc, is_dir, args.output if args.output else args.left)
+    (base, left, right), is_dir = _load_uniform([args.base, args.left, args.right])
+    outcome = merge(base, left, right)
+    return _finish(args, outcome, is_dir, args.output if args.output else args.left)
 
 
-def _finish(
-    args: argparse.Namespace, outcome, enc: _Encodings, is_dir: bool, dest: str | None
-) -> int:
+def _finish(args: argparse.Namespace, outcome, is_dir: bool, dest: str | None) -> int:
     """Report a conflict (exit 1), or print the notes unless --quiet and
     write the result (exit 0)."""
     if not outcome.ok:
@@ -198,7 +136,7 @@ def _finish(
     if not args.quiet:
         for note in outcome.diagnostics:
             print(f"note: {note}", file=sys.stderr)
-    _write_output(outcome.result, enc, is_dir, dest)
+    _write_output(outcome.result, is_dir, dest)
     return 0
 
 

@@ -11,6 +11,7 @@ the changed side byte for byte; merge replays it on the other branch.
 from __future__ import annotations
 
 import heapq
+import re
 from enum import Enum, auto
 from itertools import groupby
 from typing import NamedTuple
@@ -377,18 +378,28 @@ def _sited(
 
 # --- merge -----------------------------------------------------------------------
 
+# A lone surrogate is no UTF-8 text: the CLI reads each undecodable byte of
+# a file as one, U+DC80..U+DCFF.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _settle(
-    base: Snapshot, left: Snapshot, right: Snapshot, binary_paths: set[str]
+    base: Snapshot, left: Snapshot, right: Snapshot
 ) -> tuple[dict[str, str | None], Conflict | None]:
-    """Entries merged whole, outside the decomposition: binary entries, and
-    entries all three sides hold that both sides changed alike. An entry
-    one side left as in base takes the other side's; an entry both sides
-    left alike takes theirs (None when both deleted it); else a conflict.
-    A path both sides add with different contents is a conflict too: the
-    decomposed side's `FileAdd` would overwrite the other's."""
+    """Entries merged whole, outside the decomposition: binary entries (some
+    side's content holds a lone surrogate), and entries all three sides hold
+    that both sides changed alike. An entry one side left as in base takes
+    the other side's; an entry both sides left alike takes theirs (None when
+    both deleted it); else a conflict. A path both sides add with different
+    contents is a conflict too: the decomposed side's `FileAdd` would
+    overwrite the other's."""
     alike = {p for p in base if p in left and p in right and left[p] == right[p] != base[p]}
+    binary = {
+        p for snap in (base, left, right) for p, v in snap.items()
+        if not v.isascii() and _SURROGATE.search(v)
+    }
     settled: dict[str, str | None] = {}
-    for p in sorted(binary_paths | alike):
+    for p in sorted(binary | alike):
         b, lv, rv = base.get(p), left.get(p), right.get(p)
         if lv == b:
             settled[p] = rv
@@ -402,21 +413,18 @@ def _settle(
     return settled, None
 
 
-def merge(
-    base: Snapshot,
-    left: Snapshot,
-    right: Snapshot,
-    binary_paths: set[str] | None = None,
-) -> MergeOutcome:
+def merge(base: Snapshot, left: Snapshot, right: Snapshot) -> MergeOutcome:
     """Three-way merge: decompose the simpler side, replay it on the other.
 
     Equal sides are the merge as they are, and so is an entry both sides
     changed alike (`_settle`): replaying one side's change on a side that
-    already holds it would apply it twice.
+    already holds it would apply it twice. An entry whose content on some
+    side holds undecodable bytes (lone surrogates) is settled whole too:
+    one side's change is taken, and a change on both sides is a conflict.
     """
     if left == right:
         return MergeOutcome(dict(left), None)
-    settled, conflict = _settle(base, left, right, set(binary_paths or ()))
+    settled, conflict = _settle(base, left, right)
     if conflict:
         return MergeOutcome(None, conflict)
     base, left, right = (

@@ -76,8 +76,12 @@ def obj_to_step(obj: object) -> Step:
 
 
 def serialize_steps(steps: list[Step]) -> str:
+    """The step document, valid UTF-8: a lone surrogate (an undecodable byte
+    of a file, U+DC80..U+DCFF) is spelled as its JSON escape, "\\udcXX",
+    which `parse_steps` reads back as the same character."""
     doc = {"version": FORMAT_VERSION, "steps": [step_to_obj(s) for s in steps]}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return text.encode("utf-8", "backslashreplace").decode()
 
 
 def parse_steps(text: str) -> list[Step]:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from summer.cli import main
-from summer.engine import FileAdd, FileDelete
+from summer.engine import FileAdd, FileDelete, apply_steps, decompose, merge
 from summer.moves import Antecedent, Consequent, MovePattern, MoveRule
 from summer.rules import RewriteRule
 from summer.stepio import parse_steps, serialize_steps
@@ -187,6 +188,42 @@ class TestRebaseCommand:
         assert not (tmp_path / "a.txt").exists()
         assert read(target / "a.txt") == "a\n"
 
+    # A high surrogate stands for no byte, so no result holding one can be
+    # written; only a step document can carry it. Nothing may change on disk.
+    UNWRITABLE = "\ud800"
+
+    def test_unwritable_result_leaves_the_output_file(self, tmp_path, capsys):
+        write(tmp_path / "target.txt", "a\n")
+        write(tmp_path / "out.txt", "keep\n")
+        steps_file = tmp_path / "steps.json"
+        doc = {"version": 1, "steps": [{"kind": "rewrite", "lhs": "a", "rhs": self.UNWRITABLE}]}
+        write(steps_file, json.dumps(doc))
+        args = ["rebase", "--steps-in", str(steps_file), str(tmp_path / "target.txt")]
+        assert main([*args, "--output", str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert read(tmp_path / "out.txt") == "keep\n"
+
+    @pytest.mark.parametrize("where", ["content", "name"])
+    def test_unwritable_result_leaves_the_tree(self, tmp_path, capsys, where):
+        target = tmp_path / "target"
+        target.mkdir()
+        files = {"a.txt": "a\n", "z.txt": "z\n"}
+        for rel, text in files.items():
+            write(target / rel, text)
+        bad = {"content": "c\n" + self.UNWRITABLE, "name": "c\n"}[where]
+        steps = [
+            {"kind": "file_delete", "path": "z.txt"},
+            {"kind": "file_add", "path": "c.txt", "content": bad},
+            {"kind": "rewrite", "lhs": "a", "rhs": "A"},
+        ]
+        if where == "name":
+            steps.append({"kind": "rewrite", "lhs": "c", "rhs": self.UNWRITABLE})
+        steps_file = tmp_path / "steps.json"
+        write(steps_file, json.dumps({"version": 1, "steps": steps}))
+        assert main(["rebase", "--steps-in", str(steps_file), str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert {p.name: read(p) for p in target.iterdir()} == files
+
     def test_output_flag(self, trio, tmp_path):
         base, left, right = trio
         dest = tmp_path / "merged.txt"
@@ -324,6 +361,14 @@ class TestMergeCommand:
         assert main(["merge", str(base), str(left), str(d)]) == 2
 
 
+# Random bytes, and texts of words, digits and separators with stray bytes.
+BYTE_TEXTS = st.one_of(
+    st.binary(max_size=24),
+    st.lists(st.sampled_from([b"ab", b"1", b" ", b"\n", b"\xff", b"\xc3", b"\xc3\xa9", b"+"]),
+             max_size=16).map(b"".join),
+)
+
+
 class TestBinaryEntries:
     def test_single_side_binary_change_merges(self, tmp_path):
         base_bytes = b"\x89PNG\x00\x01\xff\xfe"
@@ -373,6 +418,38 @@ class TestBinaryEntries:
         assert dest.read_bytes() == changed_bytes
 
 
+    BASE_BYTES, CHANGED_BYTES = b"\x00\x01\x02\x03\xfe\xff", b"\x00\x01\x99\x03\xfe\xff"
+
+    def write_pair(self, tmp_path):
+        (tmp_path / "base.bin").write_bytes(self.BASE_BYTES)
+        (tmp_path / "changed.bin").write_bytes(self.CHANGED_BYTES)
+        return str(tmp_path / "base.bin"), str(tmp_path / "changed.bin")
+
+    def test_binary_rebase_to_stdout_writes_the_bytes(self, tmp_path, capsysbinary):
+        base, changed = self.write_pair(tmp_path)
+        assert main(["rebase", base, changed, base]) == 0
+        assert capsysbinary.readouterr().out == self.CHANGED_BYTES
+
+    def test_binary_step_document_is_utf8_json(self, tmp_path):
+        # Undecodable bytes are spelled as JSON escapes, "\\udc99" for 0x99.
+        steps = tmp_path / "steps.json"
+        assert main(["decompose", *self.write_pair(tmp_path), "--steps-out", str(steps)]) == 0
+        text = steps.read_bytes().decode("utf-8")
+        assert "\\udc99" in text and json.loads(text)["version"] == 1
+        base = {"": self.BASE_BYTES.decode("utf-8", "surrogateescape")}
+        replayed = apply_steps(base, parse_steps(text)).result[""]
+        assert replayed.encode("utf-8", "surrogateescape") == self.CHANGED_BYTES
+
+    @given(BYTE_TEXTS, BYTE_TEXTS)
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes_round_trip(self, base_bytes, changed_bytes):
+        # Decoded as the CLI decodes them, any bytes survive decompose, the
+        # step document and replay, and a one-sided merge.
+        base, changed = ({"": raw.decode("utf-8", "surrogateescape")} for raw in (base_bytes, changed_bytes))
+        steps = parse_steps(serialize_steps(decompose(base, changed)))
+        for out in (apply_steps(base, steps), merge(base, base, changed)):
+            assert out.ok and out.result[""].encode("utf-8", "surrogateescape") == changed_bytes
+
     PNG = b"\x89PNG\x00\x01\xff\xfe"
 
     def rebase_steps_in(self, tmp_path, base, changed):
@@ -399,6 +476,13 @@ class TestBinaryEntries:
         )
         assert (target / "a.dat").read_bytes() == self.PNG
 
+    def test_steps_in_carries_undecodable_names(self, tmp_path):
+        name, added = (os.fsdecode(raw) for raw in (b"a\xff.txt", b"new\xfe.txt"))
+        changed = {name: b"k = \xff2\n", added: self.PNG}
+        target = self.rebase_steps_in(tmp_path, {name: b"k = \xff1\n"}, changed)
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == changed
+        assert sorted(os.listdir(bytes(target))) == [b"a\xff.txt", b"new\xfe.txt"]
+
     def test_steps_in_renames_binary_file(self, tmp_path):
         target = tmp_path / "target"
         target.mkdir()
@@ -411,8 +495,8 @@ class TestBinaryEntries:
 
 
 class TestPrivateUseText:
-    # U+E000..U+E0FF also stand for the bytes of undecodable files; in a
-    # UTF-8 file they are ordinary characters and must be written back as such.
+    # Undecodable bytes ride as U+DC80..U+DCFF, so private-use characters in
+    # a UTF-8 file are ordinary text and are written back as UTF-8.
     TEXT = "key = \ue041\n"
 
     def test_file_merge_keeps_utf8(self, tmp_path):

@@ -5,10 +5,11 @@ from hypothesis import example, given, settings
 
 from summer.distance import _bag_distance, _bags, _bit_vector_cheaper, _trim_common, levenshtein
 
-# Multi-character pieces make long shared runs and repeats; "\r\n" and the
-# private-use characters (which hold undecodable bytes) must count as the
-# ordinary characters they are.
-PIECES = ["a", "b", "ab", "ba", "x=1;", " ", "\n", "\r\n", "\r", "\ue000", "\ue041", "\ue0ff"]
+# Multi-character pieces make long shared runs and repeats; "\r\n", the
+# private-use characters and the lone surrogates (which hold undecodable
+# bytes) must count as the ordinary characters they are.
+PIECES = ["a", "b", "ab", "ba", "x=1;", " ", "\n", "\r\n", "\r", "\ue000", "\ue041", "\ue0ff",
+          "\udc80", "\udcff"]
 TOKENS = ["foo", "bar", "(", ")", " ", "\n", "\r\n", "\ue041", "1"]
 
 texts = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)

@@ -529,16 +529,18 @@ class TestMerge:
         assert not out.ok and "missing path" in out.conflict.diagnostic
 
     def test_binary_entry_single_side_change(self):
-        base = {"bin": "\x80\x81", "t": "x"}
-        left = {"bin": "\x80\x81", "t": "y"}
-        right = {"bin": "\xfe\xff", "t": "x"}
-        out = merge(base, left, right, binary_paths={"bin"})
-        assert out.ok and out.result == {"bin": "\xfe\xff", "t": "y"}
+        # Undecodable bytes ride as lone surrogates; an entry holding them is
+        # settled whole, with no flag.
+        base = {"bin": "\udc80\udc81", "t": "x"}
+        left = {"bin": "\udc80\udc81", "t": "y"}
+        right = {"bin": "\udcfe\udcff", "t": "x"}
+        out = merge(base, left, right)
+        assert out.ok and out.result == {"bin": "\udcfe\udcff", "t": "y"}
 
     def test_binary_entry_both_sides_changed_conflicts(self):
-        base = {"bin": "\x80"}
-        out = merge(base, {"bin": "\x81"}, {"bin": "\x82"}, binary_paths={"bin"})
-        assert not out.ok
+        base = {"bin": "PNG\udc80"}
+        out = merge(base, {"bin": "PNG\udc81"}, {"bin": "PNG\udc82"})
+        assert not out.ok and "binary entry 'bin'" in out.conflict.diagnostic
 
     def test_path_added_on_both_sides_with_different_contents_conflicts(self):
         # The decomposed side's FileAdd would overwrite the other side's file.

@@ -139,8 +139,10 @@ class TestTokenTexts:
         assert _token_texts(s) == [text for text, _, _ in _runs(s)]
 
 
-# The CLI maps each byte of a non-UTF-8 file to one private-use character.
-PRIVATE_USE_BYTES = "".join(chr(0xE000 + b) for b in range(256))
+# The CLI reads each undecodable byte of a file as one lone surrogate,
+# U+DC80..U+DCFF; private-use characters are ordinary symbols of UTF-8 text.
+SURROGATE_BYTES = "".join(chr(0xDC80 + b) for b in range(128))
+PRIVATE_USE = "".join(chr(0xE000 + b) for b in range(256))
 
 
 class TestBoundaryPredicate:
@@ -157,8 +159,11 @@ class TestBoundaryPredicate:
     @example("a\r\nb")
     @example("\r\n\r\n")
     @example("cafe\u0301 e\u0301\u0301")
-    @example(PRIVATE_USE_BYTES)
-    @example("ab" + PRIVATE_USE_BYTES + "12")
+    @example(SURROGATE_BYTES)
+    @example("ab" + SURROGATE_BYTES + "12")
+    @example("x\udcff1\udc80y")
+    @example(PRIVATE_USE)
+    @example("ab" + PRIVATE_USE + "12")
     def test_agrees_with_token_offsets(self, s):
         bounds = token_offsets(s)
         for i in range(len(s)):
