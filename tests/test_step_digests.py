@@ -108,8 +108,11 @@ def _cases():
     try:
         for factor in LADDER_FACTORS:
             workloads.LADDER_LINES = lines * factor
-            base, left, _right, _ref = workloads.ladder_case(3, words)
+            base, left, right, _ref = workloads.ladder_case(3, words)
             yield f"ladder/3x{factor}/line_diff", repr(line_diff(base, left))
+            if factor == 1:
+                yield "ladder/3x1/decompose-left", _steps_doc({"": base}, {"": left})
+                yield "ladder/3x1/decompose-right", _steps_doc({"": base}, {"": right})
     finally:
         workloads.LADDER_LINES = lines
 
@@ -117,6 +120,8 @@ def _cases():
     for case in range(TREE_CASES):
         base, left, right, _ref = workloads.tree_case(case, words)
         yield f"tree/{case}/pair_entries", repr(tuple(pair_entries(base, left)))
+        yield f"tree/{case}/decompose-left", _steps_doc(base, left)
+        yield f"tree/{case}/decompose-right", _steps_doc(base, right)
         yield f"tree/{case}/merge", _merge_repr(base, left, right)
 
 
