@@ -27,6 +27,7 @@ from typing import NamedTuple
 from .align import Bucket, BucketSet, is_name_label
 from .rules import (
     Candidate,
+    Form,
     RuleMetrics,
     _expand,
     _literal_form,
@@ -163,30 +164,29 @@ def _longest_shared(
 
 # --- candidate construction ---------------------------------------------------
 
-def _antecedent_form(bucket: Bucket, core: int, offset: int, n: int):
+def _antecedent_form(bucket: Bucket, core: int, offset: int, n: int) -> Form:
     """Form of the capture patterns around an atom range starting at atom
     `core`, whose lhs holds the moved text (length n) `offset` characters in;
     the capture slot replaces it."""
     source, target = bucket.source, bucket.target
     slot = bucket.atoms[core].lhs_start + offset
 
-    def form(j: int, k: int, s: int, e: int, t: int, u: int):
+    def order(s: int, e: int, t: int, u: int) -> tuple | None:
         prefix, suffix = source[s:slot], source[slot + n : e]
         if not prefix or not suffix:
             return None
-        rhs = target[t:u]
+        return (len(prefix) + len(suffix), prefix, suffix, target[t:u])
+
+    def build(order: tuple, j: int, k: int, t: int) -> tuple:
+        _, prefix, suffix, rhs = order
         pattern = MovePattern(prefix, suffix)
-        return (
-            Antecedent(pattern, rhs),
-            (len(prefix) + len(suffix), prefix, suffix, rhs),
-            lambda joined: [m[:2] for m in match_pattern(joined, pattern)],
-            rhs,
-        )
+        matcher = lambda joined: [m[:2] for m in match_pattern(joined, pattern)]  # noqa: E731
+        return Antecedent(pattern, rhs), matcher, rhs
 
-    return form
+    return Form(order, build)
 
 
-def _consequent_form(bucket: Bucket, core: int, offset: int, n: int):
+def _consequent_form(bucket: Bucket, core: int, offset: int, n: int) -> Form:
     """Form of the consequents around an atom range starting at atom `core`,
     whose rhs holds the moved text (length n) `offset` characters in; the
     capture slot replaces it."""
@@ -207,9 +207,7 @@ def _best(
     for b, lo, hi, offset in sites:
         form = form_at(buckets[b], lo, offset, n)
         _expand(buckets, b, lo, hi, window, pool, form)
-    return min(
-        (c for c in pool.values() if c.metrics.precise), key=Candidate.rank, default=None
-    )
+    return next(_select(pool.values(), buckets), None)
 
 
 def find_move(buckets: BucketSet, bucket_index: int, core: int, pool: dict, window: int) -> None:

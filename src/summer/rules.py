@@ -2,15 +2,25 @@
 
 Candidate rules are formed by expanding each edit atom with context units
 (`align.Bucket.reach`), nearest first: a whole edit, or one identity token.
-Each candidate is scored corpus-wide, in one scan of the bucket sources
-joined into one text (`BucketSet.joined`): a match site counts as a true
-positive when replacing it reproduces exactly what the alignment demands
-there, and as a false positive otherwise. A literal candidate's scan stops
-once its false positives show it cannot clear the bar (see `_score`).
+Every window of every edit is formed, in order, and a rule keeps the first
+window that formed it. A candidate is scored corpus-wide, in one scan of the
+bucket sources joined into one text (`BucketSet.joined`): a match site counts
+as a true positive when replacing it reproduces exactly what the alignment
+demands there, and as a false positive otherwise. A literal candidate's scan
+stops once its false positives show it cannot clear the bar (see `_score`).
 Rules at precision <= 0.5 are dropped; the survivors are ranked and
 greedily retained so that no two rules claim the same stretch of source.
+
+Scoring is lazy (`_select`): a literal candidate waits under an upper bound
+of its rank and is scored only when the selection reaches it, or dropped
+unscored once its window or edit is claimed. The bound counts its edit's
+source text in the joined text as plain text, since an edit's edges need not
+be token boundaries. What is retained, and in what order, is exactly what
+scoring every candidate first would give; a rename repeated over many files
+is scored once or twice instead of once per window of each edit.
 Move rules (moves.py) are built on the same window grid, scored by the
-same scan and retained by the same selection pass.
+same scan and retained by the same selection; their capture patterns have
+no such bound and are scored as they are formed.
 
 A fix-up loop replays retained rules on the joined sources, one scan and one
 splice a rule, re-dissects only the buckets those rules rewrote, and tries
@@ -24,8 +34,8 @@ offset projection.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from heapq import heapify, heappop, heappush
 from itertools import islice, zip_longest
 from typing import Any, NamedTuple
 
@@ -102,13 +112,19 @@ Region = tuple[int, tuple[int, int]]  # (bucket index, source span)
 
 
 class Candidate(NamedTuple):
-    """A scored rule, its tie-break order after precision and tp, and the
-    regions it claims once retained."""
+    """A rule, its tie-break order after precision and tp, and the regions it
+    claims once retained: its window, its core, then every tp site.
+
+    A literal candidate is formed pending: `metrics` is None, `claims` holds
+    the window and the core alone, and `lhs` -> `rhs` is scored only when
+    the selection reaches it (`_select`)."""
 
     rule: Any
-    metrics: RuleMetrics
+    metrics: RuleMetrics | None
     order: tuple
     claims: list[Region]
+    lhs: str = ""
+    rhs: str = ""
 
     def rank(self) -> tuple:
         return (-self.metrics.precision, -self.metrics.tp, *self.order)
@@ -132,8 +148,10 @@ def _score(buckets: BucketSet, lhs: str | Matcher, rhs: str) -> tuple[RuleMetric
     there). Hence tp <= 2 x (edit atoms), and once fp reaches that cap,
     tp / (tp + fp) <= 0.5 whatever the rest of the scan holds: the candidate
     is imprecise, and a precise one never reaches the cap, so its metrics
-    are exact. A capture can fill prefix + capture + suffix to equal rhs on
-    identity text, a tp with no edit, so capture matchers are scored in full.
+    are exact. The same cap bounds a pending candidate's tp before it is
+    scored (`_select`). A capture can fill prefix + capture + suffix to
+    equal rhs on identity text, a tp with no edit, so capture matchers have
+    no such bound: they are scored in full, and as soon as they are formed.
     """
     joined = buckets.joined
     starts = joined.starts
@@ -172,49 +190,68 @@ def _span(atoms: tuple[Atom, ...], lo: int, hi: int) -> tuple[int, int]:
     return (atoms[lo].lhs_start, atoms[hi - 1].lhs_start + len(atoms[hi - 1].lhs))
 
 
-def _expand(
-    buckets: BucketSet, bidx: int, lo: int, hi: int, window: int, pool: dict, form: Callable
-) -> None:
-    """Score the rules that `form(j, k, s, e, t, u)` builds on the (j, k)
-    window grid, clipped at the bucket's ends: source[s:e] and target[t:u]
-    reach j context units before the core atoms [lo, hi) and k after.
+class Form(NamedTuple):
+    """How the windows around a core make rules. `order(s, e, t, u)` is the
+    window's tie-break order after precision and tp, or None when the window
+    makes no rule. `build(order, j, k, t)` gives the rule and the lhs and
+    rhs that `_score` takes: a literal, or a capture matcher."""
 
-    `form` returns (rule, order, lhs, rhs), or None when the window makes
-    no rule; lhs is a literal or a capture matcher, as `_score` takes it. A
-    rule already in `pool` keeps its first entry. A candidate claims its
-    window, the core and every tp site.
+    order: Callable[[int, int, int, int], tuple | None]
+    build: Callable[[tuple, int, int, int], tuple]
+
+
+def _expand(
+    buckets: BucketSet, bidx: int, lo: int, hi: int, window: int, pool: dict, form: Form
+) -> None:
+    """Add to `pool` the candidates that `form` makes on the (j, k) window
+    grid, clipped at the bucket's ends: source[s:e] and target[t:u] reach j
+    context units before the core atoms [lo, hi) and k after.
+
+    The pool is keyed by order, which names the rule: its literal and rhs,
+    or its capture pattern and rhs. (Two consequents that split one literal
+    at different slots share an order; they score alike, so the first
+    formed wins their tie either way.) A rule already in `pool` keeps its
+    first entry. A candidate claims its window and the core; a literal one
+    is pending, a capture matcher is scored now and claims its tp sites too
+    (a capture's tp needs no edit, so nothing bounds it in advance).
     """
     bucket = buckets[bidx]
     befores = [*islice(bucket.reach(lo, -1), window + 1)]
     afters = [*islice(bucket.reach(hi, 1), window + 1)]
     core = (bidx, (befores[0][0], afters[0][0]))
+    order_at, build = form
     for j, (s, t) in enumerate(befores):
         for k, (e, u) in enumerate(afters):
-            formed = form(j, k, s, e, t, u)
-            if formed is None or formed[0] in pool:
+            order = order_at(s, e, t, u)
+            if order is None or order in pool:
                 continue
-            rule, order, lhs, rhs = formed
-            metrics, sites = _score(buckets, lhs, rhs)
-            claims = [(bidx, (s, e)), core, *sites]
-            pool[rule] = Candidate(rule, metrics, order, claims)
+            rule, lhs, rhs = build(order, j, k, t)
+            claims = [(bidx, (s, e)), core]
+            if isinstance(lhs, str):
+                pool[order] = Candidate(rule, None, order, claims, lhs, rhs)
+            else:
+                metrics, sites = _score(buckets, lhs, rhs)
+                pool[order] = Candidate(rule, metrics, order, claims + sites)
 
 
-def _literal_form(bucket: Bucket, rule_at: Callable) -> Callable:
+def _literal_form(bucket: Bucket, rule_at: Callable) -> Form:
     """Form of the rules rewriting a window's source text to its target text;
     `rule_at(j, k, t, lhs, rhs)` builds the rule, t the window's target start."""
     source, target = bucket.source, bucket.target
 
-    def form(j: int, k: int, s: int, e: int, t: int, u: int):
+    def order(s: int, e: int, t: int, u: int) -> tuple | None:
         lhs, rhs = source[s:e], target[t:u]
-        if not lhs or lhs == rhs:
-            return None
-        return rule_at(j, k, t, lhs, rhs), (len(lhs), lhs, rhs), lhs, rhs
+        return (len(lhs), lhs, rhs) if lhs and lhs != rhs else None
 
-    return form
+    def build(order: tuple, j: int, k: int, t: int) -> tuple:
+        _, lhs, rhs = order
+        return rule_at(j, k, t, lhs, rhs), lhs, rhs
+
+    return Form(order, build)
 
 
 def expand_edit(buckets: BucketSet, bucket_index: int, core: int, pool: dict, window: int) -> None:
-    """Expand the edit at atom `core` of a bucket into scored rewrite candidates."""
+    """Expand the edit at atom `core` of a bucket into rewrite candidates."""
     bucket = buckets[bucket_index]
     if bucket.atoms[core].lhs == bucket.atoms[core].rhs:
         raise ValueError("expand_edit requires an edit atom")
@@ -225,42 +262,106 @@ def expand_edit(buckets: BucketSet, bucket_index: int, core: int, pool: dict, wi
     _expand(buckets, bucket_index, core, core + 1, window, pool, form)
 
 
-def _select(candidates: Iterable[Candidate]) -> list[Candidate]:
-    """Rank the candidates above the precision bar and retain, best first,
-    each one whose claims overlap no retained candidate's claims.
+def _overlaps(claimed: dict[int, list[int]], claims: list[Region]) -> bool:
+    """True if a claim shares an offset with the claimed runs of its bucket.
 
     A span [s, e) claims the offsets s..e-1; a zero-width span at p claims
-    p alone, as [p, p + 1) does. Two claims overlap when they share an
-    offset, so each bucket's claimed offsets are kept as one flat sorted
-    list of disjoint runs, [start, end, start, end, ...], and a claim is
-    tested with one bisect.
+    p alone, as [p, p + 1) does. Each bucket's claimed offsets are kept as
+    one flat sorted list of disjoint runs, [start, end, start, end, ...], so
+    a claim is tested with one bisect.
     """
-    kept: list[Candidate] = []
-    claimed: defaultdict[int, list[int]] = defaultdict(list)
-    for cand in sorted((c for c in candidates if c.metrics.precise), key=Candidate.rank):
-        spans = [(claimed[bucket], s, max(e, s + 1)) for bucket, (s, e) in cand.claims]
-        for runs, s, e in spans:
+    for bucket, (s, e) in claims:
+        runs = claimed.get(bucket)
+        if runs:
+            # s lies in a run, or a run starts before e
             i = bisect_right(runs, s)
-            if i & 1 or (i < len(runs) and runs[i] < e):  # s in a run, or a run starts before e
-                break
-        else:
-            for runs, s, e in spans:
-                # Merge [s, e) with the runs it overlaps or touches: an odd
-                # index lies inside or at the end of a run, which keeps its bound.
-                i, j = bisect_left(runs, s), bisect_right(runs, e)
-                runs[i:j] = [s, e][i & 1 : 2 - (j & 1)]
-            kept.append(cand)
-    return kept
+            if i & 1 or (i < len(runs) and runs[i] < max(e, s + 1)):
+                return True
+    return False
 
 
-def sort_and_filter(pool: dict) -> list[tuple[RewriteRule, RuleMetrics]]:
-    """Drop imprecise candidates, rank the rest, retain non-overlapping ones.
+def _claim(claimed: dict[int, list[int]], claims: list[Region]) -> None:
+    for bucket, (s, e) in claims:
+        runs = claimed.setdefault(bucket, [])
+        # Merge [s, e) with the runs it overlaps or touches: an odd index
+        # lies inside or at the end of a run, which keeps its bound.
+        e = max(e, s + 1)
+        i, j = bisect_left(runs, s), bisect_right(runs, e)
+        runs[i:j] = [s, e][i & 1 : 2 - (j & 1)]
+
+
+def _select(
+    candidates: Iterable[Candidate], buckets: BucketSet | None = None
+) -> Iterator[Candidate]:
+    """The precise candidates, best rank first, each yielded when its claims
+    overlap no claim yielded before it, with every pending candidate scored
+    against `buckets` only when it can still be retained.
+
+    This is the lazy greedy of Minoux (1978). A pending candidate waits
+    under the optimistic key (-1.0, -bound, *order): its precision is at
+    most 1, and its tp at most the bound, the least of 2 x (edit atoms) (see
+    `_score`) and the count of its core's source text in the joined sources.
+    The count bounds tp because every tp site is an aligned match of the
+    window's text, which holds the core's text at a fixed offset, and
+    aligned matches do not overlap, so neither do those copies; `str.count`
+    counts the most disjoint copies there are. It counts plain text, not
+    token-aligned occurrences: a core's edges need not be token boundaries
+    (a change block starting before a line's indentation, or one token cut
+    off an identity run). An insertion's core text is empty, and its count,
+    one more than the text's length, exceeds any number of disjoint
+    nonempty matches. So a candidate's exact rank is never better than its
+    key.
+
+    When a pending key comes first, the candidate is dropped unscored if
+    its window or core overlaps a retained claim: claims only grow, so its
+    exact turn would drop it too. Otherwise it is scored, and if precise it
+    waits again under its exact rank, claiming its tp sites too. Ties fall
+    to pool order. So what is yielded, and in what order, is what ranking
+    every candidate scored and retaining greedily yields.
+    """
+    claimed: dict[int, list[int]] = {}
+    bounds: dict[str, int] = {}  # core text -> bound, for this text
+    pending: list[tuple] = []
+    exact: list[tuple] = []
+    for n, cand in enumerate(candidates):
+        if cand.metrics is None:
+            bidx, (s, e) = cand.claims[1]
+            core = buckets.buckets[bidx].source[s:e]
+            bound = bounds.get(core)
+            if bound is None:
+                bound = bounds[core] = min(2 * buckets.edit_count, buckets.joined.text.count(core))
+            pending.append(((-1.0, -bound, *cand.order, n), cand))
+        elif cand.metrics.precise:
+            exact.append(((*cand.rank(), n), cand))
+    pending.sort(reverse=True)  # best key last
+    heapify(exact)
+    while pending or exact:
+        if exact and (not pending or exact[0][0] < pending[-1][0]):
+            _, cand = heappop(exact)
+            if not _overlaps(claimed, cand.claims):
+                _claim(claimed, cand.claims)
+                yield cand
+            continue
+        key, cand = pending.pop()
+        if claimed and _overlaps(claimed, cand.claims):
+            continue
+        metrics, sites = _score(buckets, cand.lhs, cand.rhs)
+        if metrics.precise:
+            cand = Candidate(cand.rule, metrics, cand.order, cand.claims + sites)
+            heappush(exact, ((*cand.rank(), key[-1]), cand))
+
+
+def sort_and_filter(
+    pool: dict, buckets: BucketSet | None = None
+) -> list[tuple[RewriteRule, RuleMetrics]]:
+    """The retained rules of a pool with their metrics, best first
+    (`_select`; `buckets` scores its pending candidates).
 
     A retained rule claims its origin expansion span, its core edit and
     every tp site; a later candidate touching a claimed span in the same
     bucket is skipped.
     """
-    return [(c.rule, c.metrics) for c in _select(pool.values())]
+    return [(c.rule, c.metrics) for c in _select(pool.values(), buckets)]
 
 
 def get_precise_rewriting(buckets: BucketSet, window: int) -> list[tuple[RewriteRule, RuleMetrics]]:
@@ -269,7 +370,7 @@ def get_precise_rewriting(buckets: BucketSet, window: int) -> list[tuple[Rewrite
     for bucket_index, bucket in enumerate(buckets):
         for core in bucket.cores:
             expand_edit(buckets, bucket_index, core, pool, window)
-    return sort_and_filter(pool)
+    return sort_and_filter(pool, buckets)
 
 
 # --- the fix-up loop ---------------------------------------------------------

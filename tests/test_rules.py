@@ -2,6 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import summer.rules as rules
 from summer.align import Bucket, BucketSet, dissect
 from summer.moves import MovePattern, match_pattern
 from summer.rules import (
@@ -343,20 +344,36 @@ class TestSelect:
         assert [c.rule for c in _select(pool)] == [c.rule for c in pairwise_select(pool)]
 
 
+def scored(buckets: BucketSet, pool: dict) -> list[Candidate]:
+    """Every candidate of a pool with its metrics and tp sites, as scoring
+    each one as it is formed would give it."""
+    out = []
+    for cand in pool.values():
+        if cand.metrics is None:
+            metrics, sites = _score(buckets, cand.lhs, cand.rhs)
+            cand = cand._replace(metrics=metrics, claims=cand.claims + sites)
+        out.append(cand)
+    return out
+
+
 class TestExpandEdit:
     def test_host_rename_candidate_present(self, rename_corpus):
         pool = {}
         core = core_atom(rename_corpus, 0, SUBSTITUTION)
         expand_edit(rename_corpus, 0, core, pool, WINDOW)
-        e = pool[RewriteRule("github", "gitlab")]
-        assert (e.metrics.tp, e.metrics.fp) == (2, 0)
+        e = pool[len("github"), "github", "gitlab"]  # keyed by order
+        assert e.rule == RewriteRule("github", "gitlab")
+        assert e.metrics is None  # pending until the selection reaches it
+        metrics, _ = _score(rename_corpus, e.lhs, e.rhs)
+        assert (metrics.tp, metrics.fp) == (2, 0)
 
     def test_insertion_contexts_from_both_sides(self, rename_corpus):
         pool = {}
         core = core_atom(rename_corpus, 2, INSERTION)
         expand_edit(rename_corpus, 2, core, pool, WINDOW)
-        nl = pool[RewriteRule("\n", '\nimport "fmt"\n')].metrics
-        fn = pool[RewriteRule("func", 'import "fmt"\nfunc')].metrics
+        by_rule = {c.rule: c.metrics for c in scored(rename_corpus, pool)}
+        nl = by_rule[RewriteRule("\n", '\nimport "fmt"\n')]
+        fn = by_rule[RewriteRule("func", 'import "fmt"\nfunc')]
         assert (nl.tp, nl.fp) == (1, 6)
         assert (fn.tp, fn.fp) == (1, 0)
 
@@ -390,6 +407,133 @@ class TestGetPreciseRewriting:
         corpus = BucketSet((dissect("x", "y", "t"),))
         ranked = get_precise_rewriting(corpus, WINDOW)
         assert [(r.lhs, r.rhs, m) for r, m in ranked] == [("x", "y", RuleMetrics(1, 0))]
+
+
+def eager_rewriting(buckets: BucketSet, window: int) -> list[tuple[RewriteRule, RuleMetrics]]:
+    """Reference: every formed candidate scored with `_score`, then the
+    pairwise selection."""
+    pool: dict = {}
+    for bidx, bucket in enumerate(buckets):
+        for core in bucket.cores:
+            expand_edit(buckets, bidx, core, pool, window)
+    return [(c.rule, c.metrics) for c in pairwise_select(scored(buckets, pool))]
+
+
+def spelled(ranked) -> list[tuple]:
+    """Retained rules as the step document and the fix-up rounds read them."""
+    return [(r.lhs, r.rhs, r.origin, m) for r, m in ranked]
+
+
+# One edit repeated over many buckets; the last one's lhs starts mid-token
+# when a line's indentation changes.
+SHARED_EDITS = [("File", "Renamed"), ("+", "*"), ("1", "22"), ("ab", "b"), ("\n    ", "\n  ")]
+
+
+@st.composite
+def rename_corpora(draw) -> BucketSet:
+    """2 to 12 buckets sharing one edit: each source strings pieces, copies
+    of the edit's lhs and its own number, and its target rewrites some of
+    those copies."""
+    old, new = draw(st.sampled_from(SHARED_EDITS))
+    buckets = []
+    for i in range(draw(st.integers(2, 12))):
+        parts = draw(st.lists(st.sampled_from([old, old, str(i), *PIECES]), max_size=10))
+        keep = draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+        target = "".join(new if p == old and not k else p for p, k in zip(parts, keep))
+        buckets.append(dissect("".join(parts), target, f"f{i}"))
+    return BucketSet(tuple(buckets))
+
+
+LINES = ["a = 1;\n", "    b(a);\n", "\n", "x\n", "  y = a + 1;\n", "}\n"]
+
+
+@st.composite
+def insertion_corpora(draw) -> BucketSet:
+    """1 to 5 buckets of whole lines whose targets only insert lines."""
+    buckets = []
+    for i in range(draw(st.integers(1, 5))):
+        source = draw(st.lists(st.sampled_from(LINES), max_size=8))
+        target = list(source)
+        for _ in range(draw(st.integers(1, 3))):
+            target.insert(draw(st.integers(0, len(target))), draw(st.sampled_from(LINES)))
+        buckets.append(dissect("".join(source), "".join(target), f"f{i}"))
+    return BucketSet(tuple(buckets))
+
+
+# The change block starts at an indented line: the widened indentation
+# "    " -> "        " begins inside the whitespace token "\n    ", so its
+# lhs has no token-aligned occurrence, yet its window has a tp.
+INDENT_WIDENED = BucketSet(
+    (dissect("class A:\n    x = 1\n", "# A\nclass A:\n        x = 1\n", "c"),)
+)
+STATEMENTS = ["x = 1", "b(a)", "}", "class A:", "# A"]
+
+
+@st.composite
+def reindent_corpora(draw) -> BucketSet:
+    """1 to 3 buckets of indented lines whose targets re-indent some lines
+    and insert others: an edit of indentation after a newline starts inside
+    the whitespace token that holds both."""
+    indents = st.sampled_from(["", "  ", "    ", "\t"])
+    buckets = []
+    for i in range(draw(st.integers(1, 3))):
+        source, target = [], []
+        for _ in range(draw(st.integers(1, 5))):
+            text = draw(st.sampled_from(STATEMENTS))
+            if draw(st.booleans()):
+                target.append(draw(indents) + draw(st.sampled_from(STATEMENTS)) + "\n")
+            indent = draw(indents)
+            source.append(indent + text + "\n")
+            target.append((draw(indents) if draw(st.booleans()) else indent) + text + "\n")
+        buckets.append(dissect("".join(source), "".join(target), f"f{i}"))
+    return BucketSet(tuple(buckets))
+
+
+def java_class(i: int, name: str, op: str) -> str:
+    return (
+        f"public class {name}{i} {{\n"
+        f"    private int count{i} = {i * 7 % 1000};\n"
+        f"    public int get{i}() {{\n"
+        f"        return count{i} {op} {i % 13};\n"
+        "    }\n"
+        "}\n"
+    )
+
+
+def rename_tree(n: int) -> BucketSet:
+    """n renamed classes, path and content, the way perfbench's tree
+    workload renames them: `File{i}` to `Renamed{i}` and `+` to `*`, with
+    each file's own number in the context of every edit."""
+    buckets = []
+    for i in range(n):
+        path = f"src/File{i}.java"
+        buckets.append(dissect(java_class(i, "File", "+"), java_class(i, "Renamed", "*"), path))
+        buckets.append(dissect(path, f"src/Renamed{i}.java", "name:" + path))
+    return BucketSet(tuple(buckets))
+
+
+class TestLazySelection:
+    """Scoring only what can still be retained keeps the eager outcome."""
+
+    @given(
+        st.one_of(rename_corpora(), insertion_corpora(), reindent_corpora(), corpora()),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(buckets=INDENT_WIDENED, window=2)
+    def test_equals_eager_reference(self, buckets, window):
+        want = spelled(eager_rewriting(buckets, window))
+        assert spelled(get_precise_rewriting(buckets, window)) == want
+
+    def test_rename_tree_scores_what_it_keeps(self, monkeypatch):
+        buckets = rename_tree(40)
+        want = spelled(eager_rewriting(buckets, WINDOW))
+        calls = []
+        score = rules._score
+        monkeypatch.setattr(rules, "_score", lambda *args: calls.append(args) or score(*args))
+        assert spelled(get_precise_rewriting(buckets, WINDOW)) == want
+        assert [(lhs, rhs) for lhs, rhs, _, _ in want] == [("File", "Renamed"), ("+", "*")]
+        assert len(calls) <= 4
 
 
 class TestDecomposeRewrites:
