@@ -73,16 +73,28 @@ def _write(dest: str | bytes | None, data: bytes) -> None:
 
 def _write_tree(root: str, snap: Snapshot) -> None:
     """Make the tree at root hold exactly snap. Every path and content is
-    checked and encoded before any file is removed or written."""
+    checked and encoded before any file is removed or written: no path may
+    also be a directory, of another path or of something the walk skips. So
+    a directory where a file must go holds only files that snap drops, and
+    is removed once they are."""
+    dirs = {rel[:i] for rel in snap for i, ch in enumerate(rel) if ch == "/"}
     out = []
     for rel, content in snap.items():
         if os.path.isabs(rel) or any(part in ("", ".", "..") for part in rel.split("/")):
             raise CliError(f"unsafe path {rel!r}: absolute, or with an empty, '.' or '..' part")
-        out.append((os.fsencode(os.path.join(root, rel.replace("/", os.sep))), _encode(content)))
+        full = os.fsencode(os.path.join(root, rel.replace("/", os.sep)))
+        if rel in dirs or os.path.isdir(full) and any(
+            SKIP_DIRS.intersection(map(os.fsdecode, names)) for _, names, _ in os.walk(full)
+        ):
+            raise CliError(f"path {rel!r} is both a file and a directory")
+        out.append((full, _encode(content)))
     for rel, full in _walk_tree(root):
         if rel not in snap:
             os.remove(full)
     for full, data in out:
+        if os.path.isdir(full):
+            for emptied, _, _ in os.walk(full, topdown=False):
+                os.rmdir(emptied)
         os.makedirs(os.path.dirname(full) or b".", exist_ok=True)
         _write(full, data)
 

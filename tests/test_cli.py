@@ -224,6 +224,60 @@ class TestRebaseCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert {p.name: read(p) for p in target.iterdir()} == files
 
+    @staticmethod
+    def tree_state(root) -> dict:
+        """Every file with its text and every directory (as None) under root."""
+        return {
+            p.relative_to(root).as_posix(): read(p) if p.is_file() else None
+            for p in root.rglob("*")
+        }
+
+    def rebase_tree(self, tmp_path, files: dict, steps: list) -> tuple[int, dict, dict]:
+        """Exit code of rebasing a tree of `files` with `steps`, and the
+        tree's state before and after."""
+        target = tmp_path / "target"
+        for rel, text in files.items():
+            (target / rel).parent.mkdir(parents=True, exist_ok=True)
+            write(target / rel, text)
+        steps_file = tmp_path / "steps.json"
+        write(steps_file, json.dumps({"version": 1, "steps": steps}))
+        before = self.tree_state(target)
+        rc = main(["rebase", "--steps-in", str(steps_file), str(target)])
+        return rc, before, self.tree_state(target)
+
+    @pytest.mark.parametrize(
+        "files, added",
+        [
+            # The steps add a file below a file the tree keeps, "a".
+            ({"a": "a\n", "z": "z\n"}, "a/b"),
+            # The steps add a file where the tree keeps a directory.
+            ({"q/b": "b\n", "z": "z\n"}, "q"),
+            # ... or where a directory holds only what the tree walk skips.
+            ({"q/.git/b": "b\n", "z": "z\n"}, "q"),
+        ],
+    )
+    def test_path_clash_leaves_the_tree(self, tmp_path, capsys, files, added):
+        steps = [
+            {"kind": "file_add", "path": added, "content": "new\n"},
+            {"kind": "file_delete", "path": "z"},
+        ]
+        rc, before, after = self.rebase_tree(tmp_path, files, steps)
+        assert rc == 2
+        clash = added.split("/")[0]
+        assert f"path {clash!r} is both a file and a directory" in capsys.readouterr().err
+        assert after == before
+
+    def test_file_replaces_the_directory_it_empties(self, tmp_path):
+        files = {"q/b": "b\n", "q/c/d": "d\n", "z": "z\n"}
+        steps = [
+            {"kind": "file_delete", "path": "q/b"},
+            {"kind": "file_delete", "path": "q/c/d"},
+            {"kind": "file_add", "path": "q", "content": "q\n"},
+        ]
+        rc, _, after = self.rebase_tree(tmp_path, files, steps)
+        assert rc == 0
+        assert after == {"q": "q\n", "z": "z\n"}
+
     def test_output_flag(self, trio, tmp_path):
         base, left, right = trio
         dest = tmp_path / "merged.txt"
