@@ -180,7 +180,10 @@ def _antecedent_form(bucket: Bucket, core: int, offset: int, n: int) -> Form:
     def build(order: tuple, j: int, k: int, t: int) -> tuple:
         _, prefix, suffix, rhs = order
         pattern = MovePattern(prefix, suffix)
-        matcher = lambda joined: [m[:2] for m in match_pattern(joined, pattern)]  # noqa: E731
+
+        def matcher(joined: Joined) -> list[tuple[int, int]]:
+            return [m[:2] for m in match_pattern(joined, pattern)]
+
         return Antecedent(pattern, rhs), matcher, rhs
 
     return Form(order, build)

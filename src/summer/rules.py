@@ -280,16 +280,6 @@ def _overlaps(claimed: dict[int, list[int]], claims: list[Region]) -> bool:
     return False
 
 
-def _claim(claimed: dict[int, list[int]], claims: list[Region]) -> None:
-    for bucket, (s, e) in claims:
-        runs = claimed.setdefault(bucket, [])
-        # Merge [s, e) with the runs it overlaps or touches: an odd index
-        # lies inside or at the end of a run, which keeps its bound.
-        e = max(e, s + 1)
-        i, j = bisect_left(runs, s), bisect_right(runs, e)
-        runs[i:j] = [s, e][i & 1 : 2 - (j & 1)]
-
-
 def _select(
     candidates: Iterable[Candidate], buckets: BucketSet | None = None
 ) -> Iterator[Candidate]:
@@ -338,9 +328,16 @@ def _select(
     while pending or exact:
         if exact and (not pending or exact[0][0] < pending[-1][0]):
             _, cand = heappop(exact)
-            if not _overlaps(claimed, cand.claims):
-                _claim(claimed, cand.claims)
-                yield cand
+            if _overlaps(claimed, cand.claims):
+                continue
+            for bucket, (s, e) in cand.claims:
+                runs = claimed.setdefault(bucket, [])
+                # Merge [s, e) with the runs it overlaps or touches: an odd
+                # index lies inside or at the end of a run, which keeps its bound.
+                e = max(e, s + 1)
+                i, j = bisect_left(runs, s), bisect_right(runs, e)
+                runs[i:j] = [s, e][i & 1 : 2 - (j & 1)]
+            yield cand
             continue
         key, cand = pending.pop()
         if claimed and _overlaps(claimed, cand.claims):
