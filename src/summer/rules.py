@@ -11,13 +11,10 @@ stops once its false positives show it cannot clear the bar (see `_score`).
 Rules at precision <= 0.5 are dropped; the survivors are ranked and
 greedily retained so that no two rules claim the same stretch of source.
 
-Scoring is lazy (`_select`): a literal candidate waits under an upper bound
-of its rank and is scored only when the selection reaches it, or dropped
-unscored once its window or edit is claimed. The bound counts its edit's
-source text in the joined text as plain text, since an edit's edges need not
-be token boundaries. What is retained, and in what order, is exactly what
-scoring every candidate first would give; a rename repeated over many files
-is scored once or twice instead of once per window of each edit.
+Scoring is lazy (`_select`): a literal candidate is scored only when the
+selection reaches it under an upper bound of its rank, and is dropped
+unscored once its window or edit is claimed. What is retained, and in what
+order, is exactly what scoring every candidate first would give.
 Move rules (moves.py) are built on the same window grid, scored by the
 same scan and retained by the same selection; their capture patterns have
 no such bound and are scored as they are formed.
