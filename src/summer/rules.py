@@ -313,7 +313,7 @@ def _select(
     for n, cand in enumerate(candidates):
         if cand.metrics is None:
             bidx, (s, e) = cand.claims[1]
-            core = buckets.buckets[bidx].source[s:e]
+            core = buckets[bidx].source[s:e]
             bound = bounds.get(core)
             if bound is None:
                 bound = bounds[core] = min(2 * buckets.edit_count, buckets.joined.text.count(core))
@@ -340,9 +340,10 @@ def _select(
         if claimed and _overlaps(claimed, cand.claims):
             continue
         metrics, sites = _score(buckets, cand.lhs, cand.rhs)
-        if metrics.precise:
+        tp, fp = metrics
+        if tp > fp:  # precise: its rank is (-tp / (tp + fp), -tp, *order)
             cand = Candidate(cand.rule, metrics, cand.order, cand.claims + sites)
-            heappush(exact, ((*cand.rank(), key[-1]), cand))
+            heappush(exact, ((-tp / (tp + fp), -tp, *cand.order, key[-1]), cand))
 
 
 def sort_and_filter(
