@@ -186,7 +186,7 @@ def _antecedent_form(bucket: Bucket, core: int, offset: int, n: int) -> Form:
 
         return Antecedent(pattern, rhs), matcher, rhs
 
-    return Form(order, build)
+    return order, build
 
 
 def _consequent_form(bucket: Bucket, core: int, offset: int, n: int) -> Form:

@@ -187,14 +187,7 @@ def _span(atoms: tuple[Atom, ...], lo: int, hi: int) -> tuple[int, int]:
     return (atoms[lo].lhs_start, atoms[hi - 1].lhs_start + len(atoms[hi - 1].lhs))
 
 
-class Form(NamedTuple):
-    """How the windows around a core make rules. `order(s, e, t, u)` is the
-    window's tie-break order after precision and tp, or None when the window
-    makes no rule. `build(order, j, k, t)` gives the rule and the lhs and
-    rhs that `_score` takes: a literal, or a capture matcher."""
-
-    order: Callable[[int, int, int, int], tuple | None]
-    build: Callable[[tuple, int, int, int], tuple]
+Form = tuple[Callable, Callable]  # (order, build), see `_expand`
 
 
 def _expand(
@@ -204,6 +197,10 @@ def _expand(
     grid, clipped at the bucket's ends: source[s:e] and target[t:u] reach j
     context units before the core atoms [lo, hi) and k after.
 
+    `form` is (order, build): `order(s, e, t, u)` is the window's tie-break
+    order after precision and tp, or None when the window makes no rule, and
+    `build(order, j, k, t)` gives the rule and the lhs and rhs that `_score`
+    takes, a literal or a capture matcher. Only a new order is built.
     The pool is keyed by order, which names the rule: its literal and rhs,
     or its capture pattern and rhs. (Two consequents that split one literal
     at different slots share an order; they score alike, so the first
@@ -244,7 +241,7 @@ def _literal_form(bucket: Bucket, rule_at: Callable) -> Form:
         _, lhs, rhs = order
         return rule_at(j, k, t, lhs, rhs), lhs, rhs
 
-    return Form(order, build)
+    return order, build
 
 
 def expand_edit(buckets: BucketSet, bucket_index: int, core: int, pool: dict, window: int) -> None:
