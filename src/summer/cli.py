@@ -71,11 +71,24 @@ def _write(dest: str | bytes | None, data: bytes) -> None:
             fh.write(data)
 
 
+def _emptied(path: bytes) -> bool:
+    """Whether removing every file the tree walk finds under a directory
+    leaves only directories there: it is no link, and holds no link to a
+    directory and nothing the walk skips."""
+    if os.path.islink(path):
+        return False
+    for dirpath, names, _ in os.walk(path):
+        for name in names:
+            if os.fsdecode(name) in SKIP_DIRS or os.path.islink(os.path.join(dirpath, name)):
+                return False
+    return True
+
+
 def _write_tree(root: str, snap: Snapshot) -> None:
     """Make the tree at root hold exactly snap. Every path and content is
     checked and encoded before any file is removed or written: no path may
-    also be a directory, of another path or of something the walk skips. So
-    a directory where a file must go holds only files that snap drops, and
+    also be a directory, of another path or of something that stays. So a
+    directory where a file must go holds only files that snap drops, and
     is removed once they are."""
     dirs = {rel[:i] for rel in snap for i, ch in enumerate(rel) if ch == "/"}
     out = []
@@ -83,9 +96,7 @@ def _write_tree(root: str, snap: Snapshot) -> None:
         if os.path.isabs(rel) or any(part in ("", ".", "..") for part in rel.split("/")):
             raise CliError(f"unsafe path {rel!r}: absolute, or with an empty, '.' or '..' part")
         full = os.fsencode(os.path.join(root, rel.replace("/", os.sep)))
-        if rel in dirs or os.path.isdir(full) and any(
-            SKIP_DIRS.intersection(map(os.fsdecode, names)) for _, names, _ in os.walk(full)
-        ):
+        if rel in dirs or os.path.isdir(full) and not _emptied(full):
             raise CliError(f"path {rel!r} is both a file and a directory")
         out.append((full, _encode(content)))
     for rel, full in _walk_tree(root):

@@ -267,6 +267,20 @@ class TestRebaseCommand:
         assert f"path {clash!r} is both a file and a directory" in capsys.readouterr().err
         assert after == before
 
+    def test_file_never_replaces_a_link_to_a_directory(self, tmp_path, capsys):
+        outside = tmp_path / "outside"
+        (outside / "empty").mkdir(parents=True)
+        files = {"z": "z\n"}
+        target = tmp_path / "target"
+        target.mkdir()
+        (target / "q").symlink_to(outside, target_is_directory=True)
+        steps = [{"kind": "file_add", "path": "q", "content": "q\n"}]
+        rc, before, after = self.rebase_tree(tmp_path, files, steps)
+        assert rc == 2
+        assert "path 'q' is both a file and a directory" in capsys.readouterr().err
+        assert after == before
+        assert (target / "q").is_symlink() and (outside / "empty").is_dir()
+
     def test_file_replaces_the_directory_it_empties(self, tmp_path):
         files = {"q/b": "b\n", "q/c/d": "d\n", "z": "z\n"}
         steps = [
