@@ -89,7 +89,9 @@ def _write_tree(root: str, snap: Snapshot) -> None:
     checked and encoded before any file is removed or written: no path may
     also be a directory, of another path or of something that stays. So a
     directory where a file must go holds only files that snap drops, and
-    is removed once they are."""
+    is removed once they are. A directory that held a removed file, and
+    that the removals leave empty, is removed too, deepest first, unless
+    a path of snap lies below it."""
     dirs = {rel[:i] for rel in snap for i, ch in enumerate(rel) if ch == "/"}
     out = []
     for rel, content in snap.items():
@@ -99,9 +101,15 @@ def _write_tree(root: str, snap: Snapshot) -> None:
         if rel in dirs or os.path.isdir(full) and not _emptied(full):
             raise CliError(f"path {rel!r} is both a file and a directory")
         out.append((full, _encode(content)))
+    held = set()
     for rel, full in _walk_tree(root):
         if rel not in snap:
             os.remove(full)
+            held.update(rel[:i] for i, ch in enumerate(rel) if ch == "/")
+    for rel in sorted(held - dirs, key=len, reverse=True):  # a child before its parent
+        path = os.path.join(root, rel.replace("/", os.sep))
+        if not os.listdir(path):
+            os.rmdir(path)
     for full, data in out:
         if os.path.isdir(full):
             for emptied, _, _ in os.walk(full, topdown=False):

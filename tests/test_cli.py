@@ -292,6 +292,20 @@ class TestRebaseCommand:
         assert rc == 0
         assert after == {"q": "q\n", "z": "z\n"}
 
+    def test_removals_prune_the_directories_they_empty(self, tmp_path):
+        # Removing a/b and a/c/d empties a/c and then a. e keeps f, r keeps
+        # what the tree walk skips, and g was empty before any removal.
+        (tmp_path / "target" / "g").mkdir(parents=True)
+        files = {"a/b": "b\n", "a/c/d": "d\n", "e/f": "f\n", "e/x": "x\n",
+                 "r/.git/h": "h\n", "r/s": "s\n", "z": "z\n"}
+        steps = [{"kind": "file_delete", "path": p} for p in ("a/b", "a/c/d", "e/x", "r/s")]
+        rc, _, after = self.rebase_tree(tmp_path, files, steps)
+        assert rc == 0
+        assert after == {
+            "e": None, "e/f": "f\n", "g": None, "r": None, "r/.git": None,
+            "r/.git/h": "h\n", "z": "z\n",
+        }
+
     def test_output_flag(self, trio, tmp_path):
         base, left, right = trio
         dest = tmp_path / "merged.txt"
