@@ -126,7 +126,7 @@ def _alignment(a: Sequence[str], b: Sequence[str]) -> list[tuple[str, str]]:
     (m - j) - (n - i), row n - i); the walk asks it only of cells next to a
     minimal path, which lie in the searched band."""
     n, m = len(a), len(b)
-    c = _bit_vector(a, b) if b else n  # dist(a[i:], b[j:]) as the walk goes
+    c = levenshtein(a, b)  # dist(a[i:], b[j:]) as the walk goes
     levels = list(_frontiers(a[::-1], b[::-1], c))
     parts: list[tuple[str, str]] = []
     i = j = 0
