@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import groupby
 from operator import add, itemgetter
@@ -129,30 +129,24 @@ def is_name_label(label: str) -> bool:
     return label.startswith(NAME_PREFIX)
 
 
-class BucketSet:
-    def __init__(self, buckets: tuple[Bucket, ...]) -> None:
-        if len({b.label for b in buckets}) != len(buckets):
+class BucketSet(tuple):
+    """The buckets of one decomposition, as a tuple, their labels unique."""
+
+    def __new__(cls, buckets: Iterable[Bucket]) -> BucketSet:
+        self = super().__new__(cls, buckets)
+        if len({b.label for b in self}) != len(self):
             raise ValueError("bucket labels must be unique")
-        self.buckets = buckets
+        return self
 
     @cached_property
     def joined(self) -> Joined:
         """The bucket sources as one text: one scan scores a rule against all."""
-        return Joined.of([b.source for b in self.buckets])
+        return Joined.of([b.source for b in self])
 
     @cached_property
     def edit_count(self) -> int:
         """Edit atoms in the set."""
-        return sum(len(b.cores) for b in self.buckets)
-
-    def __iter__(self):
-        return iter(self.buckets)
-
-    def __getitem__(self, index: int) -> Bucket:
-        return self.buckets[index]
-
-    def __len__(self) -> int:
-        return len(self.buckets)
+        return sum(len(b.cores) for b in self)
 
 
 def split_lines(s: str) -> list[str]:

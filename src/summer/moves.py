@@ -14,9 +14,10 @@ an edit (align.Bucket.cores lists a bucket's edits); a shared range starts and
 ends at an edit, so a probe walks only from them, reading runs whole.
 Windows grow by context units around their range, as rewrite rules do.
 
-Antecedent candidates are scored by simulating capture matching against the
-corpus, because the lazy capture can under-reach when the suffix anchor is
-too weak; only the simulation sees that.
+Antecedent candidates are scored by capture matching against the corpus
+(`Joined.match`), because the lazy capture can under-reach when the suffix
+anchor is too weak; only the matching sees that. Antecedents and consequents
+alike are formed pending and scored by the selection that retains them.
 """
 
 from __future__ import annotations
@@ -70,36 +71,6 @@ class MoveRule(NamedTuple):
     antecedent: Antecedent
     consequent: Consequent
     metrics: RuleMetrics = RuleMetrics(0, 0)  # left out of equality and hash
-
-
-def match_pattern(joined: Joined, pattern: MovePattern) -> list[tuple[int, int, int, int]]:
-    """Leftmost non-overlapping capture matches as (start, end, cap0, cap1)
-    in the joined text, each inside one text. The prefix and suffix must land
-    on token boundaries; the capture is the lazily shortest nonempty
-    boundary-to-boundary span before the first valid suffix occurrence. A
-    prefix with no suffix before its text ends resumes the scan at the next.
-    """
-    prefix, suffix = pattern.literal_prefix, pattern.literal_suffix
-    if not prefix or not suffix:
-        raise ValueError("matching requires nonempty anchors around the capture")
-    text, sep = joined.text, joined.sep
-    out: list[tuple[int, int, int, int]] = []
-    if sep in prefix or sep in suffix:
-        return out
-    i = next(_aligned(text, prefix), -1)
-    while i >= 0:
-        cap0 = i + len(prefix)
-        cap1 = next(_aligned(text, suffix, cap0 + 1), -1)
-        if cap1 < 0:
-            return out  # a later prefix site has no suffix after it either
-        stop = text.find(sep, cap0, cap1)
-        if stop >= 0:
-            i = next(_aligned(text, prefix, stop + 1), -1)
-            continue
-        end = cap1 + len(suffix)
-        out.append((i, end, cap0, cap1))
-        i = next(_aligned(text, prefix, end), -1)
-    return out
 
 
 # --- shared-substring search -------------------------------------------------
@@ -180,11 +151,7 @@ def _antecedent_form(bucket: Bucket, core: int, offset: int, n: int) -> Form:
     def build(order: tuple, j: int, k: int, t: int) -> tuple:
         _, prefix, suffix, rhs = order
         pattern = MovePattern(prefix, suffix)
-
-        def matcher(joined: Joined) -> list[tuple[int, int]]:
-            return [m[:2] for m in match_pattern(joined, pattern)]
-
-        return Antecedent(pattern, rhs), matcher, rhs
+        return Antecedent(pattern, rhs), pattern, rhs
 
     return order, build
 
@@ -290,7 +257,7 @@ def apply_move(texts: dict[str, str], move: MoveRule) -> MoveApplication:
     vs conflict) are the caller's business."""
     keys = list(texts)
     joined = Joined.of(list(texts.values()))
-    matches = match_pattern(joined, move.antecedent.lhs)
+    matches = joined.match(*move.antecedent.lhs)
     if not matches:
         return MoveApplication(dict(texts), [], [], [], False)
     captures = [joined.text[c0:c1] for _, _, c0, c1 in matches]

@@ -11,13 +11,12 @@ stops once its false positives show it cannot clear the bar (see `_score`).
 Rules at precision <= 0.5 are dropped; the survivors are ranked and
 greedily retained so that no two rules claim the same stretch of source.
 
-Scoring is lazy (`_select`): a literal candidate is scored only when the
-selection reaches it under an upper bound of its rank, and is dropped
-unscored once its window or edit is claimed. What is retained, and in what
-order, is exactly what scoring every candidate first would give.
-Move rules (moves.py) are built on the same window grid, scored by the
-same scan and retained by the same selection; their capture patterns have
-no such bound and are scored as they are formed.
+Scoring is lazy (`_select`): a candidate is scored only when the selection
+reaches it under an upper bound of its rank, and is dropped unscored once
+its window or edit is claimed. What is retained, and in what order, is
+exactly what scoring every candidate first would give. Move rules
+(moves.py) are built on the same window grid, their antecedents as capture
+patterns, scored by the same scan and retained by the same selection.
 
 A fix-up loop replays retained rules on the joined sources, one scan and one
 splice a rule, re-dissects only the buckets those rules rewrote, and tries
@@ -34,10 +33,11 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from heapq import heapify, heappop, heappush
 from itertools import islice, zip_longest
+from math import inf
 from typing import Any, NamedTuple
 
 from .align import Atom, Bucket, BucketSet, dissect
-from .tokens import Joined, _token_texts
+from .tokens import _token_texts
 
 
 def typed(width: int | None = None) -> Callable[[type], type]:
@@ -112,7 +112,7 @@ class Candidate(NamedTuple):
     """A rule, its tie-break order after precision and tp, and the regions it
     claims once retained: its window, its core, then every tp site.
 
-    A literal candidate is formed pending: `metrics` is None, `claims` holds
+    `_expand` forms a candidate pending: `metrics` is None, `claims` holds
     the window and the core alone, and `lhs` -> `rhs` is scored only when
     the selection reaches it (`_select`)."""
 
@@ -120,42 +120,42 @@ class Candidate(NamedTuple):
     metrics: RuleMetrics | None
     order: tuple
     claims: list[Region]
-    lhs: str = ""
+    lhs: str | tuple[str, str] = ""
     rhs: str = ""
 
     def rank(self) -> tuple:
         return (-self.metrics.precision, -self.metrics.tp, *self.order)
 
 
-Matcher = Callable[[Joined], Iterable[tuple[int, int]]]  # joined sources -> spans
-
-
-def _score(buckets: BucketSet, lhs: str | Matcher, rhs: str) -> tuple[RuleMetrics, list[Region]]:
+def _score(
+    buckets: BucketSet, lhs: str | tuple[str, str], rhs: str, cap: int | None
+) -> tuple[RuleMetrics, list[Region]]:
     """Corpus-wide tp/fp and tp sites of rewriting to `rhs` every match of a
-    literal `lhs`, or every span a capture matcher finds, in one scan of the
-    joined bucket sources: a site is a tp when its bucket's alignment agrees
-    there.
+    literal `lhs` (`Joined.find`), or of a capture pattern (prefix, suffix)
+    (`Joined.match`), in one scan of the joined bucket sources: a site is a
+    tp when its bucket's alignment agrees there. The scan stops once fp
+    reaches `cap`; with None it runs in full.
 
-    A literal scan stops once the candidate can no longer clear the bar. A
-    literal candidate rewrites lhs to a different rhs, and on identity text
-    the alignment demands the text itself, so a tp site covers a whole edit
-    atom or touches an insertion point. Matches do not overlap, so a
-    deletion or substitution lies inside at most one tp site, and an
-    insertion point touches at most two (one ending there, one starting
-    there). Hence tp <= 2 x (edit atoms), and once fp reaches that cap,
-    tp / (tp + fp) <= 0.5 whatever the rest of the scan holds: the candidate
-    is imprecise, and a precise one never reaches the cap, so its metrics
-    are exact. The same cap bounds a pending candidate's tp before it is
-    scored (`_select`). A capture can fill prefix + capture + suffix to
-    equal rhs on identity text, a tp with no edit, so capture matchers have
-    no such bound: they are scored in full, and as soon as they are formed.
+    `_select` caps a literal at 2 x (edit atoms), past which it cannot clear
+    the bar. A literal candidate rewrites lhs to a different rhs, and on
+    identity text the alignment demands the text itself, so a tp site
+    covers a whole edit atom or touches an insertion point. Matches do not
+    overlap, so a deletion or substitution lies inside at most one tp site,
+    and an insertion point touches at most two (one ending there, one
+    starting there). Hence tp <= 2 x (edit atoms), and once fp reaches that
+    cap, tp / (tp + fp) <= 0.5 whatever the rest of the scan holds: the
+    candidate is imprecise, and a precise one never reaches the cap, so its
+    metrics are exact. The same cap bounds a pending literal's tp before it
+    is scored. A capture can fill prefix + capture + suffix to equal rhs on
+    identity text, a tp with no edit, so a capture has no such bound and is
+    scored in full.
     """
     joined = buckets.joined
     starts = joined.starts
     if isinstance(lhs, str):
-        spans, cap = ((s, s + len(lhs)) for s in joined.find(lhs)), 2 * buckets.edit_count
+        spans = ((s, s + len(lhs)) for s in joined.find(lhs))
     else:
-        spans, cap = lhs(joined), None
+        spans = (m[:2] for m in joined.match(*lhs))
     tp = fp = 0
     tp_sites: list[Region] = []
     for start, end in spans:
@@ -175,9 +175,7 @@ def _score(buckets: BucketSet, lhs: str | Matcher, rhs: str) -> tuple[RuleMetric
 def classification_metrics(rule: RewriteRule, buckets: BucketSet) -> RuleMetrics:
     """Corpus-wide tp/fp for one rule, every match counted. Raises ValueError
     on an empty lhs, which `Joined.find` cannot scan for."""
-    # A matcher is scored in full, where the literal's scan would stop at the bar.
-    lhs = rule.lhs
-    metrics, _ = _score(buckets, lambda j: ((s, s + len(lhs)) for s in j.find(lhs)), rule.rhs)
+    metrics, _ = _score(buckets, rule.lhs, rule.rhs, None)
     return metrics
 
 
@@ -200,14 +198,13 @@ def _expand(
     `form` is (order, build): `order(s, e, t, u)` is the window's tie-break
     order after precision and tp, or None when the window makes no rule, and
     `build(order, j, k, t)` gives the rule and the lhs and rhs that `_score`
-    takes, a literal or a capture matcher. Only a new order is built.
+    takes, a literal or a capture pattern. Only a new order is built.
     The pool is keyed by order, which names the rule: its literal and rhs,
     or its capture pattern and rhs. (Two consequents that split one literal
     at different slots share an order; they score alike, so the first
     formed wins their tie either way.) A rule already in `pool` keeps its
-    first entry. A candidate claims its window and the core; a literal one
-    is pending, a capture matcher is scored now and claims its tp sites too
-    (a capture's tp needs no edit, so nothing bounds it in advance).
+    first entry. A candidate is formed pending, claiming its window and the
+    core.
     """
     bucket = buckets[bidx]
     befores = [*islice(bucket.reach(lo, -1), window + 1)]
@@ -220,12 +217,7 @@ def _expand(
             if order is None or order in pool:
                 continue
             rule, lhs, rhs = build(order, j, k, t)
-            claims = [(bidx, (s, e)), core]
-            if isinstance(lhs, str):
-                pool[order] = Candidate(rule, None, order, claims, lhs, rhs)
-            else:
-                metrics, sites = _score(buckets, lhs, rhs)
-                pool[order] = Candidate(rule, metrics, order, claims + sites)
+            pool[order] = Candidate(rule, None, order, [(bidx, (s, e)), core], lhs, rhs)
 
 
 def _literal_form(bucket: Bucket, rule_at: Callable) -> Form:
@@ -283,64 +275,66 @@ def _select(
 
     This is the lazy greedy of Minoux (1978). A pending candidate waits
     under the optimistic key (-1.0, -bound, *order): its precision is at
-    most 1, and its tp at most the bound, the least of 2 x (edit atoms) (see
-    `_score`) and the count of its core's source text in the joined sources.
-    The count bounds tp because every tp site is an aligned match of the
-    window's text, which holds the core's text at a fixed offset, and
-    aligned matches do not overlap, so neither do those copies; `str.count`
-    counts the most disjoint copies there are. It counts plain text, not
-    token-aligned occurrences: a core's edges need not be token boundaries
-    (a change block starting before a line's indentation, or one token cut
-    off an identity run). An insertion's core text is empty, and its count,
-    one more than the text's length, exceeds any number of disjoint
-    nonempty matches. So a candidate's exact rank is never better than its
-    key.
+    most 1, and its tp at most the bound. A literal's bound is the least of
+    2 x (edit atoms) (see `_score`) and the count of its core's source text
+    in the joined sources. The count bounds tp because every tp site is an
+    aligned match of the window's text, which holds the core's text at a
+    fixed offset, and aligned matches do not overlap, so neither do those
+    copies; `str.count` counts the most disjoint copies there are. It counts
+    plain text, not token-aligned occurrences: a core's edges need not be
+    token boundaries (a change block starting before a line's indentation,
+    or one token cut off an identity run). An insertion's core text is
+    empty, and its count, one more than the text's length, exceeds any
+    number of disjoint nonempty matches. A capture's tp has no bound, so its
+    bound is infinite and it is scored before anything is retained. So a
+    candidate's exact rank is never better than its key.
 
-    When a pending key comes first, the candidate is dropped unscored if
-    its window or core overlaps a retained claim: claims only grow, so its
-    exact turn would drop it too. Otherwise it is scored, and if precise it
-    waits again under its exact rank, claiming its tp sites too. Ties fall
-    to pool order. So what is yielded, and in what order, is what ranking
-    every candidate scored and retaining greedily yields.
+    Every key ends in the candidate's pool index, so no two compare equal,
+    and one heap pops them best first. A popped candidate whose claims
+    overlap a retained claim is dropped: for a pending one that is its
+    window or core, and claims only grow, so its exact turn would drop it
+    too. Otherwise a pending candidate is scored, with the literal's cap,
+    and if precise it waits again under its exact rank, claiming its tp
+    sites too; an exact one is retained. Ties fall to pool order. So what
+    is yielded, and in what order, is what ranking every candidate scored
+    and retaining greedily yields.
     """
     claimed: dict[int, list[int]] = {}
     bounds: dict[str, int] = {}  # core text -> bound, for this text
-    pending: list[tuple] = []
-    exact: list[tuple] = []
+    queue: list[tuple] = []
     for n, cand in enumerate(candidates):
         if cand.metrics is None:
-            bidx, (s, e) = cand.claims[1]
-            core = buckets[bidx].source[s:e]
-            bound = bounds.get(core)
-            if bound is None:
-                bound = bounds[core] = min(2 * buckets.edit_count, buckets.joined.text.count(core))
-            pending.append(((-1.0, -bound, *cand.order, n), cand))
+            bound = inf
+            if isinstance(cand.lhs, str):
+                bidx, (s, e) = cand.claims[1]
+                core = buckets[bidx].source[s:e]
+                bound = bounds.get(core)
+                if bound is None:
+                    bound = bounds[core] = min(2 * buckets.edit_count, buckets.joined.text.count(core))
+            queue.append(((-1.0, -bound, *cand.order, n), cand))
         elif cand.metrics.precise:
-            exact.append(((*cand.rank(), n), cand))
-    pending.sort(reverse=True)  # best key last
-    heapify(exact)
-    while pending or exact:
-        if exact and (not pending or exact[0][0] < pending[-1][0]):
-            _, cand = heappop(exact)
-            if _overlaps(claimed, cand.claims):
-                continue
-            for bucket, (s, e) in cand.claims:
-                runs = claimed.setdefault(bucket, [])
-                # Merge [s, e) with the runs it overlaps or touches: an odd
-                # index lies inside or at the end of a run, which keeps its bound.
-                e = max(e, s + 1)
-                i, j = bisect_left(runs, s), bisect_right(runs, e)
-                runs[i:j] = [s, e][i & 1 : 2 - (j & 1)]
-            yield cand
+            queue.append(((*cand.rank(), n), cand))
+    heapify(queue)
+    while queue:
+        key, cand = heappop(queue)
+        if _overlaps(claimed, cand.claims):
             continue
-        key, cand = pending.pop()
-        if claimed and _overlaps(claimed, cand.claims):
+        if cand.metrics is None:
+            cap = 2 * buckets.edit_count if isinstance(cand.lhs, str) else None
+            metrics, sites = _score(buckets, cand.lhs, cand.rhs, cap)
+            tp, fp = metrics
+            if tp > fp:  # precise: its rank is (-tp / (tp + fp), -tp, *order)
+                cand = Candidate(cand.rule, metrics, cand.order, cand.claims + sites)
+                heappush(queue, ((-tp / (tp + fp), -tp, *cand.order, key[-1]), cand))
             continue
-        metrics, sites = _score(buckets, cand.lhs, cand.rhs)
-        tp, fp = metrics
-        if tp > fp:  # precise: its rank is (-tp / (tp + fp), -tp, *order)
-            cand = Candidate(cand.rule, metrics, cand.order, cand.claims + sites)
-            heappush(exact, ((-tp / (tp + fp), -tp, *cand.order, key[-1]), cand))
+        for bucket, (s, e) in cand.claims:
+            runs = claimed.setdefault(bucket, [])
+            # Merge [s, e) with the runs it overlaps or touches: an odd
+            # index lies inside or at the end of a run, which keeps its bound.
+            e = max(e, s + 1)
+            i, j = bisect_left(runs, s), bisect_right(runs, e)
+            runs[i:j] = [s, e][i & 1 : 2 - (j & 1)]
+        yield cand
 
 
 def sort_and_filter(

@@ -10,7 +10,8 @@ All pattern matching downstream is required to start and end on token
 boundaries of the text being searched. `_aligned` decides each end of an
 occurrence from the character beyond it, so matching needs no tokenization.
 `Joined` holds many texts as one, so that one scan and one splice apply a rule
-to all of them: scoring, the fix-up rounds, moves and replay all go through it.
+to all of them: scoring, the fix-up rounds, moves and replay all go through it,
+a literal through `Joined.find` and a capture pattern through `Joined.match`.
 """
 
 from __future__ import annotations
@@ -165,6 +166,33 @@ class Joined(NamedTuple):
         if not needle:
             raise ValueError("needle must be nonempty")
         return iter(()) if self.sep in needle else _aligned(self.text, needle)
+
+    def match(self, prefix: str, suffix: str) -> list[tuple[int, int, int, int]]:
+        """Leftmost non-overlapping matches of prefix [capture] suffix as
+        (start, end, cap0, cap1), each inside one text. Both anchors are
+        aligned occurrences (`_aligned`); the capture is the lazily shortest
+        nonempty span between them. A prefix with no suffix before its text
+        ends resumes the scan at the next."""
+        if not prefix or not suffix:
+            raise ValueError("matching requires nonempty anchors around the capture")
+        text, sep = self.text, self.sep
+        out: list[tuple[int, int, int, int]] = []
+        if sep in prefix or sep in suffix:
+            return out
+        i = next(_aligned(text, prefix), -1)
+        while i >= 0:
+            cap0 = i + len(prefix)
+            cap1 = next(_aligned(text, suffix, cap0 + 1), -1)
+            if cap1 < 0:
+                return out  # a later prefix site has no suffix after it either
+            stop = text.find(sep, cap0, cap1)
+            if stop >= 0:
+                i = next(_aligned(text, prefix, stop + 1), -1)
+                continue
+            end = cap1 + len(suffix)
+            out.append((i, end, cap0, cap1))
+            i = next(_aligned(text, prefix, end), -1)
+        return out
 
     def locate(self, offset: int) -> tuple[int, int]:
         """(index of the text holding offset, offset within that text)."""

@@ -23,7 +23,7 @@ from summer.engine import (
     merge,
     pair_entries,
 )
-from summer.moves import MoveRule
+from summer.moves import Antecedent, Consequent, MovePattern, MoveRule
 from summer.rules import RewriteRule
 from summer.tokens import tokenize
 from tests.conftest import (
@@ -47,7 +47,7 @@ class TestMapToBuckets:
         assert steps == []
         labels = [b.label for b in buckets]
         assert labels == ["name:bc.go", "content:bc.go"]
-        name_bucket = buckets.buckets[0]
+        name_bucket = buckets[0]
         assert [(atom_kind(a), a.lhs, a.rhs) for a in name_bucket.atoms] == [
             (SUBSTITUTION, "bc", "Program"),
             (None, ".go", ".go"),
@@ -398,6 +398,19 @@ class TestDecompose:
         out = apply_steps(base, steps)
         assert out.ok and out.result == changed
 
+    def test_failed_replay_is_patched_from_base(self):
+        # The rule foo -> bar also renames entry foo onto bar, so its replay
+        # on base conflicts: decompose drops it and patches base alone.
+        base = {"foo": "x\n", "bar": "y\n", "c": "call foo\n"}
+        changed = dict(base, c="call bar\n")
+        buckets, _ = map_to_buckets(base, changed)
+        assert summer.rules.decompose_rewrites(buckets) == [RewriteRule("foo", "bar")]
+        assert not apply_steps(base, [RewriteRule("foo", "bar")]).ok
+        steps = decompose(base, changed)
+        assert steps == [FileAdd("c", "call bar\n")]
+        out = apply_steps(base, steps)
+        assert out.ok and out.result == changed
+
 
 class TestApplySteps:
     def test_rewrite_applies_at_token_boundaries(self):
@@ -487,6 +500,16 @@ class TestApplySteps:
         assert out.conflict.diagnostic == (
             "move rule antecedent matched but consequent '\\n\\n' has no application site"
         )
+
+    def test_move_whose_antecedent_matches_nothing(self):
+        move = MoveRule(
+            Antecedent(MovePattern("(", ")"), "[]"), Consequent("END", MovePattern("<", ">"))
+        )
+        target = {"a": "no brackets\n", "b": "END\n"}
+        out = apply_steps(target, [move])
+        assert out.ok and out.conflict is None and out.diagnostics == []
+        assert out.applied_steps == [AppliedStep(move, 0, ())]
+        assert out.result == target
 
     def test_file_add_overwrites(self):
         out = apply_steps({"a": "x"}, [FileAdd("a", "y")])
@@ -686,7 +709,6 @@ class TestRoundTripProperty:
         # Rewrite and antecedent sites must sit on pre-step token boundaries;
         # consequent sites on boundaries of the post-antecedent text.
         rng = random.Random(99)
-        from summer.moves import match_pattern
         from summer.tokens import Joined
 
         for _ in range(40):
@@ -706,7 +728,7 @@ class TestRoundTripProperty:
                     mid_bounds = {}
                     for path, text in state.items():
                         joined = Joined.of([text])
-                        spans = [m[:2] for m in match_pattern(joined, a.lhs)]
+                        spans = [m[:2] for m in joined.match(*a.lhs)]
                         mid_bounds[path] = token_offsets(joined.splice(spans, a.rhs).text)
                 out = apply_steps(state, [step])
                 assert out.ok

@@ -1,18 +1,24 @@
 import random
+from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import summer.moves as moves
 from summer.align import BucketSet, dissect
+from summer.bench import _read, load_manifest
+from summer.engine import map_to_buckets
 from summer.moves import (
     MovePattern,
+    _antecedent_form,
     _is_trivial,
     _longest_shared,
     apply_move,
     find_move,
     get_precise_move,
-    match_pattern,
 )
-from summer.rules import WINDOW
+from summer.rules import WINDOW, Candidate, _expand, _select
 from summer.tokens import Joined
 from tests.conftest import (
     DELETION,
@@ -28,6 +34,8 @@ from tests.conftest import (
     core_atom,
     token_offsets,
 )
+from tests.test_bench import CORPUS
+from tests.test_rules import pairwise_select, scored
 
 INLINE_BASE = "def inc(): return x+1\n# uses\na = inc()\nb = inc()\nc = inc()\n"
 INLINE_TARGET = "# uses\na = x+1\nb = x+1\nc = x+1\n"
@@ -47,28 +55,26 @@ class TestMatchPattern:
     def test_lazy_minimal_capture(self):
         text = "( aa bb ) tail ( cc ) x"
         pattern = MovePattern("(", ")")
-        matches = match_pattern(Joined.of([text]), pattern)
+        matches = Joined.of([text]).match(*pattern)
         assert [text[c0:c1] for _, _, c0, c1 in matches] == [" aa bb ", " cc "]
 
     def test_capture_must_be_nonempty(self):
-        assert match_pattern(Joined.of(["()"]), MovePattern("(", ")")) == []
+        assert Joined.of(["()"]).match(*MovePattern("(", ")")) == []
 
     def test_anchors_respect_token_boundaries(self):
         # "public" inside "Republican" is not a prefix site.
-        matches = match_pattern(
-            Joined.of(["Republican public x end"]), MovePattern("public", "end")
-        )
+        matches = Joined.of(["Republican public x end"]).match(*MovePattern("public", "end"))
         assert len(matches) == 1
         assert matches[0][0] == len("Republican ")
 
     def test_anchorless_patterns_rejected(self):
         with pytest.raises(ValueError):
-            match_pattern(Joined.of(["x"]), MovePattern("", "x"))
+            Joined.of(["x"]).match(*MovePattern("", "x"))
 
 
 class TestFindLongestShared:
     def test_extraction_body(self, extract_buckets):
-        bucket = extract_buckets.buckets[0]
+        bucket = extract_buckets[0]
         ins = next(a for a in bucket.atoms if atom_kind(a) == INSERTION)
         shared = _longest_shared(ins.rhs, extract_buckets, "lhs")
         assert shared is not None
@@ -79,7 +85,7 @@ class TestFindLongestShared:
 
     def test_no_deletion_or_substitution_edits(self):
         corpus = BucketSet((dissect("a\n", "a\nnew line of text\n", "t"),))
-        bucket = corpus.buckets[0]
+        bucket = corpus[0]
         ins = next(a for a in bucket.atoms if atom_kind(a) == INSERTION)
         assert _longest_shared(ins.rhs, corpus, "lhs") is None
 
@@ -87,14 +93,14 @@ class TestFindLongestShared:
         corpus = BucketSet(
             (dissect("ab\n", "\n", "t1"), dissect("q\n", "q\nxy\n", "t2"))
         )
-        bucket = corpus.buckets[1]
+        bucket = corpus[1]
         ins = next(a for a in bucket.atoms if atom_kind(a) == INSERTION)
         assert _longest_shared(ins.rhs, corpus, "lhs") is None
 
     def test_trivial_candidates_rejected(self):
         # A shared bare symbol is too trivial to move.
         corpus = BucketSet((dissect("x ; y\n", "x y\n;\n", "t"),))
-        bucket = corpus.buckets[0]
+        bucket = corpus[0]
         for a in bucket.atoms:
             if atom_kind(a) == INSERTION:
                 assert _longest_shared(a.rhs, corpus, "lhs") is None
@@ -206,6 +212,56 @@ class TestLongestShared:
         found = _longest_shared(moved, buckets, "lhs")
         assert len(reads) <= 4
         assert found == (moved, 0, [(0, 0, 1)])
+
+
+def checked_best(monkeypatch) -> Counter:
+    """Make `moves._best` check each pool it selects from against the eager
+    choice: every candidate scored in full, then the precise one of least
+    rank (and every later pick against the pairwise selection). Counts the
+    pools checked by form."""
+    best = moves._best
+    checked: Counter = Counter()
+
+    def check(buckets, sites, form_at, n, window):
+        got = best(buckets, sites, form_at, n, window)
+        pool: dict = {}
+        for b, lo, hi, offset in sites:
+            _expand(buckets, b, lo, hi, window, pool, form_at(buckets[b], lo, offset, n))
+        every = scored(buckets, pool)
+        want = min((c for c in every if c.metrics.precise), key=Candidate.rank, default=None)
+        assert (got and got[:4]) == (want and want[:4])  # rule, metrics, order, claims
+        # Past the first pick, the whole selection equals the eager one too.
+        lazy = [c[:4] for c in _select(pool.values(), buckets)]
+        assert lazy == [c[:4] for c in pairwise_select(every)]
+        checked[form_at] += 1
+        return got
+
+    monkeypatch.setattr(moves, "_best", check)
+    return checked
+
+
+class TestLazyCaptureSelection:
+    """Antecedent (capture) and consequent pools select what scoring every
+    candidate in full and taking the least rank selects."""
+
+    @pytest.mark.parametrize(
+        "scenario", ["extract-method", "inline-definition", "extract-anchor-gone"]
+    )
+    def test_corpus_move_scenarios(self, monkeypatch, scenario):
+        checked = checked_best(monkeypatch)
+        (s,) = [s for s in load_manifest(CORPUS) if s.id == scenario]
+        base = {"": _read(s.base)}
+        for side in (s.left, s.right):
+            buckets, _ = map_to_buckets(base, {"": _read(side)})
+            get_precise_move(buckets, WINDOW)
+        assert checked[_antecedent_form] > 0
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_eager_reference(self, rng, window):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            checked_best(monkeypatch)
+            get_precise_move(_random_corpus(rng), window)
 
 
 class TestFindExtract:
@@ -326,7 +382,7 @@ class TestMoveApplication:
         moves = get_precise_move(extract_buckets, WINDOW)
         pattern = moves[0].antecedent.lhs
         bounds = token_offsets(EXTRACT_RIGHT)
-        (start, end, c0, c1), = match_pattern(Joined.of([EXTRACT_RIGHT]), pattern)
+        (start, end, c0, c1), = Joined.of([EXTRACT_RIGHT]).match(*pattern)
         assert c0 in bounds and c1 in bounds
         # No shorter boundary-to-boundary capture completes the pattern.
         suffix = pattern.literal_suffix

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 
 import summer.rules as rules
 from summer.align import Bucket, BucketSet, dissect
-from summer.moves import MovePattern, match_pattern
+from summer.moves import MovePattern
 from summer.rules import (
     WINDOW,
     Candidate,
@@ -138,7 +138,8 @@ class TestJoinedScoring:
         buckets = BucketSet(
             (dissect("a b", "a c", "x"), dissect("", "", "y"), dissect("b c", "c c", "z"))
         )
-        assert _score(buckets, "b", "c") == (RuleMetrics(2, 0), [(0, (2, 3)), (2, (0, 1))])
+        got = _score(buckets, "b", "c", 2 * buckets.edit_count)
+        assert got == (RuleMetrics(2, 0), [(0, (2, 3)), (2, (0, 1))])
 
     @given(st.data())
     @settings(max_examples=250)
@@ -148,14 +149,13 @@ class TestJoinedScoring:
         rhs = data.draw(st.one_of(needles(buckets, "target"), pieces_text))
         if lhs == rhs:
             return  # no candidate rewrites a text to itself
-        def matcher(joined):
-            return [(i, i + len(lhs)) for i in joined.find(lhs)]
-
-        want = reference_score(buckets, lambda s: matcher(Joined.of([s])), rhs)
-        # As a matcher, the literal is scored in full; as a literal, its
+        want = reference_score(
+            buckets, lambda s: [(i, i + len(lhs)) for i in Joined.of([s]).find(lhs)], rhs
+        )
+        # Uncapped, the literal is scored in full; under the bar's cap, its
         # scan may stop once the candidate cannot clear the bar.
-        assert _score(buckets, matcher, rhs) == want
-        metrics, sites = _score(buckets, lhs, rhs)
+        assert _score(buckets, lhs, rhs, None) == want
+        metrics, sites = _score(buckets, lhs, rhs, 2 * buckets.edit_count)
         if want[0].precise:
             assert (metrics, sites) == want
         else:
@@ -179,19 +179,18 @@ class TestJoinedScoring:
         per_bucket = [
             (bidx, m)
             for bidx, b in enumerate(buckets)
-            for m in match_pattern(Joined.of([b.source]), pattern)
+            for m in Joined.of([b.source]).match(*pattern)
         ]
         found = []
-        for m in match_pattern(buckets.joined, pattern):
+        for m in buckets.joined.match(*pattern):
             bidx = max(i for i, s in enumerate(starts) if s <= m[0])
             found.append((bidx, tuple(x - starts[bidx] for x in m)))
         assert found == per_bucket
 
-        def matcher(joined):
-            return [m[:2] for m in match_pattern(joined, pattern)]
-
-        want = reference_score(buckets, lambda s: matcher(Joined.of([s])), rhs)
-        assert _score(buckets, matcher, rhs) == want
+        want = reference_score(
+            buckets, lambda s: [m[:2] for m in Joined.of([s]).match(*pattern)], rhs
+        )
+        assert _score(buckets, pattern, rhs, None) == want
 
 
 class TestBarBound:
@@ -219,7 +218,7 @@ class TestBarBound:
         cap = 2 * buckets.edit_count
         assert cap == 4
         calls = self.count_agrees(monkeypatch)
-        metrics, _ = _score(buckets, "1", "2")
+        metrics, _ = _score(buckets, "1", "2", cap)
         assert not metrics.precise
         assert metrics.fp == cap
         assert len(calls) <= cap + metrics.tp
@@ -345,12 +344,12 @@ class TestSelect:
 
 
 def scored(buckets: BucketSet, pool: dict) -> list[Candidate]:
-    """Every candidate of a pool with its metrics and tp sites, as scoring
-    each one as it is formed would give it."""
+    """Every candidate of a pool with its metrics and tp sites, each one
+    scored in full."""
     out = []
     for cand in pool.values():
         if cand.metrics is None:
-            metrics, sites = _score(buckets, cand.lhs, cand.rhs)
+            metrics, sites = _score(buckets, cand.lhs, cand.rhs, None)
             cand = cand._replace(metrics=metrics, claims=cand.claims + sites)
         out.append(cand)
     return out
@@ -364,7 +363,7 @@ class TestExpandEdit:
         e = pool[len("github"), "github", "gitlab"]  # keyed by order
         assert e.rule == RewriteRule("github", "gitlab")
         assert e.metrics is None  # pending until the selection reaches it
-        metrics, _ = _score(rename_corpus, e.lhs, e.rhs)
+        metrics, _ = _score(rename_corpus, e.lhs, e.rhs, None)
         assert (metrics.tp, metrics.fp) == (2, 0)
 
     def test_insertion_contexts_from_both_sides(self, rename_corpus):
